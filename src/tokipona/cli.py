@@ -251,7 +251,7 @@ def _cmd_tag(args, lex, out) -> int:
     rows = []
     for clause in result.clauses:
         assignment = pos_tag(clause, resolve_with_dictionary=not args.no_dictionary, lex=lex)
-        for tok in clause.unparse():
+        for tok in clause.tokens():
             value = assignment[tok]
             label = value.value if isinstance(value, TagValue) else str(value)
             rows.append([tok.surface, label])

@@ -229,14 +229,6 @@ class Predicate:
     colon_object: bool = False             # trailing ":" standing for "e ni"
 
     @property
-    def verb_phrase(self) -> PhraseNode:
-        return self.phrase
-
-    @property
-    def preverb_chain(self) -> list[Token]:
-        return self.preverbs
-
-    @property
     def objects(self) -> list[PhraseNode]:
         return [c.phrase for c in self.complements if isinstance(c, ObjectArg)]
 
@@ -307,12 +299,6 @@ class Clause:
         yield from self.tail
         if self.terminator:
             yield self.terminator
-
-    def unparse(self) -> list[Token]:
-        return list(self.tokens())
-
-    def text(self) -> str:
-        return detokenize(self.unparse())
 
     # serialization ------------------------------------------------------
 
@@ -423,8 +409,7 @@ _INTERJECTIONS = {"a", "mu"}
 
 
 class _ClauseParser:
-    def __init__(self, lex: Lexicon, opts: ParseOptions, diags: list[Diagnostic]):
-        self.lex = lex
+    def __init__(self, opts: ParseOptions, diags: list[Diagnostic]):
         self.opts = opts
         self.diags = diags
 
@@ -791,11 +776,11 @@ def parse(
     One clause per sentence terminator; la-chains fold into ``contexts``
     (each earlier clause conditions the rest).  Ambiguities become NOTE
     diagnostics, non-canonical but readable constructs become WARNINGs,
-    and structural impossibilities raise :class:`GrammarError`.
+    and structural impossibilities raise :class:`GrammarError`.  ``lex``
+    is unused; it stays for callers that pass it by position.
     """
-    lex = lex or default_lexicon()
     diags: list[Diagnostic] = []
-    parser = _ClauseParser(lex, opts, diags)
+    parser = _ClauseParser(opts, diags)
 
     for tok in tokens:
         if tok.kind is TokenKind.ERROR:
@@ -819,6 +804,7 @@ def parse(
         if not body:
             if terminator is not None:
                 parser.warn("empty sentence", terminator)
+                clauses.append(Clause(terminator=terminator))
             continue
         # Split at la into context clauses plus the main clause.
         segments: list[tuple[list[Token], Optional[Token]]] = []
@@ -996,13 +982,6 @@ Assignment = Union[TagValue, Hybrid]
 HYBRID_NVA = Hybrid(frozenset({TagValue.NOUN, TagValue.VERB, TagValue.ADJECTIVE}))
 
 
-class PrepComplementTreatment(Enum):
-    """What follows a preposition: always a noun, or a noun/verb/adjective hybrid."""
-
-    NOUN = "noun"
-    HYBRID = "hybrid"
-
-
 _DICT_TO_TAGVALUE = {
     PosTag.NOUN: TagValue.NOUN,
     PosTag.ADJECTIVE: TagValue.ADJECTIVE,
@@ -1014,32 +993,22 @@ _DICT_TO_TAGVALUE = {
 }
 
 
-class TagAssignment(dict):
-    """Token -> TagValue | Hybrid mapping with a readable rendering."""
-
-    def render(self) -> str:
-        items = sorted(self.items(), key=lambda kv: kv[0].start)
-        return " ".join(f"{t.surface}/{v}" if isinstance(v, Hybrid) else f"{t.surface}/{v.value}"
-                        for t, v in items)
-
-
 def pos_tag(
     clause: Clause,
     resolve_with_dictionary: bool = False,
     lex: Optional[Lexicon] = None,
-    prep_treatment: PrepComplementTreatment = PrepComplementTreatment.HYBRID,
-) -> TagAssignment:
+) -> dict[Token, Assignment]:
     """Assign one tag (or hybrid) to every token of a parsed clause.
 
     Phrase heads in noun positions are nouns, later phrase words are
     adjectives (noun phrases) or adverbs (verb phrases), predicate heads
     are verbs when an object follows and noun/verb/adjective hybrids
-    otherwise, and preposition complements follow ``prep_treatment``.
+    otherwise, as are the heads of preposition complements.
     With ``resolve_with_dictionary``, hybrids are narrowed by the
     lemma's dictionary tags whenever those decide the question.
     """
     lex = lex or default_lexicon()
-    out = TagAssignment()
+    out: dict[Token, Assignment] = {}
 
     def assign(tok: Token, value: Assignment):
         out[tok] = value
@@ -1083,12 +1052,7 @@ def pos_tag(
             assign(pp.lead_sep, TagValue.PUNCT)
         assign(pp.prep, TagValue.PREPOSITION)
         if pp.complement is not None:
-            head: Assignment = (
-                TagValue.NOUN
-                if prep_treatment is PrepComplementTreatment.NOUN
-                else HYBRID_NVA
-            )
-            tag_phrase(pp.complement, head, TagValue.ADJECTIVE)
+            tag_phrase(pp.complement, HYBRID_NVA, TagValue.ADJECTIVE)
 
     def tag_clause(c: Clause):
         for ctx in c.contexts:

@@ -10,9 +10,9 @@ from __future__ import annotations
 import html as _html
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, TextIO
+from typing import Callable, Optional
 
-from .grammar import Token, TokenKind, default_lexicon, tokenize
+from .grammar import TokenKind, default_lexicon, tokenize
 from .lexicon import Lexicon, PosTag
 
 PROPER_PATTERN = r"/\v<[A-Z][a-z]*>/"
@@ -110,7 +110,7 @@ def build_scheme(lex: Lexicon, cfg: SchemeConfig = SchemeConfig()) -> list[Highl
 
 # --- Vim emission ----------------------------------------------------------
 
-def emit_vim_syntax(scheme: list[HighlightGroup], out: Optional[TextIO] = None) -> str:
+def emit_vim_syntax(scheme: list[HighlightGroup]) -> str:
     """The syntax file: guard, keyword lines, proper-noun pattern, links."""
     lines = [
         '" Vim syntax file for Toki Pona (generated; edit the generator, not this file)',
@@ -128,22 +128,16 @@ def emit_vim_syntax(scheme: list[HighlightGroup], out: Optional[TextIO] = None) 
     for group in scheme:
         lines.append(f"hi def link {group.name} {group.link_target}")
     lines.append(f'let b:current_syntax = "{FILETYPE_NAME}"')
-    content = "\n".join(lines) + "\n"
-    if out is not None:
-        out.write(content)
-    return content
+    return "\n".join(lines) + "\n"
 
 
-def emit_filetype_detect(out: Optional[TextIO] = None) -> str:
+def emit_filetype_detect() -> str:
     """Detection rules binding *.tp and *.tokipona to the filetype."""
-    content = (
+    return (
         '" Filetype detection for Toki Pona (generated)\n'
         f"au BufRead,BufNewFile *.tp set filetype={FILETYPE_NAME}\n"
         f"au BufRead,BufNewFile *.tokipona set filetype={FILETYPE_NAME}\n"
     )
-    if out is not None:
-        out.write(content)
-    return content
 
 
 _LINE_KINDS = (
@@ -215,48 +209,54 @@ DEFAULT_ANSI256_PALETTE = {
 }
 
 
-def group_of_token(tok: Token, scheme: list[HighlightGroup]) -> str:
-    if tok.kind is TokenKind.PROPER:
-        return "tpPROPER"
-    if tok.kind is TokenKind.WORD:
-        for group in scheme:
-            if tok.surface in group.members:
-                return group.name
-    if tok.kind is TokenKind.ERROR:
-        return "tpERROR"
-    return ""  # punctuation keeps the default color
+def _render(
+    text: str,
+    scheme: Optional[list[HighlightGroup]],
+    lex: Optional[Lexicon],
+    escape: Callable[[str], str],
+    paint: Callable[[str, str], str],
+) -> str:
+    """Tokenize ``text`` and pass each token's group and escaped text to
+    ``paint``; punctuation and the text between tokens are only escaped."""
+    lex = lex or default_lexicon()
+    scheme = scheme if scheme is not None else build_scheme(lex)
+    # Reversed, so that the first group listing a word wins.
+    group_of = {w: g.name for g in reversed(scheme) for w in g.members}
+    out: list[str] = []
+    pos = 0
+    for tok in tokenize(text, lex):
+        if tok.start > pos:
+            out.append(escape(text[pos:tok.start]))
+        chunk = escape(text[tok.start:tok.end])
+        if tok.kind is TokenKind.WORD:
+            group = group_of.get(tok.surface, "")
+        elif tok.kind is TokenKind.PROPER:
+            group = "tpPROPER"
+        elif tok.kind is TokenKind.ERROR:
+            group = "tpERROR"
+        else:
+            group = ""  # punctuation keeps the default color
+        out.append(paint(group, chunk) if group else chunk)
+        pos = tok.end
+    out.append(escape(text[pos:]))
+    return "".join(out)
 
 
 def render_html(
     text: str,
     scheme: Optional[list[HighlightGroup]] = None,
-    palette: Optional[dict[str, str]] = None,
     lex: Optional[Lexicon] = None,
 ) -> str:
     """A standalone HTML document with one colored span per token."""
-    lex = lex or default_lexicon()
-    scheme = scheme if scheme is not None else build_scheme(lex)
-    palette = palette or DEFAULT_HTML_PALETTE
-    body: list[str] = []
-    pos = 0
-    for tok in tokenize(text, lex):
-        if tok.start > pos:
-            body.append(_html.escape(text[pos:tok.start]))
-        group = group_of_token(tok, scheme)
-        chunk = _html.escape(text[tok.start:tok.end])
-        if group:
-            color = palette.get(group, "#d8d8d8")
-            body.append(f'<span class="{group}" style="color:{color}">{chunk}</span>')
-        else:
-            body.append(chunk)
-        pos = tok.end
-    if pos < len(text):
-        body.append(_html.escape(text[pos:]))
+    def paint(group: str, chunk: str) -> str:
+        color = DEFAULT_HTML_PALETTE.get(group, "#d8d8d8")
+        return f'<span class="{group}" style="color:{color}">{chunk}</span>'
+
     return (
         "<!DOCTYPE html>\n"
         '<html><head><meta charset="utf-8"><title>toki pona</title></head>\n'
         '<body style="background:#1d2021;color:#d8d8d8"><pre>'
-        + "".join(body)
+        + _render(text, scheme, lex, _html.escape, paint)
         + "</pre></body></html>\n"
     )
 
@@ -264,31 +264,18 @@ def render_html(
 def render_ansi(
     text: str,
     scheme: Optional[list[HighlightGroup]] = None,
-    palette: Optional[dict[str, str]] = None,
     lex: Optional[Lexicon] = None,
     color_depth: int = 16,
 ) -> str:
     """The same coloring as terminal SGR escapes (16- or 256-color)."""
-    if color_depth not in (16, 256):
+    if color_depth == 16:
+        sgr = DEFAULT_ANSI_PALETTE
+    elif color_depth == 256:
+        sgr = {g: f"38;5;{code}" for g, code in DEFAULT_ANSI256_PALETTE.items()}
+    else:
         raise ValueError("color_depth must be 16 or 256")
-    lex = lex or default_lexicon()
-    scheme = scheme if scheme is not None else build_scheme(lex)
-    if palette is None:
-        palette = DEFAULT_ANSI_PALETTE if color_depth == 16 else DEFAULT_ANSI256_PALETTE
-    out: list[str] = []
-    pos = 0
-    for tok in tokenize(text, lex):
-        if tok.start > pos:
-            out.append(text[pos:tok.start])
-        group = group_of_token(tok, scheme)
-        chunk = text[tok.start:tok.end]
-        if group and group in palette:
-            code = palette[group]
-            sgr = code if color_depth == 16 else f"38;5;{code}"
-            out.append(f"\x1b[{sgr}m{chunk}\x1b[0m")
-        else:
-            out.append(chunk)
-        pos = tok.end
-    if pos < len(text):
-        out.append(text[pos:])
-    return "".join(out)
+
+    def paint(group: str, chunk: str) -> str:
+        return f"\x1b[{sgr[group]}m{chunk}\x1b[0m" if group in sgr else chunk
+
+    return _render(text, scheme, lex, str, paint)

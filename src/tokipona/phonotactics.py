@@ -26,27 +26,6 @@ FORBIDDEN_PAIRS = frozenset({("j", "i"), ("w", "u"), ("w", "o"), ("t", "i")})
 MAX_SYLLABLES = 6
 
 
-class LetterClass(Enum):
-    VOWEL = "vowel"
-    CONSONANT = "consonant"
-
-
-@dataclass(frozen=True)
-class Letter:
-    char: str
-    klass: LetterClass
-
-    def __post_init__(self):
-        if self.char not in ALPHABET:
-            raise ValueError(f"{self.char!r} is not a Toki Pona letter")
-
-
-def letter(ch: str) -> Letter:
-    """Classify a single character of the 14-letter alphabet."""
-    klass = LetterClass.VOWEL if ch in VOWELS else LetterClass.CONSONANT
-    return Letter(ch, klass)
-
-
 class CountingMode(Enum):
     """How the forbidden-sequence list is applied.
 

@@ -12,14 +12,13 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
 
-from .lexicon import Lexicon, PosTag
+from .lexicon import CONTENT_COUNT, PREPOSITIONS, Lexicon, PosTag
 from .phonotactics import VOWELS, syllabify
 
-PREPOSITION_CHOICES = 5          # kepeken, lon, sama, tan, tawa
+PREPOSITION_CHOICES = len(PREPOSITIONS)
 PARTICLE_SLOT_CHOICES = 9 ** 4   # one of 8 particles or none, in each of 4 phrase slots
-CONTENT_CHOICES = 107
+CONTENT_CHOICES = CONTENT_COUNT
 
 
 class Scope(Enum):
@@ -185,45 +184,3 @@ def sentence_space(q: SentenceSpaceQuery) -> int:
 
 def format_percent(value: float) -> str:
     return f"{value:.2f}"
-
-
-def render_frequency_table(
-    table: PositionalFrequencyTable, limit: Optional[int] = None, tsv: bool = False
-) -> str:
-    rows = table.rows if limit is None else table.rows[:limit]
-    if tsv:
-        lines = ["item\tcount\tpercent"]
-        lines += [f"{r.item}\t{r.count}\t{format_percent(r.percent)}" for r in rows]
-        return "\n".join(lines)
-    width = max((len(r.item) for r in rows), default=4)
-    lines = [f"{'item':<{width}}  count  percent"]
-    for r in rows:
-        lines.append(f"{r.item:<{width}}  {r.count:>5}  {format_percent(r.percent):>7}")
-    return "\n".join(lines)
-
-
-def render_pos_table(lex: Lexicon, tsv: bool = False) -> str:
-    rows = pos_histogram(lex)
-    tot_all, tot_chosen = pos_totals(lex)
-    if tsv:
-        lines = ["pos\tall\tchosen"]
-        lines += [f"{t.value}\t{a}\t{c}" for t, a, c in rows]
-        lines.append(f"total\t{tot_all}\t{tot_chosen}")
-        return "\n".join(lines)
-    lines = [f"{'POS':<12}  all  chosen"]
-    for t, a, c in rows:
-        lines.append(f"{t.value:<12}  {a:>3}  {c:>6}")
-    lines.append(f"{'total':<12}  {tot_all:>3}  {tot_chosen:>6}")
-    return "\n".join(lines)
-
-
-def render_length_table(lex: Lexicon, tsv: bool = False) -> str:
-    dist = word_length_report(lex)
-    if tsv:
-        lines = ["syllables\tcount\tpercent"]
-        lines += [f"{n}\t{c}\t{format_percent(p)}" for n, (c, p) in dist.items()]
-        return "\n".join(lines)
-    lines = ["syllables  count  percent"]
-    for n, (c, p) in dist.items():
-        lines.append(f"{n:>9}  {c:>5}  {format_percent(p):>7}")
-    return "\n".join(lines)

@@ -21,12 +21,9 @@ from .grammar import (
     Clause,
     ParseOptions,
     PhraseNode,
-    PhraseRole,
-    PiGroup,
-    Token,
-    TokenKind,
     default_lexicon,
     parse_text,
+    pi_readings,
 )
 from .lexicon import Lexicon, PREPOSITIONS
 
@@ -204,28 +201,12 @@ class Synthesizer:
             words.insert(length - 2, "pi")
         return words
 
-    def synth_phrase(
-        self,
-        role: PhraseRole = PhraseRole.NOUN_HEAD,
-        tracker: Optional[ContextTracker] = None,
-    ) -> PhraseNode:
-        """A phrase as a tree: sampled head, modifiers, maybe a pi group."""
-        words = self.phrase_words(tracker)
-        tokens: list[Token] = []
-        pos = 0
-        for w in words:
-            tokens.append(Token(w, TokenKind.WORD, pos, pos + len(w)))
-            pos += len(w) + 1
-        node = PhraseNode(head=tokens[0], role=role)
-        i = 1
-        while i < len(tokens):
-            if tokens[i].surface == "pi":
-                inner = PhraseNode(head=tokens[i + 1], modifiers=list(tokens[i + 2:]), role=role)
-                node.modifiers.append(PiGroup(tokens[i], inner))
-                break
-            node.modifiers.append(tokens[i])
-            i += 1
-        return node
+    def synth_phrase(self, tracker: Optional[ContextTracker] = None) -> PhraseNode:
+        """A phrase as a tree: sampled head, modifiers, maybe a pi group.
+
+        The words hold at most one interior pi, so they have one reading.
+        """
+        return pi_readings(self.phrase_words(tracker))[0]
 
     def _sentence_words(self, tracker: Optional[ContextTracker] = None) -> list[str]:
         tracker = tracker if tracker is not None else self.tracker

@@ -128,9 +128,6 @@ class WordNetDatabase:
     def total_synsets(self) -> int:
         return sum(len(s) for s in self._synsets.values())
 
-    def synset_count(self, pos: WNPos) -> int:
-        return len(self._synsets[pos])
-
     def lookup(self, lemma: str, pos: WNPos) -> tuple[int, ...]:
         """Synset offsets for an English lemma; multiword keys use underscores."""
         return self._index.get((lemma.replace(" ", "_"), pos), ())
@@ -239,10 +236,6 @@ def build_mapping(lex: Lexicon, db: WordNetDatabase, mode: MappingMode) -> TPWor
             refs = {r for r in refs if r.pos in matched_classes}
         mapping[entry.surface] = frozenset(refs)
     return TPWordnet(mode, mapping, tuple(gaps))
-
-
-def synsets_of(tpw: TPWordnet, word: str) -> frozenset[SynsetRef]:
-    return tpw.synsets_of(word)
 
 
 def dump_tsv(tpw: TPWordnet) -> str:

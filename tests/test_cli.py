@@ -5,6 +5,7 @@ import json
 import pytest
 
 from tokipona.cli import main
+from tokipona.stats import Scope, syllable_frequency
 from conftest import write_wndb
 
 
@@ -33,17 +34,25 @@ def test_stats_pos_table(capsys):
     assert "total\t140\t120" in out
 
 
-def test_stats_letters_tsv_roundtrip(capsys):
-    code, out, _ = run(capsys, "--format", "tsv", "stats", "--table", "letters")
+@pytest.mark.parametrize("table", ["letters", "syllables"])
+def test_stats_letters_tsv_roundtrip(capsys, lexicon, table):
+    code, out, _ = run(capsys, "--format", "tsv", "stats", "--table", table)
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "item\tcount\tpercent"
     rows = [l.split("\t") for l in lines[1:]]
     assert all(len(r) == 3 for r in rows)
-    a_row = next(r for r in rows if r[0] == "a")
-    assert a_row[2] == "16.35"
-    total = sum(int(r[1]) for r in rows)
-    assert total == 477  # all letters of all 124 words
+    if table == "letters":
+        a_row = next(r for r in rows if r[0] == "a")
+        assert a_row[2] == "16.35"
+        total = sum(int(r[1]) for r in rows)
+        assert total == 477  # all letters of all 124 words
+    else:
+        expected = syllable_frequency(lexicon, Scope.ALL).rows
+        assert len(rows) == 68
+        assert [(i, int(c), float(p)) for i, c, p in rows] == [
+            (r.item, r.count, r.percent) for r in expected
+        ]
 
 
 def test_stats_json_lines(capsys):

@@ -6,6 +6,7 @@ particles.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from tokipona.grammar import (
     GrammarError,
@@ -17,12 +18,14 @@ from tokipona.grammar import (
     TagValue,
     TokenKind,
     detokenize,
+    parse,
     parse_text,
     pi_readings,
     pos_tag,
     render_grouping,
     tokenize,
 )
+from tokipona.lexicon import load_lexicon
 
 HYBRID_NVA = frozenset({TagValue.NOUN, TagValue.VERB, TagValue.ADJECTIVE})
 
@@ -122,7 +125,7 @@ def test_parse_preposition_interleaved_with_object():
 def test_parse_preverb_chain():
     clause = parse_text("mi wile pali e sitelen lon toki pona.").clauses[0]
     pred = clause.predicates[0]
-    assert [t.surface for t in pred.preverb_chain] == ["wile"]
+    assert [t.surface for t in pred.preverbs] == ["wile"]
     assert pred.phrase.head.surface == "pali"
     notes = [d for d in parse_text("mi wile pali e ni.").diagnostics]
     assert any("pre-verb" in d.message for d in notes)
@@ -260,6 +263,40 @@ def test_corpus_no_problems_lenient(corpus_lines):
     for line in corpus_lines:
         result = parse_text(line, LENIENT)
         assert result.problems() == [], (line, [str(d) for d in result.problems()])
+
+
+@pytest.mark.parametrize(
+    "text", ["toki li pona!!", "mi moku?!", ". mi moku.", "mi moku. . sina pona."]
+)
+def test_empty_sentence_keeps_terminator(text):
+    result = parse_text(text, LENIENT)
+    assert result.text() == detokenize(tokenize(text))
+    assert any(d.message == "empty sentence" for d in result.diagnostics)
+    (empty,) = [c for c in result.clauses if list(c.tokens()) == [c.terminator]]
+    assert pos_tag(empty) == {empty.terminator: TagValue.PUNCT}
+
+
+#: Random sentences: lexicon words and punctuation in any order.
+_fuzz_text = hst.lists(
+    hst.sampled_from(sorted(e.surface for e in load_lexicon()) + list(".!?,:")),
+    max_size=20,
+).map(" ".join)
+
+
+@given(_fuzz_text)
+@settings(max_examples=400, deadline=None)
+def test_parse_roundtrips_and_tags_each_token_once(text):
+    """Only GrammarError escapes; a parse gives back its tokens, each tagged once."""
+    tokens = tokenize(text)
+    try:
+        result = parse(tokens, LENIENT)
+    except GrammarError:
+        return
+    assert result.text() == detokenize(tokens)
+    for clause in result.clauses:
+        toks = list(clause.tokens())
+        assert len(set(toks)) == len(toks)
+        assert set(pos_tag(clause)) == set(toks)
 
 
 def test_tree_serializations(corpus_lines):

@@ -1,7 +1,5 @@
 """Highlight schemes: partition laws, merge modes, and the emitters."""
 
-import io
-
 import pytest
 
 from tokipona.highlight import (
@@ -99,9 +97,6 @@ def test_vim_syntax_content(lexicon):
 def test_vim_syntax_deterministic(lexicon):
     scheme = build_scheme(lexicon)
     assert emit_vim_syntax(scheme) == emit_vim_syntax(build_scheme(lexicon))
-    buf = io.StringIO()
-    content = emit_vim_syntax(scheme, buf)
-    assert buf.getvalue() == content
 
 
 def test_vim_syntax_line_grammar(lexicon):

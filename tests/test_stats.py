@@ -13,8 +13,6 @@ from tokipona.stats import (
     letter_frequency,
     pos_histogram,
     pos_totals,
-    render_frequency_table,
-    render_pos_table,
     round_half_up,
     sentence_space,
     syllable_frequency,
@@ -196,23 +194,3 @@ def test_sentence_space_multiplicative(n, v, o, p):
     with_particles = sentence_space(SentenceSpaceQuery(n, v, o, p, with_particles=True))
     assert with_particles == base * 9 ** 4
 
-
-# --- rendering ------------------------------------------------------------
-
-def test_render_tsv_roundtrip(lexicon):
-    table = syllable_frequency(lexicon, Scope.ALL)
-    text = render_frequency_table(table, tsv=True)
-    lines = text.splitlines()
-    assert lines[0] == "item\tcount\tpercent"
-    parsed = [line.split("\t") for line in lines[1:]]
-    assert len(parsed) == 68
-    for (item, count, percent), row in zip(parsed, table.rows):
-        assert item == row.item
-        assert int(count) == row.count
-        assert float(percent) == row.percent
-
-
-def test_render_pos_table(lexicon):
-    text = render_pos_table(lexicon, tsv=True)
-    assert "NOUN\t58\t49" in text
-    assert "total\t140\t120" in text
