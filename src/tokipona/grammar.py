@@ -146,7 +146,35 @@ LENIENT = ParseOptions(
 )
 
 
-# --- parse tree -----------------------------------------------------------
+# --- tags and parse tree ---------------------------------------------------
+
+class TagValue(Enum):
+    NOUN = "NOUN"
+    ADJECTIVE = "ADJECTIVE"
+    VERB = "VERB"
+    ADVERB = "ADVERB"
+    PREPOSITION = "PREPOSITION"
+    PARTICLE = "PARTICLE"
+    NUMBER = "NUMBER"
+    PROPER = "PROPER"
+    PUNCT = "PUNCT"
+
+
+@dataclass(frozen=True)
+class Hybrid:
+    candidates: frozenset[TagValue]
+
+    def __str__(self) -> str:
+        names = "/".join(sorted(t.value for t in self.candidates))
+        return f"HYBRID({names})"
+
+
+Assignment = Union[TagValue, Hybrid]
+
+HYBRID_NVA = Hybrid(frozenset({TagValue.NOUN, TagValue.VERB, TagValue.ADJECTIVE}))
+
+TaggedToken = tuple[Token, Assignment]
+
 
 class PhraseRole(Enum):
     NOUN_HEAD = "noun"
@@ -158,10 +186,6 @@ class PiGroup:
     pi_token: Token
     inner: "PhraseNode"
 
-    def tokens(self) -> Iterator[Token]:
-        yield self.pi_token
-        yield from self.inner.tokens()
-
 
 @dataclass
 class PhraseNode:
@@ -170,16 +194,23 @@ class PhraseNode:
     role: PhraseRole = PhraseRole.NOUN_HEAD
     conj: list[tuple[Token, "PhraseNode"]] = field(default_factory=list)
 
-    def tokens(self) -> Iterator[Token]:
-        yield self.head
+    def walk(self, head: Assignment, mod: TagValue) -> Iterator[TaggedToken]:
+        """Each token with its slot's tag: ``head`` for the head, ``mod`` for
+        plain modifiers.  A pi group's phrase is tagged as a noun phrase; a
+        conjoined phrase takes the same tags as this one."""
+        yield self.head, head
         for m in self.modifiers:
             if isinstance(m, PiGroup):
-                yield from m.tokens()
+                yield m.pi_token, TagValue.PARTICLE
+                yield from m.inner.walk(TagValue.NOUN, TagValue.ADJECTIVE)
             else:
-                yield m
+                yield m, mod
         for conj_tok, phrase in self.conj:
-            yield conj_tok
-            yield from phrase.tokens()
+            yield conj_tok, TagValue.PARTICLE
+            yield from phrase.walk(head, mod)
+
+    def tokens(self) -> Iterator[Token]:
+        return (tok for tok, _ in self.walk(TagValue.NOUN, TagValue.ADJECTIVE))
 
     def words(self) -> list[str]:
         return [t.surface for t in self.tokens()]
@@ -194,12 +225,6 @@ class ObjectArg:
     phrase: PhraseNode
     lead_sep: Optional[Token] = None
 
-    def tokens(self) -> Iterator[Token]:
-        if self.lead_sep:
-            yield self.lead_sep
-        yield self.marker
-        yield from self.phrase.tokens()
-
 
 @dataclass
 class PrepPhrase:
@@ -207,15 +232,21 @@ class PrepPhrase:
     complement: Optional[PhraseNode] = None
     lead_sep: Optional[Token] = None
 
-    def tokens(self) -> Iterator[Token]:
-        if self.lead_sep:
-            yield self.lead_sep
-        yield self.prep
-        if self.complement is not None:
-            yield from self.complement.tokens()
-
 
 Complement = Union[ObjectArg, PrepPhrase]
+
+
+def _walk_complements(complements: Sequence[Complement]) -> Iterator[TaggedToken]:
+    for c in complements:
+        if c.lead_sep:
+            yield c.lead_sep, TagValue.PUNCT
+        if isinstance(c, ObjectArg):
+            yield c.marker, TagValue.PARTICLE
+            yield from c.phrase.walk(TagValue.NOUN, TagValue.ADJECTIVE)
+        else:
+            yield c.prep, TagValue.PREPOSITION
+            if c.complement is not None:
+                yield from c.complement.walk(HYBRID_NVA, TagValue.ADJECTIVE)
 
 
 @dataclass
@@ -236,30 +267,12 @@ class Predicate:
     def prepositional(self) -> list[PrepPhrase]:
         return [c for c in self.complements if isinstance(c, PrepPhrase)]
 
-    def tokens(self) -> Iterator[Token]:
-        if self.lead_sep:
-            yield self.lead_sep
-        if self.marker:
-            yield self.marker
-        if self.possessive_pi:
-            yield self.possessive_pi
-        yield from self.preverbs
-        yield from self.phrase.tokens()
-        for c in self.complements:
-            yield from c.tokens()
-
 
 @dataclass
 class Vocative:
     phrase: PhraseNode
     o_token: Token
     comma: Optional[Token] = None
-
-    def tokens(self) -> Iterator[Token]:
-        yield from self.phrase.tokens()
-        yield self.o_token
-        if self.comma:
-            yield self.comma
 
 
 @dataclass
@@ -283,22 +296,49 @@ class Clause:
             out += [(pp.prep, pp.complement) for pp in pred.prepositional]
         return out
 
-    def tokens(self) -> Iterator[Token]:
+    def walk(self) -> Iterator[TaggedToken]:
+        """Every token of the clause, in reading order, with the tag its slot
+        gives it (before :func:`pos_tag`'s proper-noun, seme and dictionary
+        rules).  A context clause yields its own la last."""
         for ctx in self.contexts:
-            yield from ctx.tokens()
-            if ctx.la_token:
-                yield ctx.la_token
+            yield from ctx.walk()
         if self.vocative:
-            yield from self.vocative.tokens()
+            yield from self.vocative.phrase.walk(TagValue.NOUN, TagValue.ADJECTIVE)
+            yield self.vocative.o_token, TagValue.PARTICLE
+            if self.vocative.comma:
+                yield self.vocative.comma, TagValue.PUNCT
         if self.subject:
-            yield from self.subject.tokens()
-        for pp in self.subject_complements:
-            yield from pp.tokens()
+            yield from self.subject.walk(TagValue.NOUN, TagValue.ADJECTIVE)
+        yield from _walk_complements(self.subject_complements)
         for pred in self.predicates:
-            yield from pred.tokens()
-        yield from self.tail
+            if pred.lead_sep:
+                yield pred.lead_sep, TagValue.PUNCT
+            if pred.marker:
+                yield pred.marker, TagValue.PARTICLE
+            if pred.possessive_pi:
+                yield pred.possessive_pi, TagValue.PARTICLE
+            for pv in pred.preverbs:
+                yield pv, TagValue.VERB
+            head: Assignment
+            if pred.marker is not None or pred.objects or pred.colon_object or pred.preverbs:
+                # An explicit marker or an object leaves no doubt; the
+                # noun/verb ambiguity comes from omitting li.
+                head, mod = TagValue.VERB, TagValue.ADVERB
+            elif self.subject is None and self.vocative is None and not self.li_elided:
+                head, mod = TagValue.NOUN, TagValue.ADJECTIVE  # a fragment
+            else:
+                head, mod = HYBRID_NVA, TagValue.ADVERB
+            yield from pred.phrase.walk(head, mod)
+            yield from _walk_complements(pred.complements)
+        for t in self.tail:
+            yield t, TagValue.PUNCT if t.kind is TokenKind.PUNCT else TagValue.PARTICLE
         if self.terminator:
-            yield self.terminator
+            yield self.terminator, TagValue.PUNCT
+        if self.la_token:
+            yield self.la_token, TagValue.PARTICLE
+
+    def tokens(self) -> Iterator[Token]:
+        return (tok for tok, _ in self.walk())
 
     # serialization ------------------------------------------------------
 
@@ -384,6 +424,8 @@ class Clause:
                         phrase_lines(c.complement, indent + "        ", "complement")
         if self.tail:
             lines.append(f"{indent}tail: {' '.join(t.surface for t in self.tail)}")
+        if not lines and self.terminator:  # an empty sentence
+            lines.append(f"{indent}terminator: {self.terminator.surface}")
         return "\n".join(lines)
 
 
@@ -397,7 +439,7 @@ class ParseResult:
         return [d for d in self.diagnostics if d.severity is not Severity.NOTE]
 
     def tokens(self) -> list[Token]:
-        return [t for c in self.clauses for t in c.tokens()]
+        return [tok for c in self.clauses for tok, _ in c.walk()]
 
     def text(self) -> str:
         return detokenize(self.tokens())
@@ -619,7 +661,6 @@ class _ClauseParser:
     # clause level ----------------------------------------------------------
 
     def parse_clause_body(self, toks: Sequence[Token], clause: Clause) -> None:
-        i = 0
         n = len(toks)
         if n == 0:
             raise GrammarError("empty clause")
@@ -653,54 +694,46 @@ class _ClauseParser:
             return
 
         # e at clause start (before any predicate head) is impossible.
-        if self.is_word(toks[0], "e"):
-            raise GrammarError("e before any predicate", toks[0])
+        first = toks[0]
+        if self.is_word(first, "e"):
+            raise GrammarError("e before any predicate", first)
 
-        # Imperative marked by a leading o.
-        if self.is_word(toks[0], "o"):
-            i = self._parse_predicates(toks, 1, toks[0], clause)
-            self._finish(toks, i, clause, tail)
-            return
-
-        # Subjectless continuation: leading li.
-        if self.is_word(toks[0], "li"):
-            self.note("subject omitted before li", toks[0])
-            i = self._parse_predicates(toks, 1, toks[0], clause)
-            self._finish(toks, i, clause, tail)
-            return
-
-        # Vocative: phrase o [,] ...
         o_pos = next(
             (k for k, t in enumerate(toks) if self.is_word(t, "o")), None
         )
         li_pos = next(
             (k for k, t in enumerate(toks) if self.is_word(t, "li")), None
         )
-        if o_pos is not None and (li_pos is None or o_pos < li_pos):
+        marker: Optional[Token]
+        if self.is_word(first, "o"):
+            # Imperative marked by a leading o.
+            start, marker = 1, first
+        elif self.is_word(first, "li"):
+            # Subjectless continuation: leading li.
+            self.note("subject omitted before li", first)
+            start, marker = 1, first
+        elif o_pos is not None and (li_pos is None or o_pos < li_pos):
+            # Vocative: phrase o [,] ...
             phrase, i = self.parse_phrase(
                 toks, 0, PhraseRole.NOUN_HEAD, clause, allow_conj=True
             )
             if i != o_pos:
                 raise GrammarError("could not read the phrase before o", toks[i])
             comma = None
-            j = o_pos + 1
-            if j < n and toks[j].kind is TokenKind.PUNCT and toks[j].surface == ",":
-                comma = toks[j]
-                j += 1
+            start = o_pos + 1
+            if start < n and toks[start].kind is TokenKind.PUNCT and toks[start].surface == ",":
+                comma = toks[start]
+                start += 1
             clause.vocative = Vocative(phrase, toks[o_pos], comma)
-            if j >= n:
+            if start >= n:
                 self.note("vocative-only sentence", toks[o_pos])
                 clause.tail.extend(tail)
                 return
-            if self.is_word(toks[j], "li"):
-                i = self._parse_predicates(toks, j + 1, toks[j], clause)
-            else:
-                i = self._parse_predicates(toks, j, None, clause)
-            self._finish(toks, i, clause, tail)
-            return
-
-        # Subject ... li ...
-        if li_pos is not None:
+            marker = toks[start] if self.is_word(toks[start], "li") else None
+            if marker is not None:
+                start += 1
+        elif li_pos is not None:
+            # Subject ... li ...
             subject, preps, i = self.parse_phrase_with_preps(
                 toks, 0, PhraseRole.NOUN_HEAD, clause, allow_conj=True
             )
@@ -712,23 +745,21 @@ class _ClauseParser:
                 and not subject.conj and not preps
             if bare and not self.opts.lenient_li:
                 self.warn("li after a bare mi or sina is non-canonical", toks[li_pos])
-            i = self._parse_predicates(toks, li_pos + 1, toks[li_pos], clause)
-            self._finish(toks, i, clause, tail)
-            return
-
-        # Elided li after a bare mi / sina.
-        first = toks[0]
-        if first.kind is TokenKind.WORD and first.surface in ("mi", "sina") and n > 1:
+            start, marker = li_pos + 1, toks[li_pos]
+        elif first.kind is TokenKind.WORD and first.surface in ("mi", "sina") and n > 1:
+            # Elided li after a bare mi / sina.
             clause.subject = PhraseNode(head=first, role=PhraseRole.NOUN_HEAD)
             clause.li_elided = True
-            i = self._parse_predicates(toks, 1, None, clause)
-            self._finish(toks, i, clause, tail)
-            return
+            start, marker = 1, None
+        else:
+            # Fragment: comma-separated phrases, possibly with complements.
+            self.note("incomplete sentence (no subject/predicate structure)", first)
+            start, marker = 0, None
 
-        # Fragment: comma-separated phrases, possibly with complements.
-        self.note("incomplete sentence (no subject/predicate structure)", first)
-        i = self._parse_predicates(toks, 0, None, clause)
-        self._finish(toks, i, clause, tail)
+        i = self._parse_predicates(toks, start, marker, clause)
+        if i < n:
+            raise GrammarError("unparsed trailing material", toks[i])
+        clause.tail.extend(tail)
 
     def _parse_predicates(
         self, toks: Sequence[Token], i: int, marker: Optional[Token], clause: Clause
@@ -737,33 +768,21 @@ class _ClauseParser:
         clause.predicates.append(pred)
         while i < len(toks):
             tok = toks[i]
-            if self.is_word(tok, "li"):
+            if tok.kind is TokenKind.WORD and tok.surface in ("li", "o"):
                 pred, i = self.parse_predicate(toks, i + 1, tok, clause)
-                clause.predicates.append(pred)
-                continue
-            if self.is_word(tok, "o"):
-                pred, i = self.parse_predicate(toks, i + 1, tok, clause)
-                clause.predicates.append(pred)
-                continue
-            if tok.kind is TokenKind.PUNCT and tok.surface == ",":
-                if (
-                    clause.subject is None
-                    and clause.predicates
-                    and clause.predicates[0].marker is None
-                    and i + 1 < len(toks)
-                    and self.can_head(toks[i + 1])
-                ):
-                    pred, i = self.parse_predicate(toks, i + 1, None, clause, lead_sep=tok)
-                    clause.predicates.append(pred)
-                    continue
+            elif (
+                tok.kind is TokenKind.PUNCT
+                and tok.surface == ","
+                and clause.subject is None
+                and clause.predicates[0].marker is None
+                and i + 1 < len(toks)
+                and self.can_head(toks[i + 1])
+            ):
+                pred, i = self.parse_predicate(toks, i + 1, None, clause, lead_sep=tok)
+            else:
                 break
-            break
+            clause.predicates.append(pred)
         return i
-
-    def _finish(self, toks: Sequence[Token], i: int, clause: Clause, tail: list[Token]):
-        if i < len(toks):
-            raise GrammarError("unparsed trailing material", toks[i])
-        clause.tail.extend(tail)
 
 
 def parse(
@@ -956,32 +975,6 @@ def render_grouping(phrase: PhraseNode) -> str:
 # --- POS tagging -------------------------------------------------------------
 
 
-class TagValue(Enum):
-    NOUN = "NOUN"
-    ADJECTIVE = "ADJECTIVE"
-    VERB = "VERB"
-    ADVERB = "ADVERB"
-    PREPOSITION = "PREPOSITION"
-    PARTICLE = "PARTICLE"
-    NUMBER = "NUMBER"
-    PROPER = "PROPER"
-    PUNCT = "PUNCT"
-
-
-@dataclass(frozen=True)
-class Hybrid:
-    candidates: frozenset[TagValue]
-
-    def __str__(self) -> str:
-        names = "/".join(sorted(t.value for t in self.candidates))
-        return f"HYBRID({names})"
-
-
-Assignment = Union[TagValue, Hybrid]
-
-HYBRID_NVA = Hybrid(frozenset({TagValue.NOUN, TagValue.VERB, TagValue.ADJECTIVE}))
-
-
 _DICT_TO_TAGVALUE = {
     PosTag.NOUN: TagValue.NOUN,
     PosTag.ADJECTIVE: TagValue.ADJECTIVE,
@@ -1009,110 +1002,19 @@ def pos_tag(
     """
     lex = lex or default_lexicon()
     out: dict[Token, Assignment] = {}
-
-    def assign(tok: Token, value: Assignment):
-        out[tok] = value
-
-    def resolve(tok: Token, hybrid: Hybrid) -> Assignment:
-        if not resolve_with_dictionary or tok.kind is not TokenKind.WORD:
-            return hybrid
-        entry = lex.lookup(tok.surface)
-        if entry is None:
-            return hybrid
-        dict_values = {_DICT_TO_TAGVALUE[t] for t in entry.tags}
-        narrowed = hybrid.candidates & dict_values
-        if len(narrowed) == 1:
-            return next(iter(narrowed))
-        if len(narrowed) > 1:
-            return Hybrid(frozenset(narrowed))
-        return hybrid
-
-    def tag_word(tok: Token, value: Assignment):
+    for tok, tag in clause.walk():
         if tok.kind is TokenKind.PROPER:
-            assign(tok, TagValue.PROPER)
-        elif isinstance(value, Hybrid):
-            assign(tok, resolve(tok, value))
-        else:
-            assign(tok, value)
-
-    def tag_phrase(p: PhraseNode, head_value: Assignment, mod_value: TagValue):
-        tag_word(p.head, head_value)
-        for m in p.modifiers:
-            if isinstance(m, PiGroup):
-                assign(m.pi_token, TagValue.PARTICLE)
-                tag_phrase(m.inner, TagValue.NOUN, TagValue.ADJECTIVE)
-            else:
-                tag_word(m, mod_value)
-        for conj_tok, ph in p.conj:
-            assign(conj_tok, TagValue.PARTICLE)
-            tag_phrase(ph, head_value, mod_value)
-
-    def tag_prep(pp: PrepPhrase):
-        if pp.lead_sep:
-            assign(pp.lead_sep, TagValue.PUNCT)
-        assign(pp.prep, TagValue.PREPOSITION)
-        if pp.complement is not None:
-            tag_phrase(pp.complement, HYBRID_NVA, TagValue.ADJECTIVE)
-
-    def tag_clause(c: Clause):
-        for ctx in c.contexts:
-            tag_clause(ctx)
-            if ctx.la_token:
-                assign(ctx.la_token, TagValue.PARTICLE)
-        if c.vocative:
-            tag_phrase(c.vocative.phrase, TagValue.NOUN, TagValue.ADJECTIVE)
-            assign(c.vocative.o_token, TagValue.PARTICLE)
-            if c.vocative.comma:
-                assign(c.vocative.comma, TagValue.PUNCT)
-        if c.subject:
-            tag_phrase(c.subject, TagValue.NOUN, TagValue.ADJECTIVE)
-        for pp in c.subject_complements:
-            tag_prep(pp)
-        for pred in c.predicates:
-            if pred.lead_sep:
-                assign(pred.lead_sep, TagValue.PUNCT)
-            if pred.marker:
-                assign(pred.marker, TagValue.PARTICLE)
-            if pred.possessive_pi:
-                assign(pred.possessive_pi, TagValue.PARTICLE)
-            for pv in pred.preverbs:
-                assign(pv, TagValue.VERB)
-            is_fragment = (
-                pred.marker is None
-                and c.subject is None
-                and c.vocative is None
-                and not c.li_elided
-            )
-            has_object = bool(pred.objects) or pred.colon_object
-            if pred.marker is not None or has_object or pred.preverbs:
-                # An explicit marker or an object leaves no doubt; the
-                # noun/verb ambiguity comes from omitting li.
-                head_value: Assignment = TagValue.VERB
-                mod_value = TagValue.ADVERB
-            elif is_fragment:
-                head_value = TagValue.NOUN
-                mod_value = TagValue.ADJECTIVE
-            else:
-                head_value = HYBRID_NVA
-                mod_value = TagValue.ADVERB
-            tag_phrase(pred.phrase, head_value, mod_value)
-            for comp in pred.complements:
-                if isinstance(comp, ObjectArg):
-                    if comp.lead_sep:
-                        assign(comp.lead_sep, TagValue.PUNCT)
-                    assign(comp.marker, TagValue.PARTICLE)
-                    tag_phrase(comp.phrase, TagValue.NOUN, TagValue.ADJECTIVE)
-                else:
-                    tag_prep(comp)
-        for t in c.tail:
-            assign(t, TagValue.PUNCT if t.kind is TokenKind.PUNCT else TagValue.PARTICLE)
-        if c.terminator:
-            assign(c.terminator, TagValue.PUNCT)
-
-    tag_clause(clause)
-
-    # Particles keep their particle nature wherever they landed.
-    for tok in list(out):
-        if tok.kind is TokenKind.WORD and tok.surface in ("seme",):
-            assign(tok, TagValue.PARTICLE)
+            tag = TagValue.PROPER
+        elif tok.kind is TokenKind.WORD and tok.surface == "seme":
+            # Particles keep their particle nature wherever they landed.
+            tag = TagValue.PARTICLE
+        elif resolve_with_dictionary and isinstance(tag, Hybrid):
+            entry = lex.lookup(tok.surface)
+            if entry is not None:
+                narrowed = tag.candidates & {_DICT_TO_TAGVALUE[t] for t in entry.tags}
+                if len(narrowed) == 1:
+                    tag = next(iter(narrowed))
+                elif narrowed:
+                    tag = Hybrid(frozenset(narrowed))
+        out[tok] = tag
     return out

@@ -98,6 +98,13 @@ def test_parse_tree_output(capsys):
     assert out.count("object:") == 2
 
 
+def test_parse_tree_shows_empty_sentence_terminator(capsys):
+    code, out, err = run(capsys, "parse", "--lenient", "mi moku!!")
+    assert code == 0
+    assert out == "subject: mi\npredicate [(li)]:\n    head: moku\n\nterminator: !\n"
+    assert err == "warning: empty sentence @8..9\n"
+
+
 def test_parse_json_output(capsys):
     code, out, _ = run(capsys, "--format", "json-lines", "parse", "ona li pona.")
     assert code == 0
