@@ -549,7 +549,7 @@ class _ClauseParser:
         if i >= len(toks) or not self.can_head(toks[i]):
             raise GrammarError("dangling pi at phrase end", pi_tok)
         inner, i = self.parse_phrase(toks, i, role, clause, allow_conj=False, in_pi=True)
-        if len(list(inner.tokens())) < 2:
+        if not inner.modifiers and not inner.conj:
             self.warn("pi before a single final word is redundant", pi_tok)
         return PiGroup(pi_tok, inner), i
 

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import random
 import sys
+from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from itertools import accumulate
+from typing import Callable, Optional, Sequence
 
 from .grammar import (
     Clause,
@@ -73,7 +75,12 @@ class SynthConfig:
 
 
 class ContextTracker:
-    """Multiset of content words already emitted, optionally windowed."""
+    """Multiset of content words already emitted, optionally windowed.
+
+    It also keeps the draw weights ``1 + bias * count`` of the word pool a
+    Synthesizer last drew from, so that a draw need not rebuild them;
+    ``observe`` is the only way to change the counts, and keeps both in step.
+    """
 
     def __init__(self, capacity: Optional[int] = None):
         if capacity is not None and capacity < 1:
@@ -81,9 +88,13 @@ class ContextTracker:
         self.capacity = capacity
         self.counts: Counter = Counter()
         self._order: deque[str] = deque()
+        self._index: dict[str, int] = {}
+        self._bias = 0.0
+        self._weights: list[float] = []
 
     def observe(self, word: str):
         self.counts[word] += 1
+        self._reweigh(word)
         if self.capacity is not None:
             self._order.append(word)
             while len(self._order) > self.capacity:
@@ -91,6 +102,24 @@ class ContextTracker:
                 self.counts[old] -= 1
                 if self.counts[old] <= 0:
                     del self.counts[old]
+                self._reweigh(old)
+
+    def _reweigh(self, word: str):
+        i = self._index.get(word)
+        if i is not None:
+            self._weights[i] = 1.0 + self._bias * self.counts.get(word, 0)
+
+    def weights(self, index: dict[str, int], bias: float) -> list[float]:
+        """``1 + bias * count`` for each word of ``index``, in its order.
+
+        Built when the index or the bias differs from the last call, then
+        kept in step by ``observe``.  Each weight is computed afresh from its
+        integer count, so it equals a rebuilt one exactly.
+        """
+        if index is not self._index or bias != self._bias:
+            self._index, self._bias = index, bias
+            self._weights = [1.0 + bias * self.counts.get(w, 0) for w in index]
+        return self._weights
 
     def count(self, word: str) -> int:
         return self.counts.get(word, 0)
@@ -102,6 +131,8 @@ class ContextTracker:
         clone = ContextTracker(self.capacity)
         clone.counts = Counter(self.counts)
         clone._order = deque(self._order)
+        clone._index, clone._bias = self._index, self._bias
+        clone._weights = list(self._weights)
         return clone
 
 
@@ -135,6 +166,17 @@ class ComposeUnit(Enum):
     VERSE = "verse"
 
 
+def _pick(values: Sequence, cumulative: list[float], roll: float):
+    """The first value whose cumulative weight exceeds ``roll``, else the last."""
+    return values[min(bisect_right(cumulative, roll), len(values) - 1)]
+
+
+def _cumulative_table(weights: dict[int, float]) -> tuple[tuple[int, ...], list[float]]:
+    """Values in ascending order with their running weight sums."""
+    values, ws = zip(*sorted(weights.items()))
+    return values, list(accumulate(ws))
+
+
 def letter_count(text: str) -> int:
     """Letters only; spaces and punctuation do not count."""
     return sum(ch.isalpha() for ch in text)
@@ -157,18 +199,11 @@ class Synthesizer:
         self.rng = random.Random(cfg.seed)
         self.tracker = tracker if tracker is not None else ContextTracker()
         self._pool = tuple(sorted(e.surface for e in self.lex.content_words()))
+        self._pool_index = {w: i for i, w in enumerate(self._pool)}
+        self._phrase_lens = _cumulative_table(cfg.phrase_len_weights)
+        self._object_counts = _cumulative_table(cfg.object_count_weights)
 
     # sampling -----------------------------------------------------------
-
-    def _weighted_value(self, weights: dict[int, float]) -> int:
-        roll = self.rng.random()
-        acc = 0.0
-        items = sorted(weights.items())
-        for value, w in items:
-            acc += w
-            if roll < acc:
-                return value
-        return items[-1][0]
 
     def sample_word(self, tracker: Optional[ContextTracker] = None) -> str:
         """Draw a content word; each candidate weighs 1 + reuse_bias * uses."""
@@ -177,16 +212,9 @@ class Synthesizer:
         if bias == 0.0 or not tracker.counts:
             word = self._pool[int(self.rng.random() * len(self._pool)) % len(self._pool)]
         else:
-            weights = [1.0 + bias * tracker.count(w) for w in self._pool]
-            total = sum(weights)
-            roll = self.rng.random() * total
-            acc = 0.0
-            word = self._pool[-1]
-            for w, weight in zip(self._pool, weights):
-                acc += weight
-                if roll < acc:
-                    word = w
-                    break
+            weights = tracker.weights(self._pool_index, bias)
+            roll = self.rng.random() * sum(weights)
+            word = _pick(self._pool, list(accumulate(weights)), roll)
         tracker.observe(word)
         return word
 
@@ -195,7 +223,7 @@ class Synthesizer:
     def phrase_words(self, tracker: Optional[ContextTracker] = None) -> list[str]:
         """A phrase as a word list, possibly with an embedded pi group."""
         tracker = tracker if tracker is not None else self.tracker
-        length = self._weighted_value(self.cfg.phrase_len_weights)
+        length = _pick(*self._phrase_lens, self.rng.random())
         words = [self.sample_word(tracker) for _ in range(length)]
         if length >= 3 and self.rng.random() < self.cfg.pi_probability:
             words.insert(length - 2, "pi")
@@ -215,7 +243,7 @@ class Synthesizer:
         if not (len(subject) == 1 and subject[0] in ("mi", "sina")):
             words.append("li")
         words += self.phrase_words(tracker)
-        for _ in range(self._weighted_value(self.cfg.object_count_weights)):
+        for _ in range(_pick(*self._object_counts, self.rng.random())):
             words.append("e")
             words += self.phrase_words(tracker)
         if self.rng.random() < self.cfg.prep_probability:

@@ -2,11 +2,13 @@
 and the closed loop through the strict parser."""
 
 import math
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from tokipona.grammar import PiGroup, parse_text
-from tokipona.lexicon import PURE_PARTICLES, SOLE_PREPOSITIONS
+from tokipona.lexicon import PURE_PARTICLES, SOLE_PREPOSITIONS, load_lexicon
 from tokipona.synth import (
     ComposeUnit,
     ContextTracker,
@@ -81,6 +83,64 @@ def test_tracker_weighting_statistics():
     p = 101 / (101 + 106)
     sigma = math.sqrt(n * p * (1 - p))
     assert abs(hits - n * p) <= 3 * sigma, (hits, n * p, sigma)
+
+
+def _linear_scan_draw(pool, tracker, bias, rng):
+    """The draw as a rebuild of every weight and a linear scan."""
+    if bias == 0.0 or not tracker.counts:
+        return pool[int(rng.random() * len(pool)) % len(pool)]
+    weights = [1.0 + bias * tracker.count(w) for w in pool]
+    roll = rng.random() * sum(weights)
+    acc = 0.0
+    for word, weight in zip(pool, weights):
+        acc += weight
+        if roll < acc:
+            return word
+    return pool[-1]
+
+
+_POOL = sorted(e.surface for e in load_lexicon().content_words())
+_observed = hst.one_of(
+    hst.sampled_from(["moku", "telo", "kili", "pi", "li", "xyz"]), hst.sampled_from(_POOL)
+)
+# (action, tracker slot, word): observe a word, copy a tracker, or draw from one
+_actions = hst.lists(
+    hst.tuples(hst.sampled_from(["observe", "copy", "draw"]), hst.integers(0, 7), _observed),
+    max_size=60,
+)
+
+
+@given(
+    actions=_actions,
+    capacity=hst.sampled_from([None, 1, 3]),
+    bias=hst.sampled_from([0.3, 0.5, 1.0]),
+    seed=hst.integers(0, 2**16),
+)
+@settings(max_examples=300, deadline=None)
+def test_kept_weights_equal_a_rebuild(actions, capacity, bias, seed):
+    s = Synthesizer(SynthConfig(seed=seed, reuse_bias=bias), tracker=ContextTracker(capacity))
+    trackers = [s.tracker]
+
+    def rebuilt(t):
+        return [1.0 + bias * t.count(w) for w in _POOL]
+
+    for action, slot, word in actions:
+        t = trackers[slot % len(trackers)]
+        if action == "observe":
+            others = [(o, list(o.weights(s._pool_index, bias))) for o in trackers if o is not t]
+            t.observe(word)
+            for o, before in others:
+                assert o.weights(s._pool_index, bias) == before
+        elif action == "copy":
+            trackers.append(t.copy())
+        else:
+            reference = random.Random()
+            reference.setstate(s.rng.getstate())
+            expected = _linear_scan_draw(_POOL, t, bias, reference)
+            assert s.sample_word(t) == expected
+            assert s.rng.getstate() == reference.getstate()
+        for o in trackers:
+            assert o.weights(s._pool_index, bias) == rebuilt(o)
 
 
 def test_sampling_unbiased_when_bias_zero():
