@@ -886,18 +886,10 @@ def _as_tokens(phrase: Sequence[Union[Token, str]]) -> list[Token]:
     toks = []
     pos = 0
     for item in phrase:
-        if isinstance(item, Token):
-            toks.append(item)
-        else:
-            toks.append(
-                Token(
-                    item,
-                    TokenKind.WORD,
-                    pos,
-                    pos + len(item),
-                )
-            )
-            pos += len(item) + 1
+        if not isinstance(item, Token):
+            item = Token(item, TokenKind.WORD, pos, pos + len(item))
+        toks.append(item)
+        pos = item.end + 1
     return toks
 
 
@@ -909,6 +901,10 @@ def pi_readings(phrase: Sequence[Union[Token, str]]) -> list[PhraseNode]:
     open, so k groups admit a Catalan number of readings.  Readings are
     ordered deterministically, attaching to the outermost (leftmost)
     phrase first.
+
+    Readings share the phrase objects of closed pi groups (path copying:
+    each group copies only the open phrases it attaches through), so the
+    returned trees are read-only: mutating one may change others.
     """
     toks = _as_tokens(phrase)
     if not toks:
@@ -926,36 +922,28 @@ def pi_readings(phrase: Sequence[Union[Token, str]]) -> list[PhraseNode]:
         raise GrammarError("pi in initial position", pi_tokens[0] if pi_tokens else None)
     for k, g in enumerate(groups):
         if not g:
-            raise GrammarError("dangling pi at phrase end", pi_tokens[k])
+            message = ("dangling pi at phrase end" if k == len(groups) - 1
+                       else "pi group has no words before the next pi")
+            raise GrammarError(message, pi_tokens[k])
 
-    def build(levels: Sequence[int]) -> PhraseNode:
-        def make(seg: list[Token]) -> PhraseNode:
-            return PhraseNode(head=seg[0], modifiers=list(seg[1:]))
-
-        root = make(base)
-        stack = [root]  # open phrases, outermost first
-        for k, g in enumerate(groups):
-            level = levels[k]
-            del stack[level + 1:]
-            inner = make(g)
-            stack[level].modifiers.append(PiGroup(pi_tokens[k], inner))
-            stack.append(inner)
-        return root
-
-    def level_vectors(k: int) -> Iterator[tuple[int, ...]]:
-        if k == 0:
-            yield ()
-            return
-        def rec(prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-            if len(prefix) == k:
-                yield prefix
-                return
-            ceiling = (prefix[-1] + 1) if prefix else 0
-            for lvl in range(ceiling + 1):
-                yield from rec(prefix + (lvl,))
-        yield from rec(())
-
-    return [build(v) for v in level_vectors(len(groups))]
+    # Each partial reading is its open spine, root first; the last group
+    # attached to spine[i] holds spine[i + 1].  Extending the spines in
+    # order, outermost level first, keeps the readings in that order.
+    spines = [[PhraseNode(base[0], base[1:])]]
+    for pi, g in zip(pi_tokens, groups):
+        extended = []
+        for spine in spines:
+            for level in range(len(spine)):
+                leaf = PhraseNode(g[0], g[1:])
+                node = spine[level]
+                path = [leaf, PhraseNode(node.head, node.modifiers + [PiGroup(pi, leaf)])]
+                for node in reversed(spine[:level]):
+                    group = PiGroup(node.modifiers[-1].pi_token, path[-1])
+                    path.append(PhraseNode(node.head, node.modifiers[:-1] + [group]))
+                path.reverse()
+                extended.append(path)
+        spines = extended
+    return [spine[0] for spine in spines]
 
 
 def render_grouping(phrase: PhraseNode) -> str:

@@ -5,6 +5,8 @@ bracket builder over every phrase shape up to eight words and three pi
 particles.
 """
 
+from math import comb
+
 import pytest
 from hypothesis import given, settings, strategies as hst
 
@@ -13,9 +15,11 @@ from tokipona.grammar import (
     Hybrid,
     LENIENT,
     ParseOptions,
+    PhraseNode,
     PiGroup,
     Severity,
     TagValue,
+    Token,
     TokenKind,
     detokenize,
     parse,
@@ -393,10 +397,105 @@ def test_pi_readings_simple_structure():
 def test_pi_readings_errors():
     with pytest.raises(GrammarError):
         pi_readings(["pi", "toki", "pona"])
-    with pytest.raises(GrammarError):
+    with pytest.raises(GrammarError, match="dangling pi at phrase end"):
         pi_readings(["jan", "pi"])
+    with pytest.raises(GrammarError, match="dangling pi at phrase end"):
+        pi_readings(["jan", "pi", "toki", "pi"])
     with pytest.raises(GrammarError):
         pi_readings([])
+
+
+def test_pi_readings_empty_interior_group():
+    with pytest.raises(GrammarError, match="pi group has no words before the next pi") as err:
+        pi_readings(["jan", "pi", "pi", "x"])
+    assert err.value.token.start == 4
+    toks = tokenize("jan pi toki pi pi")
+    with pytest.raises(GrammarError, match="pi group has no words before the next pi") as err:
+        pi_readings(toks)
+    assert err.value.token is toks[3]
+
+
+def test_pi_readings_offsets_continue_after_tokens():
+    (reading,) = pi_readings(tokenize("jan pi") + ["toki", "pona"])
+    assert [(t.surface, t.start, t.end) for t in reading.tokens()] == [
+        ("jan", 0, 3), ("pi", 4, 6), ("toki", 7, 11), ("pona", 12, 16),
+    ]
+
+
+def _level_vector_readings(toks):
+    """The readings as the level-vector builder made them: every reading
+    built from scratch, in lexicographic order of its attachment levels."""
+    segments, pi_tokens = [[]], []
+    for tok in toks:
+        if tok.surface == "pi":
+            pi_tokens.append(tok)
+            segments.append([])
+        else:
+            segments[-1].append(tok)
+    base, groups = segments[0], segments[1:]
+
+    def build(levels):
+        def make(seg):
+            return PhraseNode(head=seg[0], modifiers=list(seg[1:]))
+
+        root = make(base)
+        stack = [root]
+        for k, g in enumerate(groups):
+            del stack[levels[k] + 1:]
+            inner = make(g)
+            stack[levels[k]].modifiers.append(PiGroup(pi_tokens[k], inner))
+            stack.append(inner)
+        return root
+
+    def level_vectors(prefix):
+        if len(prefix) == len(groups):
+            yield prefix
+            return
+        ceiling = prefix[-1] + 1 if prefix else 0
+        for lvl in range(ceiling + 1):
+            yield from level_vectors(prefix + (lvl,))
+
+    return [build(v) for v in level_vectors(())]
+
+
+def _check_against_level_vectors(items):
+    readings = pi_readings(items)
+    toks = list(readings[0].tokens())
+    want = _level_vector_readings(toks)
+    assert [render_grouping(r) for r in readings] == [render_grouping(r) for r in want]
+    k = sum(t.surface == "pi" for t in toks)
+    assert len(readings) == comb(2 * k, k) // (k + 1)
+    for r in readings:
+        got = list(r.tokens())
+        assert len(got) == len(toks) and all(a is b for a, b in zip(got, toks))
+    return toks
+
+
+def test_pi_readings_match_level_vector_builder():
+    for k in range(10):
+        words = ["w0", "w1"]
+        for i in range(k):
+            words += ["pi", f"a{i}", f"b{i}"]
+        _check_against_level_vectors(words)
+
+
+@given(
+    groups=hst.lists(
+        hst.lists(hst.sampled_from(["jan", "toki", "pona", "suli", "moku", "telo"]),
+                  min_size=1, max_size=3),
+        min_size=1, max_size=7,
+    ),
+    as_tokens=hst.lists(hst.booleans(), min_size=27, max_size=27),
+)
+@settings(max_examples=200, deadline=None)
+def test_pi_readings_match_level_vector_builder_property(groups, as_tokens):
+    text_toks = tokenize(" pi ".join(" ".join(g) for g in groups))
+    items = [t if use else t.surface for t, use in zip(text_toks, as_tokens)]
+    toks = _check_against_level_vectors(items)
+    assert toks == text_toks
+    for item, tok in zip(items, toks):
+        if isinstance(item, Token):
+            assert tok is item
 
 
 # --- POS tagging ------------------------------------------------------------
