@@ -167,7 +167,7 @@ def _cmd_stats(args, lex, out) -> int:
         if len(parts) != 4:
             raise ValueError("--sentence-space expects four comma-separated integers")
         query = st.SentenceSpaceQuery(*parts, with_particles=not args.without_particles)
-        print(st.sentence_space(query), file=out)
+        print(st.sentence_space(lex, query), file=out)
         return 0
     table = args.table or "pos"
     if table == "pos":

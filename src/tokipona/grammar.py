@@ -475,9 +475,6 @@ class _ClauseParser:
     def is_preposition(self, tok: Token) -> bool:
         return tok.kind is TokenKind.WORD and tok.surface in PREPOSITIONS
 
-    def is_pure_particle(self, tok: Token) -> bool:
-        return tok.kind is TokenKind.WORD and tok.surface in PURE_PARTICLES
-
     def can_head(self, tok: Token) -> bool:
         """True when the token may head or continue a phrase."""
         if tok.kind is TokenKind.PROPER:
@@ -886,8 +883,13 @@ def _as_tokens(phrase: Sequence[Union[Token, str]]) -> list[Token]:
     toks = []
     pos = 0
     for item in phrase:
-        if not isinstance(item, Token):
+        if isinstance(item, Token):
+            if item.kind not in (TokenKind.WORD, TokenKind.PROPER):
+                raise GrammarError(f"not a word: {item.kind.value} token", item)
+        elif item.isalnum():
             item = Token(item, TokenKind.WORD, pos, pos + len(item))
+        else:
+            raise GrammarError(f"not a single word: {item!r}")
         toks.append(item)
         pos = item.end + 1
     return toks
@@ -905,6 +907,9 @@ def pi_readings(phrase: Sequence[Union[Token, str]]) -> list[PhraseNode]:
     Readings share the phrase objects of closed pi groups (path copying:
     each group copies only the open phrases it attaches through), so the
     returned trees are read-only: mutating one may change others.
+
+    Each item must be one word: a WORD or PROPER token, or an
+    alphanumeric string; anything else raises ``GrammarError``.
     """
     toks = _as_tokens(phrase)
     if not toks:

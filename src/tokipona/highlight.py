@@ -26,20 +26,29 @@ class MergeMode(Enum):
     PARTICLES_PREPS_VS_REST = "particles-preps"
 
 
-#: Editor groups each highlight group links to by default.  Chosen for
-#: contrast on both dark and light schemes: most words (nouns) keep the
-#: normal text color, structure words stand out the most.
-DEFAULT_LINKS = {
-    "tpNOUN": "Normal",
-    "tpADJECTIVE": "Identifier",
-    "tpVERB": "Function",
-    "tpPARTICLE": "Statement",
-    "tpPRE": "Special",
-    "tpPREPOSITION": "PreProc",
-    "tpNUMBER": "Number",
-    "tpPROPER": "Constant",
-    "tpCONTENT": "Normal",
-    "tpERROR": "Error",
+#: Default style per highlight group: the editor group it links to, its
+#: CSS color (readable on a dark background), its SGR code for 16-color
+#: terminals and its 256-color index.  Links are chosen for contrast on
+#: both dark and light schemes: most words (nouns) keep the normal text
+#: color, structure words stand out the most.
+_STYLES = {
+    "tpNOUN": ("Normal", "#d8d8d8", "37", 252),
+    "tpADJECTIVE": ("Identifier", "#8ec07c", "32", 108),
+    "tpVERB": ("Function", "#fabd2f", "33", 214),
+    "tpPARTICLE": ("Statement", "#fb4934", "31", 167),
+    "tpPRE": ("Special", "#d3869b", "35", 175),
+    "tpPREPOSITION": ("PreProc", "#83a598", "36", 109),
+    "tpNUMBER": ("Number", "#fe8019", "91", 208),
+    "tpPROPER": ("Constant", "#b8bb26", "92", 142),
+    "tpCONTENT": ("Normal", "#d8d8d8", "37", 252),
+    "tpERROR": ("Error", "#ff0000", "41", 196),
+}
+
+DEFAULT_LINKS = {name: link for name, (link, _, _, _) in _STYLES.items()}
+_HTML_COLORS = {name: color for name, (_, color, _, _) in _STYLES.items()}
+_SGR = {
+    16: {name: sgr for name, (_, _, sgr, _) in _STYLES.items()},
+    256: {name: f"38;5;{index}" for name, (_, _, _, index) in _STYLES.items()},
 }
 
 
@@ -166,49 +175,6 @@ def classify_syntax_lines(content: str) -> list[tuple[str, str]]:
 
 # --- rendering -------------------------------------------------------------
 
-#: CSS colors per group, readable on a dark background.
-DEFAULT_HTML_PALETTE = {
-    "tpNOUN": "#d8d8d8",
-    "tpADJECTIVE": "#8ec07c",
-    "tpVERB": "#fabd2f",
-    "tpPARTICLE": "#fb4934",
-    "tpPRE": "#d3869b",
-    "tpPREPOSITION": "#83a598",
-    "tpNUMBER": "#fe8019",
-    "tpPROPER": "#b8bb26",
-    "tpCONTENT": "#d8d8d8",
-    "tpERROR": "#ff0000",
-}
-
-#: SGR codes per group for 16-color terminals.
-DEFAULT_ANSI_PALETTE = {
-    "tpNOUN": "37",
-    "tpADJECTIVE": "32",
-    "tpVERB": "33",
-    "tpPARTICLE": "31",
-    "tpPRE": "35",
-    "tpPREPOSITION": "36",
-    "tpNUMBER": "91",
-    "tpPROPER": "92",
-    "tpCONTENT": "37",
-    "tpERROR": "41",
-}
-
-#: 256-color variants (used as "38;5;<n>").
-DEFAULT_ANSI256_PALETTE = {
-    "tpNOUN": "252",
-    "tpADJECTIVE": "108",
-    "tpVERB": "214",
-    "tpPARTICLE": "167",
-    "tpPRE": "175",
-    "tpPREPOSITION": "109",
-    "tpNUMBER": "208",
-    "tpPROPER": "142",
-    "tpCONTENT": "252",
-    "tpERROR": "196",
-}
-
-
 def _render(
     text: str,
     scheme: Optional[list[HighlightGroup]],
@@ -249,7 +215,7 @@ def render_html(
 ) -> str:
     """A standalone HTML document with one colored span per token."""
     def paint(group: str, chunk: str) -> str:
-        color = DEFAULT_HTML_PALETTE.get(group, "#d8d8d8")
+        color = _HTML_COLORS.get(group, "#d8d8d8")
         return f'<span class="{group}" style="color:{color}">{chunk}</span>'
 
     return (
@@ -268,11 +234,8 @@ def render_ansi(
     color_depth: int = 16,
 ) -> str:
     """The same coloring as terminal SGR escapes (16- or 256-color)."""
-    if color_depth == 16:
-        sgr = DEFAULT_ANSI_PALETTE
-    elif color_depth == 256:
-        sgr = {g: f"38;5;{code}" for g, code in DEFAULT_ANSI256_PALETTE.items()}
-    else:
+    sgr = _SGR.get(color_depth)
+    if sgr is None:
         raise ValueError("color_depth must be 16 or 256")
 
     def paint(group: str, chunk: str) -> str:

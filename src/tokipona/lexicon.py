@@ -1,9 +1,9 @@
-"""The official 124-lemma vocabulary: loading, lookup, and derived word sets.
+"""The vocabulary: loading, lookup, and derived word sets.
 
-The data lives in ``data/lexicon.tsv`` (surface, POS tags, synonym
-group, glosses).  Loading verifies the transcription against the known
-vocabulary checksums (tag histograms, lemma counts, the particle /
-preposition / pre-verb sets) and fails loudly on any mismatch.
+The official 124 lemmas live in ``data/lexicon.tsv`` (surface, POS
+tags, synonym group, glosses).  Loading checks the structure the other
+modules rely on, and holds the bundled file to the paper's figures as
+well; it fails loudly on any mismatch.
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ PREPOSITIONS = frozenset({"kepeken", "lon", "sama", "tan", "tawa"})
 
 #: The six pre-verbs.
 PREVERBS = frozenset({"wile", "ken", "awen", "kama", "lukin", "sona"})
+
+# --- the paper's figures, checked by check_paper_figures ------------------
 
 #: The four synonym pairs, keyed by the pair's primary surface.
 SYNONYM_GROUPS = {
@@ -131,7 +133,7 @@ def choose_tag(tags: Iterable[PosTag]) -> PosTag:
 
 
 class Lexicon:
-    """Immutable view over all 124 lemmas, with synonym-aware helpers."""
+    """Immutable view over the lemmas, with synonym-aware helpers."""
 
     def __init__(self, entries: Iterable[Lemma]):
         self._entries = tuple(entries)
@@ -166,7 +168,7 @@ class Lexicon:
         return self._by_surface.get(surface)
 
     def distinct_entries(self) -> tuple[Lemma, ...]:
-        """The 120 lemmas left after collapsing each synonym pair to its primary."""
+        """The lemmas left after collapsing each synonym group to its primary."""
         return tuple(
             e for e in self._entries
             if e.synonym_group is None or e.synonym_group == e.surface
@@ -181,7 +183,7 @@ class Lexicon:
         )
 
     def content_words(self) -> tuple[Lemma, ...]:
-        """The 107 distinct words usable inside noun and verb phrases.
+        """The distinct words usable inside noun and verb phrases.
 
         Everything except the ten pure particles and the three words
         that are nothing but prepositions, synonyms collapsed.
@@ -192,31 +194,19 @@ class Lexicon:
         )
 
     def tag_incidence(self) -> dict[PosTag, int]:
-        """How many of the 124 lemmas carry each tag."""
+        """How many lemmas carry each tag."""
         counts = Counter(t for e in self._entries for t in e.tags)
         return {tag: counts.get(tag, 0) for tag in PosTag}
 
     def chosen_counts(self) -> dict[PosTag, int]:
-        """Chosen-tag histogram over the 120 distinct lemmas."""
+        """Chosen-tag histogram over the distinct lemmas."""
         counts = Counter(e.chosen for e in self.distinct_entries())
         return {tag: counts.get(tag, 0) for tag in PosTag}
 
     def _check_invariants(self) -> None:
-        n = len(self._entries)
-        if n != LEMMA_COUNT:
-            raise LexiconError(f"lemma count {n} != {LEMMA_COUNT}")
-        if len(self._by_surface) != n:
+        if len(self._by_surface) != len(self._entries):
             dupes = [s for s, c in Counter(e.surface for e in self._entries).items() if c > 1]
             raise LexiconError(f"duplicate lemmas: {dupes}")
-        d = len(self.distinct_entries())
-        if d != DISTINCT_COUNT:
-            raise LexiconError(f"distinct lemma count {d} != {DISTINCT_COUNT}")
-
-        expected_groups = {k: tuple(sorted(v, key=lambda s: (s != k, s))) for k, v in SYNONYM_GROUPS.items()}
-        if self.synonym_groups != expected_groups:
-            raise LexiconError(
-                f"synonym groups {self.synonym_groups} != {expected_groups}"
-            )
 
         for e in self._entries:
             if not e.tags:
@@ -227,18 +217,10 @@ class Lexicon:
             if not check:
                 raise LexiconError(f"{e.surface}: {check.reason}")
 
-        incidence = self.tag_incidence()
-        for tag, want in EXPECTED_TAG_INCIDENCE.items():
-            if incidence[tag] != want:
-                raise LexiconError(
-                    f"tag incidence for {tag.value}: {incidence[tag]} != {want}"
-                )
-        chosen = self.chosen_counts()
-        for tag, want in EXPECTED_CHOSEN_COUNTS.items():
-            if chosen[tag] != want:
-                raise LexiconError(
-                    f"chosen count for {tag.value}: {chosen[tag]} != {want}"
-                )
+        for group in self.synonym_groups:
+            primary = self._by_surface.get(group)
+            if primary is None or primary.synonym_group != group:
+                raise LexiconError(f"synonym group {group!r} is not named after one of its members")
 
         pure = {e.surface for e in self._entries if set(e.tags) == {PosTag.PARTICLE}}
         if pure != PURE_PARTICLES:
@@ -252,10 +234,33 @@ class Lexicon:
         all_preps = {e.surface for e in self._entries if PosTag.PREPOSITION in e.tags}
         if all_preps != PREPOSITIONS:
             raise LexiconError(f"preposition set {sorted(all_preps)} != {sorted(PREPOSITIONS)}")
-        if len(self.content_words()) != CONTENT_COUNT:
-            raise LexiconError(
-                f"content word count {len(self.content_words())} != {CONTENT_COUNT}"
-            )
+
+
+def check_paper_figures(lex: Lexicon) -> None:
+    """Raise ``LexiconError`` unless ``lex`` has the paper's figures: 124
+    lemmas, 120 distinct, 107 content words, both tag histograms and the
+    four synonym pairs."""
+    n = len(lex)
+    if n != LEMMA_COUNT:
+        raise LexiconError(f"lemma count {n} != {LEMMA_COUNT}")
+    d = len(lex.distinct_entries())
+    if d != DISTINCT_COUNT:
+        raise LexiconError(f"distinct lemma count {d} != {DISTINCT_COUNT}")
+
+    if lex.synonym_groups != SYNONYM_GROUPS:
+        raise LexiconError(f"synonym groups {lex.synonym_groups} != {SYNONYM_GROUPS}")
+
+    incidence = lex.tag_incidence()
+    for tag, want in EXPECTED_TAG_INCIDENCE.items():
+        if incidence[tag] != want:
+            raise LexiconError(f"tag incidence for {tag.value}: {incidence[tag]} != {want}")
+    chosen = lex.chosen_counts()
+    for tag, want in EXPECTED_CHOSEN_COUNTS.items():
+        if chosen[tag] != want:
+            raise LexiconError(f"chosen count for {tag.value}: {chosen[tag]} != {want}")
+    content = len(lex.content_words())
+    if content != CONTENT_COUNT:
+        raise LexiconError(f"content word count {content} != {CONTENT_COUNT}")
 
 
 def _parse_senses(field: str) -> tuple[Sense, ...]:
@@ -286,7 +291,9 @@ def _parse_row(line: str, lineno: int) -> Lemma:
 
 
 def load_lexicon(path: Optional[str | Path] = None) -> Lexicon:
-    """Load and verify the lexicon, from ``path`` or the bundled data file."""
+    """Load and verify the lexicon, from ``path`` or the bundled data file.
+
+    Only the bundled file is held to the paper's figures."""
     if path is None:
         text = resources.files(__package__).joinpath("data/lexicon.tsv").read_text("utf-8")
     else:
@@ -301,5 +308,7 @@ def load_lexicon(path: Optional[str | Path] = None) -> Lexicon:
     header_no, header = lines[0]
     if header.split("\t")[0].strip() != "surface":
         raise LexiconError(f"line {header_no}: missing header row")
-    entries = [_parse_row(ln, no) for no, ln in lines[1:]]
-    return Lexicon(entries)
+    lex = Lexicon(_parse_row(ln, no) for no, ln in lines[1:])
+    if path is None:
+        check_paper_figures(lex)
+    return lex

@@ -13,12 +13,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .lexicon import CONTENT_COUNT, PREPOSITIONS, Lexicon, PosTag
+from .lexicon import PREPOSITIONS, Lexicon, PosTag
 from .phonotactics import VOWELS, syllabify
 
-PREPOSITION_CHOICES = len(PREPOSITIONS)
 PARTICLE_SLOT_CHOICES = 9 ** 4   # one of 8 particles or none, in each of 4 phrase slots
-CONTENT_CHOICES = CONTENT_COUNT
 
 
 class Scope(Enum):
@@ -26,6 +24,15 @@ class Scope(Enum):
     FIRST = "first"
     LAST = "last"
     MIDDLE = "middle"
+
+
+#: The part of a word's syllables or letters each scope counts.
+_SCOPE_SLICE = {
+    Scope.ALL: slice(None),
+    Scope.FIRST: slice(0, 1),
+    Scope.LAST: slice(-1, None),
+    Scope.MIDDLE: slice(1, -1),
+}
 
 
 class LetterRestrict(Enum):
@@ -75,8 +82,8 @@ def _table(counts: Counter, total: int, scope: Scope) -> PositionalFrequencyTabl
 
 
 def pos_histogram(lex: Lexicon) -> list[tuple[PosTag, int, int]]:
-    """(tag, incidence over 124 lemmas, chosen count over 120) per tag,
-    ordered by descending incidence."""
+    """(tag, incidence over all lemmas, chosen count over the distinct
+    ones) per tag, ordered by descending incidence."""
     incidence = lex.tag_incidence()
     chosen = lex.chosen_counts()
     rows = [(tag, incidence[tag], chosen[tag]) for tag in PosTag]
@@ -94,19 +101,12 @@ def syllable_frequency(lex: Lexicon, scope: Scope) -> PositionalFrequencyTable:
     """Syllable frequencies over the vocabulary, restricted to ``scope``.
 
     A one-syllable word counts as both FIRST and LAST, so those scopes
-    total 124 each; MIDDLE covers interior syllables only.
+    count every lemma once; MIDDLE covers interior syllables only.
     """
+    part = _SCOPE_SLICE[scope]
     counts: Counter = Counter()
     for entry in lex:
-        syls = [s.text for s in syllabify(entry.surface)]
-        if scope is Scope.ALL:
-            counts.update(syls)
-        elif scope is Scope.FIRST:
-            counts[syls[0]] += 1
-        elif scope is Scope.LAST:
-            counts[syls[-1]] += 1
-        else:
-            counts.update(syls[1:-1])
+        counts.update(s.text for s in syllabify(entry.surface)[part])
     return _table(counts, sum(counts.values()), scope)
 
 
@@ -117,17 +117,10 @@ def letter_frequency(
 ) -> PositionalFrequencyTable:
     """Letter frequencies over all lemmas; scope picks first/last/interior
     letters of each word; restrict renormalizes within vowels or consonants."""
+    part = _SCOPE_SLICE[scope]
     counts: Counter = Counter()
     for entry in lex:
-        w = entry.surface
-        if scope is Scope.ALL:
-            counts.update(w)
-        elif scope is Scope.FIRST:
-            counts[w[0]] += 1
-        elif scope is Scope.LAST:
-            counts[w[-1]] += 1
-        else:
-            counts.update(w[1:-1])
+        counts.update(entry.surface[part])
     if restrict is LetterRestrict.VOWELS:
         counts = Counter({l: c for l, c in counts.items() if l in VOWELS})
     elif restrict is LetterRestrict.CONSONANTS:
@@ -136,7 +129,7 @@ def letter_frequency(
 
 
 def word_length_report(lex: Lexicon) -> dict[int, tuple[int, float]]:
-    """Syllable-count distribution over the 124 lemmas: {n: (count, percent)}."""
+    """Syllable-count distribution over the lemmas: {n: (count, percent)}."""
     counts = Counter(len(syllabify(e.surface)) for e in lex)
     total = len(lex)
     return {
@@ -161,20 +154,16 @@ class SentenceSpaceQuery:
             raise ValueError("at least one phrase must be non-empty")
 
 
-def sentence_space(q: SentenceSpaceQuery) -> int:
+def sentence_space(lex: Lexicon, q: SentenceSpaceQuery) -> int:
     """Count sentence skeletons with the given phrase sizes, exactly.
 
-    Each phrase word ranges over the 107 content words, the preposition
-    over the 5 prepositions, and (optionally) each of the four phrase
-    slots carries one of 8 particles or none.  Pure integer arithmetic.
+    Each phrase word ranges over the lexicon's content words (107 in the
+    paper's), the preposition over the 5 prepositions, and (optionally)
+    each of the four phrase slots carries one of 8 particles or none.
+    Pure integer arithmetic.
     """
-    delta = (
-        CONTENT_CHOICES ** q.n
-        * CONTENT_CHOICES ** q.v
-        * CONTENT_CHOICES ** q.o
-        * PREPOSITION_CHOICES
-        * CONTENT_CHOICES ** q.p
-    )
+    words = q.n + q.v + q.o + q.p
+    delta = len(lex.content_words()) ** words * len(PREPOSITIONS)
     if q.with_particles:
         delta *= PARTICLE_SLOT_CHOICES
     return delta

@@ -16,7 +16,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Optional
 
-from .lexicon import Lemma, Lexicon, PosTag
+from .lexicon import PURE_PARTICLES, Lexicon, PosTag
 
 
 class WNPos(str, Enum):
@@ -163,16 +163,9 @@ EXPANSION: dict[PosTag, frozenset[WNPos]] = {
     PosTag.PRE: frozenset(),
 }
 
-#: Classes that count as "the same POS" for the matched-POS mapping.
-MATCHED: dict[PosTag, frozenset[WNPos]] = {
-    PosTag.NOUN: frozenset({WNPos.NOUN}),
-    PosTag.VERB: frozenset({WNPos.VERB}),
-    PosTag.ADJECTIVE: frozenset({WNPos.ADJ}),
-    PosTag.NUMBER: frozenset({WNPos.ADJ}),
-    PosTag.PREPOSITION: ALL_POS,
-    PosTag.PARTICLE: frozenset(),
-    PosTag.PRE: frozenset(),
-}
+#: Classes that count as "the same POS" for the matched-POS mapping:
+#: the expansion, except that adjectives do not double as adverbs.
+MATCHED: dict[PosTag, frozenset[WNPos]] = {**EXPANSION, PosTag.ADJECTIVE: frozenset({WNPos.ADJ})}
 
 
 @dataclass(frozen=True)
@@ -199,10 +192,6 @@ class TPWordnet:
         return self.map.get(word, frozenset())
 
 
-def _is_pure_particle(entry: Lemma) -> bool:
-    return set(entry.tags) == {PosTag.PARTICLE}
-
-
 def build_mapping(lex: Lexicon, db: WordNetDatabase, mode: MappingMode) -> TPWordnet:
     """Relate every non-particle lemma to synsets through its English glosses.
 
@@ -213,7 +202,7 @@ def build_mapping(lex: Lexicon, db: WordNetDatabase, mode: MappingMode) -> TPWor
     mapping: dict[str, frozenset[SynsetRef]] = {}
     gaps: list[CoverageGap] = []
     for entry in lex:
-        if _is_pure_particle(entry):
+        if entry.surface in PURE_PARTICLES:
             continue
         if mode is MappingMode.NO_PREPOSITIONS and PosTag.PREPOSITION in entry.tags:
             continue

@@ -67,8 +67,8 @@ def test_criterion_01_word_space_counts():
     )
 
 
-def test_criterion_02_sentence_space():
-    value = sentence_space(SentenceSpaceQuery(1, 1, 1, 1, with_particles=True))
+def test_criterion_02_sentence_space(lexicon):
+    value = sentence_space(lexicon, SentenceSpaceQuery(1, 1, 1, 1, with_particles=True))
     assert value == 4_300_066_310_805  # exact integer, zero tolerance
     assert isinstance(value, int)
     report("criterion 2", f"sentence space (1,1,1,1 with particles) = {value}")

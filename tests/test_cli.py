@@ -1,6 +1,8 @@
 """CLI behavior: dispatch, formats, exit codes, determinism."""
 
 import json
+import re
+from importlib import resources
 
 import pytest
 
@@ -229,15 +231,64 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+def _bundled_lexicon_text():
+    return resources.files("tokipona").joinpath("data/lexicon.tsv").read_text("utf-8")
+
+
 def test_alternative_lexicon_path(capsys, tmp_path):
-    from importlib import resources
-    text = resources.files("tokipona").joinpath("data/lexicon.tsv").read_text("utf-8")
     p = tmp_path / "lex.tsv"
-    p.write_text(text, "utf-8")
+    p.write_text(_bundled_lexicon_text(), "utf-8")
     code, out, _ = run(capsys, "--lexicon", str(p), "stats", "--table", "pos")
     assert code == 0
     bad = tmp_path / "bad.tsv"
     bad.write_text("surface\ttags\tgroup\tsenses\n", "utf-8")
     code, _, err = run(capsys, "--lexicon", str(bad), "stats", "--table", "pos")
     assert code == 1
-    assert "lemma count" in err
+    assert "error: pure-particle set [] != " in err
+
+
+DROPPED = {"akesi", "alasa"}
+
+
+def test_other_lexicon_drives_every_subcommand(capsys, tmp_path):
+    """A structurally valid lexicon that is not the paper's loads by path,
+    and every subcommand uses its words and counts."""
+    lines = [
+        l for l in _bundled_lexicon_text().splitlines()
+        if l.split("\t")[0] not in DROPPED
+    ]
+    lines.append("kijetesantakalu\tNOUN\t-\traccoon")
+    p = tmp_path / "other.tsv"
+    p.write_text("\n".join(lines) + "\n", "utf-8")
+    lex = ["--lexicon", str(p)]
+
+    code, out, err = run(
+        capsys, *lex, "stats", "--sentence-space", "1,1,0,0", "--without-particles"
+    )
+    assert (code, out, err) == (0, "56180\n", "")  # 106 * 106 * 5
+    code, out, _ = run(capsys, *lex, "--format", "tsv", "stats", "--table", "pos")
+    assert "NOUN\t57\t48" in out and "total\t139\t119" in out
+
+    code, out, _ = run(capsys, *lex, "--format", "tsv", "tag", "kijetesantakalu li moku.")
+    assert code == 0
+    assert "kijetesantakalu\tNOUN" in out
+    code, _, err = run(capsys, *lex, "tag", "akesi li moku.")
+    assert code == 1
+    assert "unknown word" in err
+
+    code, _, _ = run(capsys, *lex, "highlight", "emit-vim", "--out", str(tmp_path / "vim"))
+    assert code == 0
+    syntax = (tmp_path / "vim" / "syntax" / "tokipona.vim").read_text("utf-8")
+    keywords = {
+        w for line in syntax.splitlines() if line.startswith("syn keyword")
+        for w in line.split()[3:]
+    }
+    assert "kijetesantakalu" in keywords
+    assert not keywords & DROPPED
+
+    synth = ["--seed", "5", "synth", "--count", "50"]
+    code, out, _ = run(capsys, *synth)
+    assert DROPPED & set(re.findall(r"[a-z]+", out))  # the seed reaches them
+    code, out, _ = run(capsys, *lex, *synth)
+    assert code == 0
+    assert not DROPPED & set(re.findall(r"[a-z]+", out))

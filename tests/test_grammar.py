@@ -405,6 +405,18 @@ def test_pi_readings_errors():
         pi_readings([])
 
 
+def test_pi_readings_rejects_non_words():
+    with pytest.raises(GrammarError, match=r"not a word: punct token \(at '\.', 11\.\.12\)"):
+        pi_readings(tokenize("jan pi toki. xq"))
+    with pytest.raises(GrammarError, match=r"not a word: error token \(at 'xq'"):
+        pi_readings(tokenize("jan pi toki xq"))
+    with pytest.raises(GrammarError, match=r"not a single word: 'toki pona'"):
+        pi_readings(["jan", "pi", "toki pona", ""])
+    with pytest.raises(GrammarError, match=r"not a single word: ''"):
+        pi_readings(["jan", "pi", "toki", ""])
+    assert [render_grouping(r) for r in pi_readings(tokenize("jan pi Pije"))] == ["jan [Pije]"]
+
+
 def test_pi_readings_empty_interior_group():
     with pytest.raises(GrammarError, match="pi group has no words before the next pi") as err:
         pi_readings(["jan", "pi", "pi", "x"])

@@ -11,6 +11,7 @@ from tokipona.lexicon import (
     PREVERBS,
     PURE_PARTICLES,
     SOLE_PREPOSITIONS,
+    check_paper_figures,
     choose_tag,
     load_lexicon,
 )
@@ -132,7 +133,34 @@ def test_missing_row_is_loud(tmp_path):
     removed = [l for l in lines if not l.startswith("akesi\t")]
     p = tmp_path / "lexicon.tsv"
     p.write_text("\n".join(removed) + "\n", "utf-8")
+    lex = load_lexicon(p)  # structurally sound, so it loads by path
     with pytest.raises(LexiconError, match=r"lemma count 123 != 124"):
+        check_paper_figures(lex)
+
+
+def test_paper_figures_hold_for_the_bundled_file(lexicon):
+    check_paper_figures(lexicon)
+
+
+def test_paper_figures_are_checked_for_the_bundled_file_only(tmp_path, monkeypatch):
+    p = tmp_path / "lexicon.tsv"
+    p.write_text("\n".join(_tsv_lines()) + "\n", "utf-8")
+    monkeypatch.setattr("tokipona.lexicon.LEMMA_COUNT", 125)
+    with pytest.raises(LexiconError, match=r"lemma count 124 != 125"):
+        load_lexicon()
+    assert len(load_lexicon(p)) == 124
+
+
+@pytest.mark.parametrize("old, new", [
+    ("namako\tNOUN\tsin\t", "namako\tNOUN\txyz\t"),      # names no lexicon word
+    ("namako\tNOUN\tsin\t", "namako\tNOUN\tsoweli\t"),   # names a word outside the group
+    ("sin\tADJECTIVE\tsin\t", "sin\tADJECTIVE\t-\t"),    # its namesake left the group
+])
+def test_synonym_group_must_name_a_member(tmp_path, old, new):
+    lines = [l.replace(old, new) if l.startswith(old) else l for l in _tsv_lines()]
+    p = tmp_path / "lexicon.tsv"
+    p.write_text("\n".join(lines) + "\n", "utf-8")
+    with pytest.raises(LexiconError, match="is not named after one of its members"):
         load_lexicon(p)
 
 
@@ -153,8 +181,9 @@ def test_wrong_tag_count_names_the_histogram(tmp_path):
     ]
     p = tmp_path / "lexicon.tsv"
     p.write_text("\n".join(lines) + "\n", "utf-8")
-    with pytest.raises(LexiconError, match="ADJECTIVE"):
-        load_lexicon(p)
+    lex = load_lexicon(p)
+    with pytest.raises(LexiconError, match=r"tag incidence for ADJECTIVE: 41 != 40"):
+        check_paper_figures(lex)
 
 
 def test_unknown_tag_is_loud(tmp_path):

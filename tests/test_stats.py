@@ -18,7 +18,14 @@ from tokipona.stats import (
     syllable_frequency,
     word_length_report,
 )
-from tokipona.lexicon import PosTag
+from tokipona.lexicon import (
+    PREPOSITIONS,
+    PREVERBS,
+    PURE_PARTICLES,
+    SOLE_PREPOSITIONS,
+    Lexicon,
+    PosTag,
+)
 
 
 def test_round_half_up():
@@ -153,17 +160,17 @@ def test_no_middle_syllable_ends_in_n(lexicon):
 
 # --- sentence space ------------------------------------------------------------
 
-def test_sentence_space_reference_value():
+def test_sentence_space_reference_value(lexicon):
     q = SentenceSpaceQuery(1, 1, 1, 1, with_particles=True)
-    assert sentence_space(q) == 4_300_066_310_805
+    assert sentence_space(lexicon, q) == 4_300_066_310_805
     # independent arithmetic: ((107**4) * 5) * (9**4)
-    assert sentence_space(q) == 107 * 107 * 107 * 5 * 107 * 6561
+    assert sentence_space(lexicon, q) == 107 * 107 * 107 * 5 * 107 * 6561
 
 
-def test_sentence_space_small_cases():
-    assert sentence_space(SentenceSpaceQuery(1, 0, 0, 0, with_particles=False)) == 535
-    assert sentence_space(SentenceSpaceQuery(0, 1, 0, 0, with_particles=False)) == 535
-    assert sentence_space(SentenceSpaceQuery(1, 1, 0, 0, with_particles=False)) == 107 * 107 * 5
+def test_sentence_space_small_cases(lexicon):
+    assert sentence_space(lexicon, SentenceSpaceQuery(1, 0, 0, 0, with_particles=False)) == 535
+    assert sentence_space(lexicon, SentenceSpaceQuery(0, 1, 0, 0, with_particles=False)) == 535
+    assert sentence_space(lexicon, SentenceSpaceQuery(1, 1, 0, 0, with_particles=False)) == 107 * 107 * 5
 
 
 def test_sentence_space_empty_disallowed():
@@ -173,9 +180,9 @@ def test_sentence_space_empty_disallowed():
         SentenceSpaceQuery(-1, 1, 0, 0)
 
 
-def test_sentence_space_no_overflow_wide():
+def test_sentence_space_no_overflow_wide(lexicon):
     q = SentenceSpaceQuery(4, 4, 4, 4, with_particles=True)
-    value = sentence_space(q)
+    value = sentence_space(lexicon, q)
     assert value == (107 ** 16) * 5 * (9 ** 4)
     assert value > 10 ** 33  # far beyond 64-bit range, still exact
 
@@ -185,12 +192,34 @@ def test_sentence_space_no_overflow_wide():
     o=hst.integers(0, 6), p=hst.integers(0, 6),
 )
 @settings(max_examples=100)
-def test_sentence_space_multiplicative(n, v, o, p):
+def test_sentence_space_multiplicative(lexicon, n, v, o, p):
     if n + v + o + p == 0:
         return
-    base = sentence_space(SentenceSpaceQuery(n, v, o, p, with_particles=False))
-    doubled = sentence_space(SentenceSpaceQuery(2 * n, v, o, p, with_particles=False))
+    base = sentence_space(lexicon, SentenceSpaceQuery(n, v, o, p, with_particles=False))
+    doubled = sentence_space(lexicon, SentenceSpaceQuery(2 * n, v, o, p, with_particles=False))
     assert doubled == base * 107 ** n
-    with_particles = sentence_space(SentenceSpaceQuery(n, v, o, p, with_particles=True))
+    with_particles = sentence_space(lexicon, SentenceSpaceQuery(n, v, o, p, with_particles=True))
     assert with_particles == base * 9 ** 4
+
+
+_CLOSED = PURE_PARTICLES | SOLE_PREPOSITIONS | PREPOSITIONS | PREVERBS
+
+
+@given(data=hst.data(), q=hst.tuples(*[hst.integers(0, 3)] * 4))
+@settings(max_examples=60, deadline=None)
+def test_sentence_space_follows_the_loaded_lexicon(lexicon, data, q):
+    """Dropping content words outside the closed classes and the synonym
+    groups shrinks the sentence space with the content-word count."""
+    if sum(q) == 0:
+        return
+    removable = sorted(
+        e.surface for e in lexicon.content_words()
+        if e.surface not in _CLOSED and e.synonym_group is None
+    )
+    dropped = set(data.draw(hst.lists(hst.sampled_from(removable), unique=True)))
+    smaller = Lexicon(e for e in lexicon if e.surface not in dropped)
+    content = len(smaller.content_words())
+    assert content == 107 - len(dropped)
+    query = SentenceSpaceQuery(*q, with_particles=False)
+    assert sentence_space(smaller, query) == content ** sum(q) * 5
 
