@@ -48,8 +48,12 @@ TERMINATORS = {".", "!", "?"}
 _TOKEN_RE = re.compile(r"[A-Za-z]+|[.!?,:]|\S")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
+    """One match of the tokenizer with its kind and, for ERROR, a note.
+
+    Slotted: a token takes no attributes beyond its fields."""
+
     surface: str
     kind: TokenKind
     start: int
@@ -60,33 +64,42 @@ class Token:
         return self.surface
 
 
+def classify(surface: str, lex: Lexicon) -> tuple[TokenKind, Optional[str]]:
+    """The kind and note of one tokenizer match under ``lex``.
+
+    Lexicon membership is tested first: every lexicon surface is strict-valid
+    lowercase, so a hit is a WORD and a lowercase miss is an unknown word."""
+    if surface in lex:
+        return TokenKind.WORD, None
+    if surface == ":":
+        return TokenKind.COLON, None
+    if surface in TERMINATORS or surface == ",":
+        return TokenKind.PUNCT, None
+    if surface.isalpha():
+        if surface == surface.lower():
+            return TokenKind.ERROR, "unknown word"
+        if validate_proper_noun(surface):
+            return TokenKind.PROPER, None
+        return TokenKind.ERROR, "invalid proper noun"
+    return TokenKind.ERROR, "unexpected character"
+
+
 def tokenize(text: str, lex: Optional[Lexicon] = None) -> list[Token]:
     """Split ``text`` into word, proper-noun, and punctuation tokens.
 
     Unknown lowercase words and invalid capitalized forms become ERROR
-    tokens carrying a note; tokenization itself never fails.
+    tokens carrying a note; tokenization itself never fails.  Each distinct
+    surface is classified once per call.
     """
     lex = lex or default_lexicon()
+    kinds: dict[str, tuple[TokenKind, Optional[str]]] = {}
     tokens: list[Token] = []
     for m in _TOKEN_RE.finditer(text):
         s = m.group()
-        start, end = m.span()
-        if s == ":":
-            tokens.append(Token(s, TokenKind.COLON, start, end))
-        elif s in TERMINATORS or s == ",":
-            tokens.append(Token(s, TokenKind.PUNCT, start, end))
-        elif s.isalpha():
-            if s == s.lower():
-                if lex.lookup(s):
-                    tokens.append(Token(s, TokenKind.WORD, start, end))
-                else:
-                    tokens.append(Token(s, TokenKind.ERROR, start, end, "unknown word"))
-            elif validate_proper_noun(s):
-                tokens.append(Token(s, TokenKind.PROPER, start, end))
-            else:
-                tokens.append(Token(s, TokenKind.ERROR, start, end, "invalid proper noun"))
-        else:
-            tokens.append(Token(s, TokenKind.ERROR, start, end, "unexpected character"))
+        kind = kinds.get(s)
+        if kind is None:
+            kind = kinds[s] = classify(s, lex)
+        tokens.append(Token(s, kind[0], m.start(), m.end(), kind[1]))
     return tokens
 
 
@@ -181,13 +194,13 @@ class PhraseRole(Enum):
     VERB_HEAD = "verb"
 
 
-@dataclass
+@dataclass(slots=True)
 class PiGroup:
     pi_token: Token
     inner: "PhraseNode"
 
 
-@dataclass
+@dataclass(slots=True)
 class PhraseNode:
     head: Token
     modifiers: list[Union[Token, PiGroup]] = field(default_factory=list)

@@ -8,11 +8,12 @@ is byte-deterministic so regenerated files can be diffed.
 from __future__ import annotations
 
 import html as _html
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
-from .grammar import TokenKind, default_lexicon, tokenize
+from .grammar import _TOKEN_RE, TokenKind, classify, default_lexicon
 from .lexicon import Lexicon, PosTag
 
 PROPER_PATTERN = r"/\v<[A-Z][a-z]*>/"
@@ -182,30 +183,34 @@ def _render(
     escape: Callable[[str], str],
     paint: Callable[[str, str], str],
 ) -> str:
-    """Tokenize ``text`` and pass each token's group and escaped text to
-    ``paint``; punctuation and the text between tokens are only escaped."""
+    """Replace each token of ``text`` by its escaped text, passed to ``paint``
+    with its group; punctuation is only escaped.  Each distinct surface is
+    classified, escaped and painted once per call.  The text between tokens
+    is whitespace, which ``escape`` leaves alone, so it passes through as it
+    is."""
     lex = lex or default_lexicon()
     scheme = scheme if scheme is not None else build_scheme(lex)
     # Reversed, so that the first group listing a word wins.
     group_of = {w: g.name for g in reversed(scheme) for w in g.members}
-    out: list[str] = []
-    pos = 0
-    for tok in tokenize(text, lex):
-        if tok.start > pos:
-            out.append(escape(text[pos:tok.start]))
-        chunk = escape(text[tok.start:tok.end])
-        if tok.kind is TokenKind.WORD:
-            group = group_of.get(tok.surface, "")
-        elif tok.kind is TokenKind.PROPER:
-            group = "tpPROPER"
-        elif tok.kind is TokenKind.ERROR:
-            group = "tpERROR"
-        else:
-            group = ""  # punctuation keeps the default color
-        out.append(paint(group, chunk) if group else chunk)
-        pos = tok.end
-    out.append(escape(text[pos:]))
-    return "".join(out)
+    chunks: dict[str, str] = {}
+
+    def chunk(m: re.Match) -> str:
+        s = m.group()
+        out = chunks.get(s)
+        if out is None:
+            kind, _ = classify(s, lex)
+            if kind is TokenKind.WORD:
+                group = group_of.get(s, "")
+            elif kind is TokenKind.PROPER:
+                group = "tpPROPER"
+            elif kind is TokenKind.ERROR:
+                group = "tpERROR"
+            else:
+                group = ""  # punctuation keeps the default color
+            out = chunks[s] = paint(group, escape(s)) if group else escape(s)
+        return out
+
+    return _TOKEN_RE.sub(chunk, text)
 
 
 def render_html(

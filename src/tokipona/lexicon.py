@@ -295,9 +295,9 @@ def load_lexicon(path: Optional[str | Path] = None) -> Lexicon:
 
     Only the bundled file is held to the paper's figures."""
     if path is None:
-        text = resources.files(__package__).joinpath("data/lexicon.tsv").read_text("utf-8")
+        text = resources.files(__package__).joinpath("data/lexicon.tsv").read_text("utf-8-sig")
     else:
-        text = Path(path).read_text("utf-8")
+        text = Path(path).read_text("utf-8-sig")
 
     lines = [
         (i + 1, ln) for i, ln in enumerate(text.splitlines())

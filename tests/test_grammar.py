@@ -5,6 +5,7 @@ bracket builder over every phrase shape up to eight words and three pi
 particles.
 """
 
+import re
 from math import comb
 
 import pytest
@@ -19,6 +20,7 @@ from tokipona.grammar import (
     PiGroup,
     Severity,
     TagValue,
+    TERMINATORS,
     Token,
     TokenKind,
     detokenize,
@@ -30,6 +32,7 @@ from tokipona.grammar import (
     tokenize,
 )
 from tokipona.lexicon import load_lexicon
+from tokipona.phonotactics import validate_proper_noun
 
 HYBRID_NVA = frozenset({TagValue.NOUN, TagValue.VERB, TagValue.ADJECTIVE})
 
@@ -62,6 +65,90 @@ def test_tokenize_errors_embedded():
 def test_detokenize_spacing():
     assert detokenize(tokenize("toki e ni: mi pona.")) == "toki e ni: mi pona."
     assert detokenize(tokenize("a, a!")) == "a, a!"
+
+
+def _old_tokenize(text, lex):
+    """The tokenizer as it was before ``classify``: every match runs the
+    branches, with a lexicon lookup for each lowercase word."""
+    tokens = []
+    for m in re.finditer(r"[A-Za-z]+|[.!?,:]|\S", text):
+        s = m.group()
+        start, end = m.span()
+        if s == ":":
+            tokens.append(Token(s, TokenKind.COLON, start, end))
+        elif s in TERMINATORS or s == ",":
+            tokens.append(Token(s, TokenKind.PUNCT, start, end))
+        elif s.isalpha():
+            if s == s.lower():
+                if lex.lookup(s):
+                    tokens.append(Token(s, TokenKind.WORD, start, end))
+                else:
+                    tokens.append(Token(s, TokenKind.ERROR, start, end, "unknown word"))
+            elif validate_proper_noun(s):
+                tokens.append(Token(s, TokenKind.PROPER, start, end))
+            else:
+                tokens.append(Token(s, TokenKind.ERROR, start, end, "invalid proper noun"))
+        else:
+            tokens.append(Token(s, TokenKind.ERROR, start, end, "unexpected character"))
+    return tokens
+
+
+_LEX = load_lexicon()
+_WORDS = sorted(e.surface for e in _LEX)
+
+#: Text of lexicon words, names, unknown words, punctuation, characters
+#: that HTML escapes, digits and non-ASCII letters, with any whitespace (or
+#: none) between them.
+_mixed_text = hst.lists(
+    hst.tuples(
+        hst.one_of(
+            hst.sampled_from(_WORDS),
+            hst.sampled_from(_WORDS).map(str.capitalize),
+            hst.text(alphabet="aeijklmnopstuwAKPTXxqé", min_size=1, max_size=6),
+            hst.sampled_from(list(".!?,:&<>\"'") + ["0", "42", "é", "Ü", "Üma"]),
+        ),
+        hst.sampled_from(["", " ", "  ", "\t", "\n", " \n\t"]),
+    ),
+    max_size=30,
+).map(lambda pairs: "".join(piece + gap for piece, gap in pairs))
+
+
+def _fields(tokens):
+    return [(t.surface, t.kind, t.start, t.end, t.note) for t in tokens]
+
+
+@given(_mixed_text)
+@settings(max_examples=500, deadline=None)
+def test_tokenize_matches_the_old_tokenizer(text):
+    assert _fields(tokenize(text, _LEX)) == _fields(_old_tokenize(text, _LEX))
+
+
+def _bundled_lexicon_text():
+    from importlib import resources
+    return resources.files("tokipona").joinpath("data/lexicon.tsv").read_text("utf-8")
+
+
+def test_tokenize_answers_under_the_lexicon_it_is_given(tmp_path):
+    """A word in only one of two lexicons is WORD under that one and ERROR
+    under the other, whichever lexicon tokenizes first."""
+    lines = [
+        l for l in _bundled_lexicon_text().splitlines()
+        if not l.startswith(("akesi\t", "alasa\t"))
+    ]
+    lines.append("kijetesantakalu\tNOUN\t-\traccoon")
+    p = tmp_path / "small.tsv"
+    p.write_text("\n".join(lines) + "\n", "utf-8")
+    small = load_lexicon(p)
+    assert len(small) < len(_LEX)
+
+    text = "akesi li kijetesantakalu. akesi kijetesantakalu"
+    cases = [(_LEX, "akesi", "kijetesantakalu"), (small, "kijetesantakalu", "akesi")]
+    for first, second in (cases, cases[::-1]):
+        for lex, known, unknown in (first, second, first, second):
+            kinds = {t.surface: (t.kind, t.note) for t in tokenize(text, lex)}
+            assert kinds[known] == (TokenKind.WORD, None)
+            assert kinds[unknown] == (TokenKind.ERROR, "unknown word")
+            assert kinds["li"] == (TokenKind.WORD, None)
 
 
 # --- parser: structure ----------------------------------------------------------

@@ -1,8 +1,14 @@
 """Highlight schemes: partition laws, merge modes, and the emitters."""
 
-import pytest
+import html
 
+import pytest
+from hypothesis import given, settings, strategies as hst
+
+from tokipona.grammar import TokenKind, tokenize
 from tokipona.highlight import (
+    _HTML_COLORS,
+    _SGR,
     DEFAULT_LINKS,
     MergeMode,
     SchemeConfig,
@@ -13,6 +19,7 @@ from tokipona.highlight import (
     render_ansi,
     render_html,
 )
+from tokipona.lexicon import load_lexicon
 
 
 def _keyword_groups(scheme):
@@ -167,3 +174,84 @@ def test_render_ansi_proper_nouns(lexicon):
     out = render_ansi("jan Pije", lex=lexicon)
     assert "Pije" in out
     assert "\x1b[92mPije" in out  # proper-noun palette entry
+
+
+# --- rendering against the token-by-token loop ------------------------------
+
+def _old_render(text, scheme, lex, escape, paint):
+    """The render loop as it was: tokenize, then escape each token and each
+    gap between tokens."""
+    group_of = {w: g.name for g in reversed(scheme) for w in g.members}
+    out = []
+    pos = 0
+    for tok in tokenize(text, lex):
+        if tok.start > pos:
+            out.append(escape(text[pos:tok.start]))
+        chunk = escape(text[tok.start:tok.end])
+        if tok.kind is TokenKind.WORD:
+            group = group_of.get(tok.surface, "")
+        elif tok.kind is TokenKind.PROPER:
+            group = "tpPROPER"
+        elif tok.kind is TokenKind.ERROR:
+            group = "tpERROR"
+        else:
+            group = ""
+        out.append(paint(group, chunk) if group else chunk)
+        pos = tok.end
+    out.append(escape(text[pos:]))
+    return "".join(out)
+
+
+def _old_render_html(text, scheme, lex):
+    def paint(group, chunk):
+        color = _HTML_COLORS.get(group, "#d8d8d8")
+        return f'<span class="{group}" style="color:{color}">{chunk}</span>'
+
+    return (
+        "<!DOCTYPE html>\n"
+        '<html><head><meta charset="utf-8"><title>toki pona</title></head>\n'
+        '<body style="background:#1d2021;color:#d8d8d8"><pre>'
+        + _old_render(text, scheme, lex, html.escape, paint)
+        + "</pre></body></html>\n"
+    )
+
+
+def _old_render_ansi(text, scheme, lex, depth):
+    sgr = _SGR[depth]
+
+    def paint(group, chunk):
+        return f"\x1b[{sgr[group]}m{chunk}\x1b[0m" if group in sgr else chunk
+
+    return _old_render(text, scheme, lex, str, paint)
+
+
+_LEX = load_lexicon()
+_WORDS = sorted(e.surface for e in _LEX)
+_SCHEMES = {m: build_scheme(_LEX, SchemeConfig(merge_mode=m)) for m in MergeMode}
+
+#: Lexicon words, names, unknown words, punctuation, characters that HTML
+#: escapes, digits and non-ASCII letters, with any whitespace (or none)
+#: between them.
+_mixed_text = hst.lists(
+    hst.tuples(
+        hst.one_of(
+            hst.sampled_from(_WORDS),
+            hst.sampled_from(_WORDS).map(str.capitalize),
+            hst.text(alphabet="aeijklmnopstuwAKPTXxqé", min_size=1, max_size=6),
+            hst.sampled_from(list(".!?,:&<>\"'") + ["0", "42", "é", "Ü", "Üma"]),
+        ),
+        hst.sampled_from(["", " ", "  ", "\t", "\n", " \n\t"]),
+    ),
+    max_size=30,
+).map(lambda pairs: "".join(piece + gap for piece, gap in pairs))
+
+
+@given(_mixed_text, hst.sampled_from([None, *MergeMode]))
+@settings(max_examples=400, deadline=None)
+def test_render_matches_the_token_by_token_loop(text, mode):
+    """The default scheme (``None``) and one scheme per merge mode."""
+    scheme = None if mode is None else _SCHEMES[mode]
+    ref = _SCHEMES[MergeMode.FULL] if mode is None else scheme
+    assert render_html(text, scheme, _LEX) == _old_render_html(text, ref, _LEX)
+    for depth in (16, 256):
+        assert render_ansi(text, scheme, _LEX, depth) == _old_render_ansi(text, ref, _LEX, depth)

@@ -128,6 +128,17 @@ def test_load_from_explicit_path(tmp_path):
     assert len(load_lexicon(p)) == 124
 
 
+@pytest.mark.parametrize("comments", [True, False], ids=["comment-first", "header-first"])
+def test_load_accepts_a_byte_order_mark(tmp_path, comments):
+    lines = [l for l in _tsv_lines() if comments or not l.startswith("#")]
+    p = tmp_path / "lexicon.tsv"
+    p.write_text("\n".join(lines) + "\n", "utf-8-sig")
+    assert p.read_bytes().startswith(b"\xef\xbb\xbf")
+    lex = load_lexicon(p)
+    assert len(lex) == 124
+    check_paper_figures(lex)
+
+
 def test_missing_row_is_loud(tmp_path):
     lines = _tsv_lines()
     removed = [l for l in lines if not l.startswith("akesi\t")]
