@@ -203,7 +203,7 @@ def _cmd_syllabify(args, lex, out) -> int:
 
 
 def _cmd_validate(args, lex, out) -> int:
-    mode = CountingMode.STRICT if args.mode == "strict" else CountingMode.PAPER_COMPATIBLE
+    mode = CountingMode(args.mode)
     rows = []
     ok_all = True
     for word in args.words:
@@ -220,7 +220,7 @@ def _cmd_validate(args, lex, out) -> int:
 
 
 def _cmd_count(args, lex, out) -> int:
-    mode = CountingMode.STRICT if args.mode == "strict" else CountingMode.PAPER_COMPATIBLE
+    mode = CountingMode(args.mode)
     print(count_possible_words(args.syllables, mode), file=out)
     return 0
 

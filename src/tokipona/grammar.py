@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Optional, Sequence, Union
+from typing import Container, Iterator, Optional, Sequence, Union
 
 from .lexicon import (
     Lexicon,
@@ -463,12 +463,48 @@ class ParseResult:
 _INTERJECTIONS = {"a", "mu"}
 
 
+def _is_word(tok: Optional[Token], surface: str) -> bool:
+    return tok is not None and tok.kind is TokenKind.WORD and tok.surface == surface
+
+
+def _word_in(tok: Optional[Token], surfaces: Container[str]) -> bool:
+    return tok is not None and tok.kind is TokenKind.WORD and tok.surface in surfaces
+
+
+def _is_comma(tok: Optional[Token]) -> bool:
+    return tok is not None and tok.kind is TokenKind.PUNCT and tok.surface == ","
+
+
+def _can_head(tok: Optional[Token]) -> bool:
+    """True when the token may head or continue a phrase."""
+    if tok is None:
+        return False
+    if tok.kind is TokenKind.PROPER:
+        return True
+    return tok.kind is TokenKind.WORD and (
+        tok.surface in ("seme", "mu") or tok.surface not in PURE_PARTICLES
+    )
+
+
 class _ClauseParser:
-    def __init__(self, opts: ParseOptions, diags: list[Diagnostic]):
+    """Recursive descent over one clause body at a time, through a cursor:
+    ``peek`` looks ahead (``None`` past the end), ``take`` consumes."""
+
+    def __init__(self, opts: ParseOptions):
         self.opts = opts
-        self.diags = diags
+        self.diags: list[Diagnostic] = []
+        self.toks: Sequence[Token] = ()
+        self.i = 0
 
     # helpers ------------------------------------------------------------
+
+    def peek(self, ahead: int = 0) -> Optional[Token]:
+        j = self.i + ahead
+        return self.toks[j] if j < len(self.toks) else None
+
+    def take(self) -> Token:
+        self.i += 1
+        return self.toks[self.i - 1]
 
     def note(self, message: str, tok: Optional[Token] = None):
         self._emit(Severity.NOTE, message, tok)
@@ -477,322 +513,244 @@ class _ClauseParser:
         self._emit(Severity.WARNING, message, tok)
 
     def _emit(self, sev: Severity, message: str, tok: Optional[Token]):
-        if tok is not None:
-            self.diags.append(Diagnostic(sev, message, tok.start, tok.end))
-        else:
-            self.diags.append(Diagnostic(sev, message))
+        where = () if tok is None else (tok.start, tok.end)
+        self.diags.append(Diagnostic(sev, message, *where))
 
-    def is_word(self, tok: Token, surface: str) -> bool:
-        return tok.kind is TokenKind.WORD and tok.surface == surface
-
-    def is_preposition(self, tok: Token) -> bool:
-        return tok.kind is TokenKind.WORD and tok.surface in PREPOSITIONS
-
-    def can_head(self, tok: Token) -> bool:
-        """True when the token may head or continue a phrase."""
-        if tok.kind is TokenKind.PROPER:
-            return True
-        if tok.kind is not TokenKind.WORD:
-            return False
-        if tok.surface in ("seme", "mu"):
-            return True
-        return tok.surface not in PURE_PARTICLES
+    def _mark_question(self, tok: Token, clause: Clause):
+        if _is_word(tok, "seme") and clause.question_focus is None:
+            clause.question_focus = tok
 
     # phrase level --------------------------------------------------------
 
-    def parse_phrase(
-        self,
-        toks: Sequence[Token],
-        i: int,
-        role: PhraseRole,
-        clause: Clause,
-        allow_conj: bool,
-        in_pi: bool = False,
-    ) -> tuple[PhraseNode, int]:
-        head = toks[i]
-        if not self.can_head(head):
+    def phrase(
+        self, role: PhraseRole, clause: Clause, allow_conj: bool, in_pi: bool = False
+    ) -> PhraseNode:
+        head = self.peek()
+        if not _can_head(head):
             raise GrammarError("expected a content word to head a phrase", head)
         if head.kind is TokenKind.PROPER:
             self.note("proper noun used as a phrase head", head)
-        if self.is_word(head, "mu"):
+        if _is_word(head, "mu"):
             self.warn("mu used as a content word (dictionary lists it only as a particle)", head)
         self._mark_question(head, clause)
-        node = PhraseNode(head=head, role=role)
-        i += 1
-        while i < len(toks):
-            tok = toks[i]
-            if self.is_word(tok, "pi"):
-                group, i = self._parse_pi_group(toks, i, role, clause)
-                node.modifiers.append(group)
-                continue
-            if tok.kind is TokenKind.WORD and tok.surface in ("en", "anu"):
+        node = PhraseNode(head=self.take(), role=role)
+        while True:
+            tok = self.peek()
+            if _is_word(tok, "pi"):
+                self.i += 1
+                if not _can_head(self.peek()):
+                    raise GrammarError("dangling pi at phrase end", tok)
+                inner = self.phrase(role, clause, allow_conj=False, in_pi=True)
+                if not inner.modifiers and not inner.conj:
+                    self.warn("pi before a single final word is redundant", tok)
+                node.modifiers.append(PiGroup(tok, inner))
+            elif _word_in(tok, ("en", "anu")):
                 # Canonical slots: anu in any noun slot; en in the subject
                 # or inside a pi group.  Anything else is an extension.
-                if role is PhraseRole.NOUN_HEAD:
-                    canonical = tok.surface == "anu" or in_pi or allow_conj
-                else:
-                    canonical = False
+                canonical = role is PhraseRole.NOUN_HEAD and (
+                    tok.surface == "anu" or in_pi or allow_conj
+                )
                 if not canonical and not self.opts.extended_en_anu:
                     self.warn(f"{tok.surface} outside its canonical slots", tok)
-                conj_tok = tok
-                i += 1
-                if i >= len(toks) or not self.can_head(toks[i]):
-                    raise GrammarError(f"{conj_tok.surface} must join two phrases", conj_tok)
-                other, i = self.parse_phrase(toks, i, role, clause, allow_conj, in_pi)
-                node.conj.append((conj_tok, other))
-                continue
-            if self.is_preposition(tok) and not in_pi:
+                self.i += 1
+                if not _can_head(self.peek()):
+                    raise GrammarError(f"{tok.surface} must join two phrases", tok)
+                node.conj.append((tok, self.phrase(role, clause, allow_conj, in_pi)))
+            elif _word_in(tok, PREPOSITIONS) and not in_pi:
                 break  # post-phrase preposition opens a prepositional phrase
-            if self.can_head(tok) and not self.is_word(tok, "mu"):
+            elif _can_head(tok) and not _is_word(tok, "mu"):
                 self._mark_question(tok, clause)
-                node.modifiers.append(tok)
-                i += 1
-                continue
-            break
-        return node, i
+                node.modifiers.append(self.take())
+            else:
+                break
+        return node
 
-    def _parse_pi_group(
-        self, toks: Sequence[Token], i: int, role: PhraseRole, clause: Clause
-    ) -> tuple[PiGroup, int]:
-        pi_tok = toks[i]
-        i += 1
-        if i >= len(toks) or not self.can_head(toks[i]):
-            raise GrammarError("dangling pi at phrase end", pi_tok)
-        inner, i = self.parse_phrase(toks, i, role, clause, allow_conj=False, in_pi=True)
-        if not inner.modifiers and not inner.conj:
-            self.warn("pi before a single final word is redundant", pi_tok)
-        return PiGroup(pi_tok, inner), i
-
-    def _mark_question(self, tok: Token, clause: Clause):
-        if self.is_word(tok, "seme") and clause.question_focus is None:
-            clause.question_focus = tok
-
-    def parse_phrase_with_preps(
-        self,
-        toks: Sequence[Token],
-        i: int,
-        role: PhraseRole,
-        clause: Clause,
-        allow_conj: bool,
-    ) -> tuple[PhraseNode, list[PrepPhrase], int]:
-        phrase, i = self.parse_phrase(toks, i, role, clause, allow_conj)
-        preps: list[PrepPhrase] = []
-        while i < len(toks) and self.is_preposition(toks[i]):
-            pp, i = self._parse_prep(toks, i, clause)
-            preps.append(pp)
-        return phrase, preps, i
-
-    def _parse_prep(
-        self, toks: Sequence[Token], i: int, clause: Clause, lead_sep: Optional[Token] = None
-    ) -> tuple[PrepPhrase, int]:
-        prep = toks[i]
+    def prep(self, clause: Clause, lead_sep: Optional[Token] = None) -> PrepPhrase:
+        prep = self.take()
         self.note(
             f"{prep.surface} read as a preposition; the modifier reading is also possible",
             prep,
         )
-        i += 1
-        complement: Optional[PhraseNode] = None
-        if i < len(toks) and self.can_head(toks[i]):
-            complement, i = self.parse_phrase(toks, i, PhraseRole.NOUN_HEAD, clause, allow_conj=False)
-        return PrepPhrase(prep, complement, lead_sep), i
+        complement = None
+        if _can_head(self.peek()):
+            complement = self.phrase(PhraseRole.NOUN_HEAD, clause, allow_conj=False)
+        return PrepPhrase(prep, complement, lead_sep)
 
     # predicate level ------------------------------------------------------
 
-    def parse_predicate(
-        self,
-        toks: Sequence[Token],
-        i: int,
-        marker: Optional[Token],
-        clause: Clause,
-        lead_sep: Optional[Token] = None,
-    ) -> tuple[Predicate, int]:
+    def predicate(
+        self, marker: Optional[Token], clause: Clause, lead_sep: Optional[Token] = None
+    ) -> Predicate:
         possessive = None
-        if i < len(toks) and self.is_word(toks[i], "pi"):
-            if marker is not None and self.opts.pije_pi_possession:
-                possessive = toks[i]
-                self.note("pi after li read as possession", toks[i])
-                i += 1
-            else:
-                raise GrammarError("pi cannot start a predicate", toks[i])
-        if i >= len(toks):
+        if _is_word(self.peek(), "pi"):
+            if marker is None or not self.opts.pije_pi_possession:
+                raise GrammarError("pi cannot start a predicate", self.peek())
+            possessive = self.take()
+            self.note("pi after li read as possession", possessive)
+        if self.peek() is None:
             raise GrammarError("empty predicate", marker)
 
         preverbs: list[Token] = []
         while (
-            i + 1 < len(toks)
-            and toks[i].kind is TokenKind.WORD
-            and toks[i].surface in PREVERBS
-            and possessive is None
-            and self.can_head(toks[i + 1])
-            and not self.is_word(toks[i + 1], "mu")
+            possessive is None
+            and _word_in(self.peek(), PREVERBS)
+            and _can_head(self.peek(1))
+            and not _is_word(self.peek(1), "mu")
         ):
-            preverbs.append(toks[i])
+            pv = self.take()
+            preverbs.append(pv)
             self.note(
-                f"{toks[i].surface} read as a pre-verb; the verb+adverb reading is equivalent",
-                toks[i],
+                f"{pv.surface} read as a pre-verb; the verb+adverb reading is equivalent", pv
             )
-            i += 1
 
-        phrase, i = self.parse_phrase(toks, i, PhraseRole.VERB_HEAD, clause, allow_conj=False)
         pred = Predicate(
             marker=marker,
-            phrase=phrase,
+            phrase=self.phrase(PhraseRole.VERB_HEAD, clause, allow_conj=False),
             preverbs=preverbs,
             possessive_pi=possessive,
             lead_sep=lead_sep,
         )
-        while i < len(toks):
-            tok = toks[i]
-            sep: Optional[Token] = None
-            if tok.kind is TokenKind.PUNCT and tok.surface == ",":
-                if i + 1 < len(toks) and (
-                    self.is_word(toks[i + 1], "e") or self.is_preposition(toks[i + 1])
-                ):
-                    sep, tok, i = tok, toks[i + 1], i + 1
-                else:
+        while True:
+            sep = None
+            if _is_comma(self.peek()):
+                if not (_is_word(self.peek(1), "e") or _word_in(self.peek(1), PREPOSITIONS)):
                     break  # comma closes the predicate (fragment list or tail)
-            if self.is_word(tok, "e"):
-                marker_e = tok
-                i += 1
-                if i >= len(toks) or not self.can_head(toks[i]):
-                    raise GrammarError("e must introduce an object phrase", marker_e)
-                obj_phrase, i = self.parse_phrase(
-                    toks, i, PhraseRole.NOUN_HEAD, clause, allow_conj=False
-                )
-                pred.complements.append(ObjectArg(marker_e, obj_phrase, sep))
-                continue
-            if self.is_preposition(tok):
-                pp, i = self._parse_prep(toks, i, clause, sep)
-                pred.complements.append(pp)
-                continue
-            break
-        return pred, i
+                sep = self.take()
+            tok = self.peek()
+            if _is_word(tok, "e"):
+                self.i += 1
+                if not _can_head(self.peek()):
+                    raise GrammarError("e must introduce an object phrase", tok)
+                obj = self.phrase(PhraseRole.NOUN_HEAD, clause, allow_conj=False)
+                pred.complements.append(ObjectArg(tok, obj, sep))
+            elif _word_in(tok, PREPOSITIONS):
+                pred.complements.append(self.prep(clause, sep))
+            else:
+                break
+        return pred
 
     # clause level ----------------------------------------------------------
 
-    def parse_clause_body(self, toks: Sequence[Token], clause: Clause) -> None:
-        n = len(toks)
-        if n == 0:
-            raise GrammarError("empty clause")
-
+    def clause_body(self, toks: list[Token], clause: Clause) -> None:
+        """Parse one non-empty clause, without its la or terminator, into ``clause``."""
         # Pure interjection sentence: "a!", "mu mu!"
-        if all(
-            t.kind is TokenKind.WORD and t.surface in _INTERJECTIONS for t in toks
-        ):
+        if all(_word_in(t, _INTERJECTIONS) for t in toks):
             clause.tail.extend(toks)
             self.note("interjection-only sentence")
             return
 
         # Trailing interjection: ... [,] a
-        limit = n
         tail: list[Token] = []
-        if (
-            limit >= 2
-            and toks[limit - 1].kind is TokenKind.WORD
-            and toks[limit - 1].surface == "a"
-        ):
-            cut = limit - 1
-            if cut >= 1 and toks[cut - 1].kind is TokenKind.PUNCT and toks[cut - 1].surface == ",":
-                cut -= 1
-            tail = list(toks[cut:limit])
-            limit = cut
-        toks = toks[:limit]
-        n = len(toks)
-        if n == 0:
+        if len(toks) >= 2 and _is_word(toks[-1], "a"):
+            cut = -2 if _is_comma(toks[-2]) else -1
+            toks, tail = toks[:cut], toks[cut:]
+        if not toks:
             clause.tail.extend(tail)
             self.note("interjection-only sentence")
             return
+        self.toks, self.i = toks, 0
 
         # e at clause start (before any predicate head) is impossible.
         first = toks[0]
-        if self.is_word(first, "e"):
+        if _is_word(first, "e"):
             raise GrammarError("e before any predicate", first)
 
-        o_pos = next(
-            (k for k, t in enumerate(toks) if self.is_word(t, "o")), None
-        )
-        li_pos = next(
-            (k for k, t in enumerate(toks) if self.is_word(t, "li")), None
-        )
-        marker: Optional[Token]
-        if self.is_word(first, "o"):
-            # Imperative marked by a leading o.
-            start, marker = 1, first
-        elif self.is_word(first, "li"):
-            # Subjectless continuation: leading li.
-            self.note("subject omitted before li", first)
-            start, marker = 1, first
-        elif o_pos is not None and (li_pos is None or o_pos < li_pos):
+        # The first o or li tells a vocative from a subject.
+        split = next((k for k, t in enumerate(toks) if _word_in(t, ("o", "li"))), None)
+        marker: Optional[Token] = None
+        if split == 0:
+            # Imperative marked by a leading o, or a subjectless leading li.
+            if first.surface == "li":
+                self.note("subject omitted before li", first)
+            marker = self.take()
+        elif split is not None and toks[split].surface == "o":
             # Vocative: phrase o [,] ...
-            phrase, i = self.parse_phrase(
-                toks, 0, PhraseRole.NOUN_HEAD, clause, allow_conj=True
-            )
-            if i != o_pos:
-                raise GrammarError("could not read the phrase before o", toks[i])
-            comma = None
-            start = o_pos + 1
-            if start < n and toks[start].kind is TokenKind.PUNCT and toks[start].surface == ",":
-                comma = toks[start]
-                start += 1
-            clause.vocative = Vocative(phrase, toks[o_pos], comma)
-            if start >= n:
-                self.note("vocative-only sentence", toks[o_pos])
+            phrase = self.phrase(PhraseRole.NOUN_HEAD, clause, allow_conj=True)
+            if self.i != split:
+                raise GrammarError("could not read the phrase before o", self.peek())
+            o_tok = self.take()
+            comma = self.take() if _is_comma(self.peek()) else None
+            clause.vocative = Vocative(phrase, o_tok, comma)
+            if self.peek() is None:
+                self.note("vocative-only sentence", o_tok)
                 clause.tail.extend(tail)
                 return
-            marker = toks[start] if self.is_word(toks[start], "li") else None
-            if marker is not None:
-                start += 1
-        elif li_pos is not None:
+            if _is_word(self.peek(), "li"):
+                marker = self.take()
+        elif split is not None:
             # Subject ... li ...
-            subject, preps, i = self.parse_phrase_with_preps(
-                toks, 0, PhraseRole.NOUN_HEAD, clause, allow_conj=True
-            )
-            if i != li_pos:
-                raise GrammarError("could not read the subject before li", toks[i])
+            subject = self.phrase(PhraseRole.NOUN_HEAD, clause, allow_conj=True)
+            while _word_in(self.peek(), PREPOSITIONS):
+                clause.subject_complements.append(self.prep(clause))
+            if self.i != split:
+                raise GrammarError("could not read the subject before li", self.peek())
             clause.subject = subject
-            clause.subject_complements = preps
             bare = subject.head.surface in ("mi", "sina") and not subject.modifiers \
-                and not subject.conj and not preps
+                and not subject.conj and not clause.subject_complements
             if bare and not self.opts.lenient_li:
-                self.warn("li after a bare mi or sina is non-canonical", toks[li_pos])
-            start, marker = li_pos + 1, toks[li_pos]
-        elif first.kind is TokenKind.WORD and first.surface in ("mi", "sina") and n > 1:
+                self.warn("li after a bare mi or sina is non-canonical", toks[split])
+            marker = self.take()
+        elif _word_in(first, ("mi", "sina")) and len(toks) > 1:
             # Elided li after a bare mi / sina.
-            clause.subject = PhraseNode(head=first, role=PhraseRole.NOUN_HEAD)
+            clause.subject = PhraseNode(head=self.take(), role=PhraseRole.NOUN_HEAD)
             clause.li_elided = True
-            start, marker = 1, None
         else:
             # Fragment: comma-separated phrases, possibly with complements.
             self.note("incomplete sentence (no subject/predicate structure)", first)
-            start, marker = 0, None
 
-        i = self._parse_predicates(toks, start, marker, clause)
-        if i < n:
-            raise GrammarError("unparsed trailing material", toks[i])
-        clause.tail.extend(tail)
-
-    def _parse_predicates(
-        self, toks: Sequence[Token], i: int, marker: Optional[Token], clause: Clause
-    ) -> int:
-        pred, i = self.parse_predicate(toks, i, marker, clause)
-        clause.predicates.append(pred)
-        while i < len(toks):
-            tok = toks[i]
-            if tok.kind is TokenKind.WORD and tok.surface in ("li", "o"):
-                pred, i = self.parse_predicate(toks, i + 1, tok, clause)
-            elif (
-                tok.kind is TokenKind.PUNCT
-                and tok.surface == ","
-                and clause.subject is None
-                and clause.predicates[0].marker is None
-                and i + 1 < len(toks)
-                and self.can_head(toks[i + 1])
-            ):
-                pred, i = self.parse_predicate(toks, i + 1, None, clause, lead_sep=tok)
+        fragment = clause.subject is None and marker is None
+        sep = None
+        while True:
+            clause.predicates.append(self.predicate(marker, clause, sep))
+            tok = self.peek()
+            if _word_in(tok, ("li", "o")):
+                marker, sep = self.take(), None
+            elif _is_comma(tok) and fragment and _can_head(self.peek(1)):
+                marker, sep = None, self.take()
             else:
                 break
-            clause.predicates.append(pred)
-        return i
+        if tok is not None:
+            raise GrammarError("unparsed trailing material", tok)
+        clause.tail.extend(tail)
+
+    # sentence level --------------------------------------------------------
+
+    def sentence(self, body: list[Token], terminator: Optional[Token]) -> Clause:
+        """One sentence: its la-separated context clauses, then its main clause."""
+        if not body:
+            self.warn("empty sentence", terminator)
+            return Clause(terminator=terminator)
+        contexts: list[Clause] = []
+        start = 0
+        for k, tok in enumerate(body):
+            if _is_word(tok, "la"):
+                if k == start:
+                    raise GrammarError("empty context clause before la", tok)
+                contexts.append(Clause(la_token=tok))
+                self.clause_body(body[start:k], contexts[-1])
+                start = k + 1
+        if start == len(body):
+            raise GrammarError("la must introduce a main clause", body[-1])
+        clause = Clause(contexts=contexts, terminator=terminator)
+        self.clause_body(body[start:], clause)
+        for ctx in contexts:
+            if ctx.question_focus is not None and clause.question_focus is None:
+                clause.question_focus = ctx.question_focus
+
+        # ":" standing for "e ni:" straight after a predicate.
+        if (
+            terminator is not None
+            and terminator.kind is TokenKind.COLON
+            and clause.predicates
+            and not clause.predicates[-1].complements
+            and clause.predicates[-1].phrase.head.surface != "ni"
+        ):
+            if self.opts.colon_shorthand:
+                clause.predicates[-1].colon_object = True
+                self.note("colon read as shorthand for 'e ni:'", terminator)
+            else:
+                self.warn("colon shorthand for 'e ni:' is non-canonical", terminator)
+        return clause
 
 
 def parse(
@@ -808,77 +766,25 @@ def parse(
     and structural impossibilities raise :class:`GrammarError`.  ``lex``
     is unused; it stays for callers that pass it by position.
     """
-    diags: list[Diagnostic] = []
-    parser = _ClauseParser(opts, diags)
-
+    # Bad tokens are reported before any structural error, wherever they are.
     for tok in tokens:
         if tok.kind is TokenKind.ERROR:
             raise GrammarError(tok.note or "bad token", tok)
 
+    parser = _ClauseParser(opts)
     clauses: list[Clause] = []
-    sentence: list[Token] = []
-    sentences: list[tuple[list[Token], Optional[Token]]] = []
+    body: list[Token] = []
     for tok in tokens:
         if tok.kind is TokenKind.COLON or (
             tok.kind is TokenKind.PUNCT and tok.surface in TERMINATORS
         ):
-            sentences.append((sentence, tok))
-            sentence = []
+            clauses.append(parser.sentence(body, tok))
+            body = []
         else:
-            sentence.append(tok)
-    if sentence:
-        sentences.append((sentence, None))
-
-    for body, terminator in sentences:
-        if not body:
-            if terminator is not None:
-                parser.warn("empty sentence", terminator)
-                clauses.append(Clause(terminator=terminator))
-            continue
-        # Split at la into context clauses plus the main clause.
-        segments: list[tuple[list[Token], Optional[Token]]] = []
-        current: list[Token] = []
-        for tok in body:
-            if tok.kind is TokenKind.WORD and tok.surface == "la":
-                segments.append((current, tok))
-                current = []
-            else:
-                current.append(tok)
-        segments.append((current, None))
-
-        contexts: list[Clause] = []
-        for seg, la_tok in segments[:-1]:
-            if not seg:
-                raise GrammarError("empty context clause before la", la_tok)
-            ctx = Clause(la_token=la_tok)
-            parser.parse_clause_body(seg, ctx)
-            contexts.append(ctx)
-
-        main_body, _ = segments[-1]
-        clause = Clause(contexts=contexts, terminator=terminator)
-        if not main_body:
-            raise GrammarError("la must introduce a main clause", segments[-2][1])
-        parser.parse_clause_body(main_body, clause)
-        for ctx in contexts:
-            if ctx.question_focus is not None and clause.question_focus is None:
-                clause.question_focus = ctx.question_focus
-
-        # ":" standing for "e ni:" straight after a predicate.
-        if (
-            terminator is not None
-            and terminator.kind is TokenKind.COLON
-            and clause.predicates
-            and not clause.predicates[-1].complements
-            and clause.predicates[-1].phrase.head.surface != "ni"
-        ):
-            if opts.colon_shorthand:
-                clause.predicates[-1].colon_object = True
-                parser.note("colon read as shorthand for 'e ni:'", terminator)
-            else:
-                parser.warn("colon shorthand for 'e ni:' is non-canonical", terminator)
-        clauses.append(clause)
-
-    return ParseResult(clauses, diags)
+            body.append(tok)
+    if body:
+        clauses.append(parser.sentence(body, None))
+    return ParseResult(clauses, parser.diags)
 
 
 def parse_text(

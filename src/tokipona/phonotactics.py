@@ -125,6 +125,23 @@ def syllabify(word: str) -> SyllabifiedWord:
     return SyllabifiedWord(tuple(syllables))
 
 
+def _syllable_fault(syl: Syllable, mode: CountingMode) -> Optional[str]:
+    """Why ``syl`` is forbidden under ``mode``, or None when it is allowed."""
+    if (syl.onset, syl.nucleus) not in FORBIDDEN_PAIRS:
+        return None
+    if mode is CountingMode.STRICT:
+        return f"forbidden sequence {syl.onset}{syl.nucleus}"
+    return None if syl.coda_n else f"forbidden syllable {syl.text}"
+
+
+def _boundary_fault(prev_coda: bool, onset: Optional[str], mode: CountingMode) -> Optional[str]:
+    """Why ``onset`` may not follow a syllable (with a coda n when
+    ``prev_coda``) under ``mode``, or None when it may."""
+    if mode is CountingMode.STRICT and prev_coda and onset in ("n", "m"):
+        return f"forbidden sequence n{onset}"
+    return None
+
+
 def validate_word(word: str, mode: CountingMode = CountingMode.STRICT) -> ValidationResult:
     """Check ``word`` against the syllable grammar under ``mode``.
 
@@ -135,19 +152,11 @@ def validate_word(word: str, mode: CountingMode = CountingMode.STRICT) -> Valida
     except PhonotacticsError as exc:
         return ValidationResult(False, str(exc))
 
-    if mode is CountingMode.PAPER_COMPATIBLE:
-        for syl in parsed:
-            if not syl.coda_n and (syl.onset, syl.nucleus) in FORBIDDEN_PAIRS:
-                return ValidationResult(False, f"forbidden syllable {syl.text}")
-        return ValidationResult(True)
-
-    for syl in parsed:
-        if (syl.onset, syl.nucleus) in FORBIDDEN_PAIRS:
-            return ValidationResult(False, f"forbidden sequence {syl.onset}{syl.nucleus}")
-    for prev, nxt in zip(parsed, parsed.syllables[1:]):
-        if prev.coda_n and nxt.onset in ("n", "m"):
-            return ValidationResult(False, f"forbidden sequence n{nxt.onset}")
-    return ValidationResult(True)
+    pairs = zip(parsed, parsed.syllables[1:])
+    faults = [_syllable_fault(syl, mode) for syl in parsed]
+    faults += [_boundary_fault(prev.coda_n, nxt.onset, mode) for prev, nxt in pairs]
+    reason = next(filter(None, faults), None)
+    return ValidationResult(reason is None, reason)
 
 
 def validate_proper_noun(word: str) -> bool:
@@ -160,39 +169,25 @@ def validate_proper_noun(word: str) -> bool:
 
 
 def _syllable_inventory(initial: bool, mode: CountingMode) -> list[Syllable]:
-    onsets: list[Optional[str]] = sorted(CONSONANTS)
-    if initial:
-        onsets = [None] + onsets
-    out = []
-    for onset in onsets:
-        for nucleus in sorted(VOWELS):
-            if mode is CountingMode.STRICT and (onset, nucleus) in FORBIDDEN_PAIRS:
-                continue
-            for coda_n in (False, True):
-                if (
-                    mode is CountingMode.PAPER_COMPATIBLE
-                    and not coda_n
-                    and (onset, nucleus) in FORBIDDEN_PAIRS
-                ):
-                    continue
-                out.append(Syllable(onset, nucleus, coda_n))
-    return out
+    onsets: list[Optional[str]] = ([None] if initial else []) + sorted(CONSONANTS)
+    syllables = (
+        Syllable(onset, nucleus, coda_n)
+        for onset in onsets
+        for nucleus in sorted(VOWELS)
+        for coda_n in (False, True)
+    )
+    return [syl for syl in syllables if _syllable_fault(syl, mode) is None]
 
 
 @lru_cache(maxsize=None)
 def _tail_counts(mode: CountingMode, prev_coda: bool, remaining: int) -> int:
     if remaining == 0:
         return 1
-    total = 0
-    for syl in _syllable_inventory(False, mode):
-        if (
-            mode is CountingMode.STRICT
-            and prev_coda
-            and syl.onset in ("n", "m")
-        ):
-            continue
-        total += _tail_counts(mode, syl.coda_n, remaining - 1)
-    return total
+    return sum(
+        _tail_counts(mode, syl.coda_n, remaining - 1)
+        for syl in _syllable_inventory(False, mode)
+        if _boundary_fault(prev_coda, syl.onset, mode) is None
+    )
 
 
 def count_possible_words(n_syllables: int, mode: CountingMode) -> int:
@@ -206,7 +201,7 @@ def count_possible_words(n_syllables: int, mode: CountingMode) -> int:
     """
     if not 1 <= n_syllables <= MAX_SYLLABLES:
         raise ValueError(f"syllable count must be in 1..{MAX_SYLLABLES}, got {n_syllables}")
-    total = 0
-    for first in _syllable_inventory(True, mode):
-        total += _tail_counts(mode, first.coda_n, n_syllables - 1)
-    return total
+    return sum(
+        _tail_counts(mode, first.coda_n, n_syllables - 1)
+        for first in _syllable_inventory(True, mode)
+    )

@@ -31,11 +31,16 @@ from .lexicon import Lexicon, PREPOSITIONS
 
 RETRY_BUDGET = 1000
 
+#: The shortest sentence ``sentence_text`` can draw, "mi jo.": a bare mi or
+#: sina subject and a one-word predicate, every content word 2+ letters.
+MIN_SENTENCE_WORDS = 2
+MIN_SENTENCE_LETTERS = 4
+
 SENTENCE_PREPOSITIONS = tuple(sorted(PREPOSITIONS))
 
 
 class SynthError(RuntimeError):
-    """A structural constraint could not be met within the retry budget."""
+    """A structural constraint cannot be met, or was not within the retry budget."""
 
 
 def _check_distribution(weights: dict[int, float], name: str):
@@ -208,13 +213,9 @@ class Synthesizer:
     def sample_word(self, tracker: Optional[ContextTracker] = None) -> str:
         """Draw a content word; each candidate weighs 1 + reuse_bias * uses."""
         tracker = tracker if tracker is not None else self.tracker
-        bias = self.cfg.reuse_bias
-        if bias == 0.0 or not tracker.counts:
-            word = self._pool[int(self.rng.random() * len(self._pool)) % len(self._pool)]
-        else:
-            weights = tracker.weights(self._pool_index, bias)
-            roll = self.rng.random() * sum(weights)
-            word = _pick(self._pool, list(accumulate(weights)), roll)
+        weights = tracker.weights(self._pool_index, self.cfg.reuse_bias)
+        roll = self.rng.random() * sum(weights)
+        word = _pick(self._pool, list(accumulate(weights)), roll)
         tracker.observe(word)
         return word
 
@@ -264,6 +265,18 @@ class Synthesizer:
     # larger units --------------------------------------------------------
 
     def synth_paragraph(self, spec: ParagraphSpec) -> str:
+        def fits(words: int, letters: int) -> bool:
+            return (spec.max_words is None or words <= spec.max_words) and (
+                spec.max_letters is None or letters <= spec.max_letters
+            )
+
+        need_words = spec.sentences * MIN_SENTENCE_WORDS
+        need_letters = spec.sentences * MIN_SENTENCE_LETTERS
+        if not fits(need_words, need_letters):
+            raise SynthError(
+                f"{spec.sentences} sentences need at least {need_words} words "
+                f"and {need_letters} letters"
+            )
         sentences: list[str] = []
         words_used = 0
         letters_used = 0
@@ -274,12 +287,11 @@ class Synthesizer:
                 text = self.sentence_text(probe)
                 w = len(text.split())
                 l = letter_count(text)
-                ok = True
-                if spec.max_words is not None and words_used + w + remaining * 2 > spec.max_words:
-                    ok = False
-                if spec.max_letters is not None and letters_used + l + remaining * 4 > spec.max_letters:
-                    ok = False
-                if ok:
+                # Leave room for the shortest sentence in each one still to come.
+                if fits(
+                    words_used + w + remaining * MIN_SENTENCE_WORDS,
+                    letters_used + l + remaining * MIN_SENTENCE_LETTERS,
+                ):
                     self.tracker = probe
                     sentences.append(text)
                     words_used += w

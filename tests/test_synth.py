@@ -212,8 +212,12 @@ def test_tracker_monotonic_without_window():
 
 def test_paragraph_unsatisfiable():
     s = Synthesizer(SynthConfig(seed=6))
-    with pytest.raises(SynthError):
+    state = s.rng.getstate()
+    with pytest.raises(SynthError, match="^2 sentences need at least 4 words and 8 letters$"):
         s.synth_paragraph(ParagraphSpec(sentences=2, max_letters=5))
+    with pytest.raises(SynthError, match="^3 sentences need at least 6 words and 12 letters$"):
+        s.synth_paragraph(ParagraphSpec(sentences=3, max_words=5))
+    assert s.rng.getstate() == state
 
 
 def test_poem_exact_letter_counts():
