@@ -260,6 +260,8 @@ def _cmd_tag(args, lex, out) -> int:
 
 
 def _cmd_synth(args, lex, out) -> int:
+    if args.count < 1:
+        raise ValueError("--count must be at least 1")
     cfg = sy.SynthConfig(seed=args.seed)
     synthesizer = sy.Synthesizer(cfg, lex)
     if args.kind == "phrase":

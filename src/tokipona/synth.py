@@ -1,23 +1,29 @@
 """Seeded synthesis of phrases, sentences, paragraphs, and poems.
 
 Generation is template based (subject li predicate e object, plus an
-optional prepositional phrase), tracks used words so that later output
-re-uses earlier vocabulary, and enforces structural targets (sentence,
-word, letter, and per-verse letter counts) by bounded retry.  All
-randomness flows through one Mersenne Twister generator seeded from the
-config, so identical seeds give byte-identical output.
+optional prepositional phrase), and tracks used words so that later output
+re-uses earlier vocabulary.  Poems and paragraphs meet their structural
+targets (letters per verse; sentences, words and letters per paragraph) by
+counting: a table of how many ways each part of the grammar can fill what
+is left of the target lets every choice be drawn top-down, exactly
+conditioned on the target, in the manner of Flajolet, Zimmermann and Van
+Cutsem's recursive method.  All randomness flows through one Mersenne
+Twister generator seeded from the config, so identical seeds give
+byte-identical output.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from itertools import accumulate
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .grammar import (
     Clause,
@@ -29,18 +35,21 @@ from .grammar import (
 )
 from .lexicon import Lexicon, PREPOSITIONS
 
-RETRY_BUDGET = 1000
-
-#: The shortest sentence ``sentence_text`` can draw, "mi jo.": a bare mi or
-#: sina subject and a one-word predicate, every content word 2+ letters.
-MIN_SENTENCE_WORDS = 2
-MIN_SENTENCE_LETTERS = 4
+if TYPE_CHECKING:
+    from .counting import CountTables
 
 SENTENCE_PREPOSITIONS = tuple(sorted(PREPOSITIONS))
 
+#: Subjects that take no li when they stand alone.
+LI_LESS_SUBJECTS = ("mi", "sina")
+
+#: The chance that a verse is a bare phrase rather than a one-word subject
+#: and its predicate.
+BARE_VERSE_PROBABILITY = 0.5
+
 
 class SynthError(RuntimeError):
-    """A structural constraint cannot be met, or was not within the retry budget."""
+    """A structural constraint cannot be met."""
 
 
 def _check_distribution(weights: dict[int, float], name: str):
@@ -241,7 +250,7 @@ class Synthesizer:
         tracker = tracker if tracker is not None else self.tracker
         subject = self.phrase_words(tracker)
         words = list(subject)
-        if not (len(subject) == 1 and subject[0] in ("mi", "sina")):
+        if not (len(subject) == 1 and subject[0] in LI_LESS_SUBJECTS):
             words.append("li")
         words += self.phrase_words(tracker)
         for _ in range(_pick(*self._object_counts, self.rng.random())):
@@ -264,76 +273,82 @@ class Synthesizer:
 
     # larger units --------------------------------------------------------
 
-    def synth_paragraph(self, spec: ParagraphSpec) -> str:
-        def fits(words: int, letters: int) -> bool:
-            return (spec.max_words is None or words <= spec.max_words) and (
-                spec.max_letters is None or letters <= spec.max_letters
-            )
+    @cached_property
+    def _tables(self) -> "CountTables":
+        # Imported on first use: only poems and paragraphs need the tables.
+        from .counting import count_tables
 
-        need_words = spec.sentences * MIN_SENTENCE_WORDS
-        need_letters = spec.sentences * MIN_SENTENCE_LETTERS
-        if not fits(need_words, need_letters):
+        return count_tables(self.cfg, self._pool)
+
+    def _weights(self) -> list[float]:
+        return self.tracker.weights(self._pool_index, self.cfg.reuse_bias)
+
+    def _drawn(self, fit, *budget) -> str:
+        """The text of a counted draw, ``fit`` from the count tables, with the
+        weights frozen for the draw; its content words are observed after."""
+        text, content = fit(self.rng, self._weights(), *budget)
+        for word in content:
+            self.tracker.observe(word)
+        return text
+
+    def verse_letters(self) -> list[float]:
+        """The chance that a verse drawn now has n letters, for n from 0 to
+        the longest verse, with the tracker's weights as they stand."""
+        return self._tables.verse_letters(self._weights())
+
+    def synth_paragraph(self, spec: ParagraphSpec) -> str:
+        """``spec.sentences`` sentences of the ``sentence_text`` grammar
+        within the bounds.  Each sentence is drawn exactly conditioned on
+        fitting what is left of them after keeping room for the shortest
+        sentence in each one still to come."""
+        tables = self._tables
+        least_words, least_letters = tables.shortest_sentence
+        need_words = spec.sentences * least_words
+        need_letters = spec.sentences * least_letters
+        if (spec.max_words is not None and need_words > spec.max_words) or (
+            spec.max_letters is not None and need_letters > spec.max_letters
+        ):
             raise SynthError(
                 f"{spec.sentences} sentences need at least {need_words} words "
                 f"and {need_letters} letters"
             )
+        # What is left of each bound beyond the shortest sentences.
+        words = math.inf if spec.max_words is None else spec.max_words - need_words
+        letters = math.inf if spec.max_letters is None else spec.max_letters - need_letters
         sentences: list[str] = []
-        words_used = 0
-        letters_used = 0
-        for index in range(spec.sentences):
-            remaining = spec.sentences - index - 1
-            for attempt in range(RETRY_BUDGET):
-                probe = self.tracker.copy()
-                text = self.sentence_text(probe)
-                w = len(text.split())
-                l = letter_count(text)
-                # Leave room for the shortest sentence in each one still to come.
-                if fits(
-                    words_used + w + remaining * MIN_SENTENCE_WORDS,
-                    letters_used + l + remaining * MIN_SENTENCE_LETTERS,
-                ):
-                    self.tracker = probe
-                    sentences.append(text)
-                    words_used += w
-                    letters_used += l
-                    break
-            else:
-                raise SynthError(
-                    f"could not fit sentence {index + 1} within the paragraph bounds"
-                )
+        for _ in range(spec.sentences):
+            text = self._drawn(tables.fit_sentence, words + least_words, letters + least_letters)
+            words -= len(text.split()) - least_words
+            letters -= letter_count(text) - least_letters
+            sentences.append(text)
         return " ".join(sentences)
 
     def verse_text(self, tracker: Optional[ContextTracker] = None) -> str:
         """A poem line: a bare phrase, or a short subject-predicate clause."""
         tracker = tracker if tracker is not None else self.tracker
-        if self.rng.random() < 0.5:
+        if self.rng.random() < BARE_VERSE_PROBABILITY:
             return " ".join(self.phrase_words(tracker))
         subject = self.sample_word(tracker)
         words = [subject]
-        if subject not in ("mi", "sina"):
+        if subject not in LI_LESS_SUBJECTS:
             words.append("li")
         words += self.phrase_words(tracker)
         return " ".join(words)
 
     def synth_poem(self, spec: PoemSpec) -> str:
-        stanzas: list[list[str]] = []
-        for _ in range(spec.stanzas):
-            verses: list[str] = []
-            for _ in range(spec.verses_per_stanza):
-                for attempt in range(RETRY_BUDGET):
-                    probe = self.tracker.copy()
-                    verse = self.verse_text(probe)
-                    if letter_count(verse) == spec.phonemes_per_verse:
-                        self.tracker = probe
-                        verses.append(verse)
-                        break
-                else:
-                    raise SynthError(
-                        f"no verse with exactly {spec.phonemes_per_verse} letters "
-                        f"found in {RETRY_BUDGET} attempts"
-                    )
-            stanzas.append(verses)
-        return "\n\n".join("\n".join(v) for v in stanzas)
+        """Stanzas of verses of the ``verse_text`` grammar, each drawn exactly
+        conditioned on having ``spec.phonemes_per_verse`` letters."""
+        from .counting import spans
+
+        tables, letters = self._tables, spec.phonemes_per_verse
+        if letters not in tables.verse_support:
+            raise SynthError(f"verses have {spans(tables.verse_support)} letters, not {letters}")
+        verses = spec.verses_per_stanza
+        stanzas = (
+            "\n".join(self._drawn(tables.fit_verse, letters) for _ in range(verses))
+            for _ in range(spec.stanzas)
+        )
+        return "\n\n".join(stanzas)
 
     # interactive composition ----------------------------------------------
 

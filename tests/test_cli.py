@@ -155,6 +155,12 @@ def test_synth_poem(capsys):
         assert sum(c.isalpha() for c in v) == 10
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_synth_count_must_be_positive(capsys, count):
+    code, out, err = run(capsys, "synth", "--count", count)
+    assert (code, out, err) == (1, "", "error: --count must be at least 1\n")
+
+
 def test_synth_paragraph_bounds_error(capsys):
     code, _, err = run(
         capsys, "--seed", "7", "synth", "--kind", "paragraph",

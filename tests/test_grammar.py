@@ -31,7 +31,7 @@ from tokipona.grammar import (
     render_grouping,
     tokenize,
 )
-from tokipona.lexicon import load_lexicon
+from tokipona.lexicon import PREPOSITIONS, load_lexicon
 from tokipona.phonotactics import validate_proper_noun
 
 HYBRID_NVA = frozenset({TagValue.NOUN, TagValue.VERB, TagValue.ADJECTIVE})
@@ -367,10 +367,28 @@ def test_empty_sentence_keeps_terminator(text):
     assert pos_tag(empty) == {empty.terminator: TagValue.PUNCT}
 
 
-#: Random sentences: lexicon words and punctuation in any order.
-_fuzz_text = hst.lists(
-    hst.sampled_from(sorted(e.surface for e in load_lexicon()) + list(".!?,:")),
-    max_size=20,
+_WORDS = sorted(e.surface for e in load_lexicon())
+#: The particles, prepositions and punctuation that give a sentence its shape.
+_SHAPERS = ["li", "e", "pi", "la", "o", "en", "anu", *sorted(PREPOSITIONS), ",", ":"]
+#: A shaper as often as any other lexicon word.
+_fuzz_word = hst.one_of(hst.sampled_from(_WORDS), hst.sampled_from(_SHAPERS))
+_fuzz_phrase = hst.lists(hst.sampled_from(_WORDS), min_size=1, max_size=3)
+#: An object or prepositional phrase, led by a comma or not.
+_fuzz_complement = hst.tuples(
+    hst.sampled_from([[], [","]]), hst.sampled_from(["e", *sorted(PREPOSITIONS)]), _fuzz_phrase
+).map(lambda c: [*c[0], c[1], *c[2]])
+_fuzz_sentence = hst.tuples(
+    _fuzz_phrase,
+    hst.sampled_from([[], ["li"], ["o"]]),
+    _fuzz_phrase,
+    hst.lists(_fuzz_complement, max_size=3),
+    hst.sampled_from(list(".!?:")),
+).map(lambda s: [*s[0], *s[1], *s[2], *(w for c in s[3] for w in c), s[4]])
+#: Random text: words and punctuation in any order, or sentences shaped
+#: as subject, li or o, predicate and complements from any lexicon words.
+_fuzz_text = hst.one_of(
+    hst.lists(hst.one_of(_fuzz_word, hst.sampled_from(list(".!?"))), max_size=20),
+    hst.lists(_fuzz_sentence, min_size=1, max_size=3).map(lambda ss: [w for s in ss for w in s]),
 ).map(" ".join)
 
 

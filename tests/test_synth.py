@@ -3,12 +3,16 @@ and the closed loop through the strict parser."""
 
 import math
 import random
+from collections import Counter
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as hst
 
 from tokipona.grammar import PiGroup, parse_text
+from tokipona.counting import Letters
 from tokipona.lexicon import PURE_PARTICLES, SOLE_PREPOSITIONS, load_lexicon
+from tokipona.stats import SentenceSpaceQuery, sentence_space
 from tokipona.synth import (
     ComposeUnit,
     ContextTracker,
@@ -237,6 +241,173 @@ def test_poem_determinism_and_error():
     assert a == b
     with pytest.raises(SynthError):
         Synthesizer(SynthConfig(seed=10)).synth_poem(PoemSpec(1, 1, 1))
+
+
+# --- counting draws -------------------------------------------------------------
+
+def _reference_verse_text(synth, tracker=None):
+    """``Synthesizer.verse_text`` as it was when poems were drawn by
+    rejection: the grammar the verse table must model."""
+    tracker = tracker if tracker is not None else synth.tracker
+    if synth.rng.random() < 0.5:
+        return " ".join(synth.phrase_words(tracker))
+    subject = synth.sample_word(tracker)
+    words = [subject]
+    if subject not in ("mi", "sina"):
+        words.append("li")
+    words += synth.phrase_words(tracker)
+    return " ".join(words)
+
+
+def _shape(text):
+    """Structure and word lengths: particles as themselves, other words as
+    their letter counts."""
+    particles = {"li", "pi", "e", "lon", "tan", "kepeken", "sama", "tawa"}
+    return tuple(w if w in particles else len(w) for w in text.rstrip(".").split())
+
+
+def _assert_same_distribution(a: Counter, b: Counter):
+    """Two samples agree bin by bin within 4.5 standard errors."""
+    na, nb = sum(a.values()), sum(b.values())
+    for key in a.keys() | b.keys():
+        pooled = (a[key] + b[key]) / (na + nb)
+        se = math.sqrt(pooled * (1 - pooled) * (1 / na + 1 / nb))
+        assert abs(a[key] / na - b[key] / nb) <= 4.5 * se + 1e-12, (key, a[key], b[key])
+
+
+def test_verse_table_letter_distribution():
+    table = Synthesizer(SynthConfig(reuse_bias=0.0)).verse_letters()
+    assert [n for n, p in enumerate(table) if p > 0] == list(range(2, 40))
+    assert math.isclose(sum(table), 1.0)
+    assert round(1 / table[22]) == 132
+    assert round(1 / table[30], -3) == 43_000
+
+
+def test_verse_table_agrees_with_drawn_verses():
+    s = Synthesizer(SynthConfig(seed=41, reuse_bias=0.0))
+    table = s.verse_letters()
+    n = 40_000
+    drawn = Counter(letter_count(_reference_verse_text(s)) for _ in range(n))
+    for letters in range(max(len(table), max(drawn) + 1)):
+        p = table[letters] if letters < len(table) else 0.0
+        assert abs(drawn[letters] - n * p) <= 4 * math.sqrt(n * p * (1 - p)) + 1, letters
+
+
+def test_fixed_target_matches_rejection():
+    # At bias 0 freezing the weights changes nothing, so a verse drawn by
+    # counting must be distributed as one drawn until it fits.
+    target, n = 14, 2500
+    counted = Synthesizer(SynthConfig(seed=42, reuse_bias=0.0))
+    by_counting = Counter(_shape(counted.synth_poem(PoemSpec(1, 1, target))) for _ in range(n))
+    reference = Synthesizer(SynthConfig(seed=43, reuse_bias=0.0))
+    by_rejection: Counter = Counter()
+    while sum(by_rejection.values()) < n:
+        verse = _reference_verse_text(reference)
+        if letter_count(verse) == target:
+            by_rejection[_shape(verse)] += 1
+    _assert_same_distribution(by_counting, by_rejection)
+
+
+def test_bounded_sentence_matches_rejection():
+    # A paragraph's sentence is drawn conditioned on fitting its bounds.
+    spec, n = ParagraphSpec(1, max_words=6, max_letters=20), 2500
+    counted = Synthesizer(SynthConfig(seed=44, reuse_bias=0.0))
+    by_counting = Counter(_shape(counted.synth_paragraph(spec)) for _ in range(n))
+    reference = Synthesizer(SynthConfig(seed=45, reuse_bias=0.0))
+    by_rejection: Counter = Counter()
+    while sum(by_rejection.values()) < n:
+        text = reference.sentence_text()
+        if len(text.split()) <= 6 and letter_count(text) <= 20:
+            by_rejection[_shape(text)] += 1
+    _assert_same_distribution(by_counting, by_rejection)
+
+
+def test_every_feasible_verse_length_is_drawn():
+    s = Synthesizer(SynthConfig(seed=12))
+    for target in range(2, 40):
+        poem = s.synth_poem(PoemSpec(1, 2, target))
+        assert [letter_count(v) for v in poem.split("\n")] == [target, target]
+        assert parse_text(poem.replace("\n", ". ") + ".").problems() == [], poem
+
+
+def test_infeasible_verse_fails_at_once():
+    s = Synthesizer(SynthConfig(seed=12))
+    s.synth_poem(PoemSpec(1, 1, 30))
+    state, counts = s.rng.getstate(), Counter(s.tracker.counts)
+    for target in (40, 1):
+        with pytest.raises(SynthError, match=f"^verses have 2–39 letters, not {target}$"):
+            s.synth_poem(PoemSpec(1, 1, target))
+    assert s.rng.getstate() == state
+    assert s.tracker.counts == counts
+
+
+def test_bounded_sentences_fit():
+    s = Synthesizer(SynthConfig(seed=46, prep_probability=0.5, pi_probability=0.5))
+    for max_words in range(2, 11):
+        for max_letters in range(4, 34, 2):
+            for _ in range(8):
+                text = s.synth_paragraph(ParagraphSpec(1, max_words, max_letters))
+                assert len(text.split()) <= max_words and letter_count(text) <= max_letters, text
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_tight_paragraphs_fit(seed):
+    rng = random.Random(seed)
+    s = Synthesizer(SynthConfig(seed=seed))
+    for sentences in range(1, 7):
+        max_words, max_letters = rng.randint(2, 7) * sentences, rng.randint(4, 28) * sentences
+        spec = ParagraphSpec(sentences, max_words, max_letters)
+        text = s.synth_paragraph(spec)
+        assert text.count(".") == sentences
+        assert len(text.split()) <= spec.max_words and letter_count(text) <= spec.max_letters
+        assert parse_text(text).problems() == [], text
+
+
+def _other_lexicon(tmp_path):
+    """The bundled lexicon without akesi and alasa, with kijetesantakalu."""
+    text = resources.files("tokipona").joinpath("data/lexicon.tsv").read_text("utf-8")
+    lines = [l for l in text.splitlines() if l.split("\t")[0] not in ("akesi", "alasa")]
+    path = tmp_path / "other.tsv"
+    path.write_text("\n".join(lines + ["kijetesantakalu\tNOUN\t-\traccoon"]) + "\n", "utf-8")
+    return load_lexicon(path)
+
+
+def _skeleton_support(s, n, v, o, p):
+    """Distinct sentences with phrase sizes (n, v, o, p), one object, one
+    preposition and no pi, counted from the tables that the draws use."""
+    tables = s._tables
+    g = tables.grammar
+    assert (n, 0) in [o[-1] for o in g.subjects] or n == 1
+    for size, options in ((v, g.predicates), (o, g.objects[0]), (p, g.phrases)):
+        assert (size, 0) in [o[-1] for o in options]
+    one_word = n == 1
+    free = n + v + o + p - one_word
+    count = Letters([(length, len(idx)) for length, idx in tables.by_length], 15 * free, False)
+    sequences = sum(count(free, letters) for letters in range(count.hi * free + 1))
+    subjects = len(tables.li_less) + sum(map(len, tables.li_takers.values())) if one_word else 1
+    prepositions = [o for o in g.prepositions if o[-1] is not None]
+    return subjects * sequences * len(prepositions)
+
+
+@pytest.mark.parametrize("sizes", [(1, 1, 1, 1), (2, 1, 1, 1), (1, 2, 3, 1), (3, 1, 2, 2)])
+def test_sentence_support_is_the_sentence_space(sizes, tmp_path):
+    for lex in (load_lexicon(), _other_lexicon(tmp_path)):
+        s = Synthesizer(SynthConfig(pi_probability=0.0), lex)
+        expected = sentence_space(lex, SentenceSpaceQuery(*sizes, with_particles=False))
+        assert _skeleton_support(s, *sizes) == expected
+    assert expected == 106 ** sum(sizes) * 5
+
+
+def test_verse_range_follows_the_lexicon(tmp_path):
+    s = Synthesizer(SynthConfig(seed=3), _other_lexicon(tmp_path))
+    longest = 15 + 2 + 4 * 15 + 2  # kijetesantakalu li, four of it and pi
+    poem = s.synth_poem(PoemSpec(1, 1, longest))
+    assert poem.split() == ["kijetesantakalu", "li", *["kijetesantakalu"] * 2, "pi",
+                            *["kijetesantakalu"] * 2]
+    # Words of 2-7 letters and one of 15 leave gaps near the top.
+    for target in (72, 78, 80):
+        with pytest.raises(SynthError, match=f"^verses have 2–71, 77, 79 letters, not {target}$"):
+            s.synth_poem(PoemSpec(1, 1, target))
 
 
 def test_spec_validation():
