@@ -286,6 +286,7 @@ class Vocative:
     phrase: PhraseNode
     o_token: Token
     comma: Optional[Token] = None
+    complements: list[PrepPhrase] = field(default_factory=list)
 
 
 @dataclass
@@ -304,7 +305,8 @@ class Clause:
     @property
     def prepositional(self) -> list[tuple[Token, Optional[PhraseNode]]]:
         """All prepositional phrases of the clause, in reading order."""
-        out = [(pp.prep, pp.complement) for pp in self.subject_complements]
+        pps = (self.vocative.complements if self.vocative else []) + self.subject_complements
+        out = [(pp.prep, pp.complement) for pp in pps]
         for pred in self.predicates:
             out += [(pp.prep, pp.complement) for pp in pred.prepositional]
         return out
@@ -317,6 +319,7 @@ class Clause:
             yield from ctx.walk()
         if self.vocative:
             yield from self.vocative.phrase.walk(TagValue.NOUN, TagValue.ADJECTIVE)
+            yield from _walk_complements(self.vocative.complements)
             yield self.vocative.o_token, TagValue.PARTICLE
             if self.vocative.comma:
                 yield self.vocative.comma, TagValue.PUNCT
@@ -376,6 +379,10 @@ class Clause:
         return {
             "contexts": [c.to_dict() for c in self.contexts],
             "vocative": phrase_dict(self.vocative.phrase) if self.vocative else None,
+            # Only present when the vocative has any, which keeps the record
+            # of every other clause as it was before vocatives could have them.
+            **({"vocative_preps": [prep_dict(pp) for pp in self.vocative.complements]}
+               if self.vocative and self.vocative.complements else {}),
             "subject": phrase_dict(self.subject) if self.subject else None,
             "subject_preps": [prep_dict(pp) for pp in self.subject_complements],
             "li_elided": self.li_elided,
@@ -411,17 +418,22 @@ class Clause:
             for conj_tok, ph in p.conj:
                 phrase_lines(ph, pad + "    ", conj_tok.surface)
 
+        def prep_lines(pp: PrepPhrase, pad: str):
+            lines.append(f"{pad}prep: {pp.prep.surface}")
+            if pp.complement:
+                phrase_lines(pp.complement, pad + "    ", "complement")
+
         for ctx in self.contexts:
             lines.append(f"{indent}context:")
             lines.append(ctx.pretty(indent + "    "))
         if self.vocative:
             phrase_lines(self.vocative.phrase, indent, "vocative")
+            for pp in self.vocative.complements:
+                prep_lines(pp, indent)
         if self.subject:
             phrase_lines(self.subject, indent, "subject")
         for pp in self.subject_complements:
-            lines.append(f"{indent}prep: {pp.prep.surface}")
-            if pp.complement:
-                phrase_lines(pp.complement, indent + "    ", "complement")
+            prep_lines(pp, indent)
         for p in self.predicates:
             marker = p.marker.surface if p.marker else ("(li)" if self.li_elided else "(none)")
             lines.append(f"{indent}predicate [{marker}]:")
@@ -432,9 +444,7 @@ class Clause:
                 if isinstance(c, ObjectArg):
                     phrase_lines(c.phrase, indent + "    ", "object")
                 else:
-                    lines.append(f"{indent}    prep: {c.prep.surface}")
-                    if c.complement:
-                        phrase_lines(c.complement, indent + "        ", "complement")
+                    prep_lines(c, indent + "    ")
         if self.tail:
             lines.append(f"{indent}tail: {' '.join(t.surface for t in self.tail)}")
         if not lines and self.terminator:  # an empty sentence
@@ -576,6 +586,13 @@ class _ClauseParser:
             complement = self.phrase(PhraseRole.NOUN_HEAD, clause, allow_conj=False)
         return PrepPhrase(prep, complement, lead_sep)
 
+    def preps(self, clause: Clause) -> list[PrepPhrase]:
+        """The prepositional phrases that follow a subject or a vocative."""
+        out = []
+        while _word_in(self.peek(), PREPOSITIONS):
+            out.append(self.prep(clause))
+        return out
+
     # predicate level ------------------------------------------------------
 
     def predicate(
@@ -664,13 +681,14 @@ class _ClauseParser:
                 self.note("subject omitted before li", first)
             marker = self.take()
         elif split is not None and toks[split].surface == "o":
-            # Vocative: phrase o [,] ...
+            # Vocative: phrase [prep phrases] o [,] ...
             phrase = self.phrase(PhraseRole.NOUN_HEAD, clause, allow_conj=True)
+            preps = self.preps(clause)
             if self.i != split:
                 raise GrammarError("could not read the phrase before o", self.peek())
             o_tok = self.take()
             comma = self.take() if _is_comma(self.peek()) else None
-            clause.vocative = Vocative(phrase, o_tok, comma)
+            clause.vocative = Vocative(phrase, o_tok, comma, preps)
             if self.peek() is None:
                 self.note("vocative-only sentence", o_tok)
                 clause.tail.extend(tail)
@@ -680,8 +698,7 @@ class _ClauseParser:
         elif split is not None:
             # Subject ... li ...
             subject = self.phrase(PhraseRole.NOUN_HEAD, clause, allow_conj=True)
-            while _word_in(self.peek(), PREPOSITIONS):
-                clause.subject_complements.append(self.prep(clause))
+            clause.subject_complements = self.preps(clause)
             if self.i != split:
                 raise GrammarError("could not read the subject before li", self.peek())
             clause.subject = subject

@@ -2,8 +2,10 @@
 
 Consumes a Princeton WordNet 3.x database directory in the standard WNDB
 layout (index.noun/verb/adj/adv and data.* files, space-delimited fields,
-8-digit decimal synset offsets).  Three mappings are built from the
-lexicon's English glosses: every reachable synset, the same without
+8-digit decimal synset offsets).  Loading checks every data line and every
+index offset (its count, and that its data file defines it) and names the
+file and line of a failure.  Three mappings are built from the lexicon's
+English glosses: every reachable synset, the same without
 preposition-tagged words, and only synsets whose part of speech matches a
 dictionary tag.
 """
@@ -53,11 +55,11 @@ class SynsetRef:
 
 
 class WordNetDatabase:
-    """In-memory index over a WNDB directory: (lemma, pos) -> offsets."""
+    """In-memory index over a WNDB directory: per POS, a lemma -> offsets map."""
 
     def __init__(self, root: Path):
         self.root = Path(root)
-        self._index: dict[tuple[str, WNPos], tuple[int, ...]] = {}
+        self._index: dict[WNPos, dict[str, tuple[int, ...]]] = {pos: {} for pos in WNPos}
         self._synsets: dict[WNPos, set[int]] = {pos: set() for pos in WNPos}
         self.version: Optional[str] = None
         self.warnings: list[str] = []
@@ -76,53 +78,44 @@ class WordNetDatabase:
             self.warnings.append(f"database reports version {self.version}, not 3.0")
 
     def _load_data(self, pos: WNPos, path: Path):
-        if not path.is_file():
-            raise WordNetError(f"missing database file {path.name}")
         seen = self._synsets[pos]
-        with open(path, encoding="utf-8", errors="replace") as fh:
-            for lineno, line in enumerate(fh, 1):
-                if line.startswith("  "):  # license header
-                    if self.version is None:
-                        m = _VERSION_RE.search(line)
-                        if m:
-                            self.version = m.group(1)
-                    continue
-                fields = line.split()
-                if len(fields) < 3:
-                    raise WordNetError(f"{path.name}:{lineno}: truncated synset line")
-                try:
-                    offset = int(fields[0])
-                except ValueError:
-                    raise WordNetError(
-                        f"{path.name}:{lineno}: bad synset offset {fields[0]!r}"
-                    ) from None
-                seen.add(offset)
+        for lineno, line in enumerate(_read_lines(path), 1):
+            if line.startswith("  "):  # license header
+                m = self.version is None and _VERSION_RE.search(line)
+                if m:
+                    self.version = m.group(1)
+                continue
+            fields = line.split(None, 3)
+            if len(fields) < 3:
+                raise WordNetError(f"{path.name}:{lineno}: truncated synset line")
+            try:
+                seen.add(int(fields[0]))
+            except ValueError:
+                raise WordNetError(
+                    f"{path.name}:{lineno}: bad synset offset {fields[0]!r}"
+                ) from None
 
     def _load_index(self, pos: WNPos, path: Path):
-        if not path.is_file():
-            raise WordNetError(f"missing database file {path.name}")
-        with open(path, encoding="utf-8", errors="replace") as fh:
-            for lineno, line in enumerate(fh, 1):
-                if line.startswith(" "):
-                    continue
-                fields = line.split()
-                try:
-                    lemma = fields[0]
-                    n_synsets = int(fields[2])
-                    n_pointers = int(fields[3])
-                    offsets = tuple(int(x) for x in fields[6 + n_pointers:])
-                except (IndexError, ValueError) as exc:
-                    raise WordNetError(f"{path.name}:{lineno}: {exc}") from None
-                if len(offsets) != n_synsets:
-                    raise WordNetError(
-                        f"{path.name}:{lineno}: expected {n_synsets} offsets, got {len(offsets)}"
-                    )
-                bad = [o for o in offsets if o not in self._synsets[pos]]
-                if bad:
-                    raise WordNetError(
-                        f"{path.name}:{lineno}: offset {bad[0]:08d} not in data.{_FILE_SUFFIX[pos]}"
-                    )
-                self._index[(lemma, pos)] = offsets
+        synsets, index = self._synsets[pos], self._index[pos]
+        for lineno, line in enumerate(_read_lines(path), 1):
+            if line.startswith(" "):
+                continue
+            fields = line.split()
+            try:  # a line without a lemma fails at fields[2] alike
+                n_synsets = int(fields[2])
+                offsets = tuple(map(int, fields[6 + int(fields[3]):]))
+            except (IndexError, ValueError) as exc:
+                raise WordNetError(f"{path.name}:{lineno}: {exc}") from None
+            if len(offsets) != n_synsets:
+                raise WordNetError(
+                    f"{path.name}:{lineno}: expected {n_synsets} offsets, got {len(offsets)}"
+                )
+            if not synsets.issuperset(offsets):
+                bad = next(o for o in offsets if o not in synsets)
+                raise WordNetError(
+                    f"{path.name}:{lineno}: offset {bad:08d} not in data.{_FILE_SUFFIX[pos]}"
+                )
+            index[fields[0]] = offsets
 
     @property
     def total_synsets(self) -> int:
@@ -130,11 +123,22 @@ class WordNetDatabase:
 
     def lookup(self, lemma: str, pos: WNPos) -> tuple[int, ...]:
         """Synset offsets for an English lemma; multiword keys use underscores."""
-        return self._index.get((lemma.replace(" ", "_"), pos), ())
+        return self._index[pos].get(lemma.replace(" ", "_"), ())
 
     def has_lemma(self, lemma: str) -> bool:
         key = lemma.replace(" ", "_")
-        return any((key, pos) in self._index for pos in WNPos)
+        return any(key in index for index in self._index.values())
+
+
+def _read_lines(path: Path) -> list[str]:
+    """A file's lines, split only where iterating over it would (not ``splitlines``)."""
+    if not path.is_file():
+        raise WordNetError(f"missing database file {path.name}")
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        lines = fh.read().split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
 
 
 def load_wordnet_db(path: str | Path) -> WordNetDatabase:

@@ -368,11 +368,18 @@ def test_empty_sentence_keeps_terminator(text):
 
 
 _WORDS = sorted(e.surface for e in load_lexicon())
+#: The words a phrase is made of: no particle and no word that is only a
+#: preposition (``sama`` and ``tawa`` stay, and read as prepositions).
+_CONTENT = sorted(e.surface for e in load_lexicon().content_words())
 #: The particles, prepositions and punctuation that give a sentence its shape.
 _SHAPERS = ["li", "e", "pi", "la", "o", "en", "anu", *sorted(PREPOSITIONS), ",", ":"]
 #: A shaper as often as any other lexicon word.
 _fuzz_word = hst.one_of(hst.sampled_from(_WORDS), hst.sampled_from(_SHAPERS))
-_fuzz_phrase = hst.lists(hst.sampled_from(_WORDS), min_size=1, max_size=3)
+#: Random text: words and punctuation in any order.
+_token_soup = hst.lists(
+    hst.one_of(_fuzz_word, hst.sampled_from(list(".!?"))), max_size=20
+).map(" ".join)
+_fuzz_phrase = hst.lists(hst.sampled_from(_CONTENT), min_size=1, max_size=3)
 #: An object or prepositional phrase, led by a comma or not.
 _fuzz_complement = hst.tuples(
     hst.sampled_from([[], [","]]), hst.sampled_from(["e", *sorted(PREPOSITIONS)]), _fuzz_phrase
@@ -384,15 +391,22 @@ _fuzz_sentence = hst.tuples(
     hst.lists(_fuzz_complement, max_size=3),
     hst.sampled_from(list(".!?:")),
 ).map(lambda s: [*s[0], *s[1], *s[2], *(w for c in s[3] for w in c), s[4]])
-#: Random text: words and punctuation in any order, or sentences shaped
-#: as subject, li or o, predicate and complements from any lexicon words.
-_fuzz_text = hst.one_of(
-    hst.lists(hst.one_of(_fuzz_word, hst.sampled_from(list(".!?"))), max_size=20),
-    hst.lists(_fuzz_sentence, min_size=1, max_size=3).map(lambda ss: [w for s in ss for w in s]),
-).map(" ".join)
+#: Sentences shaped as subject or vocative, li, o or neither, predicate and
+#: complements, with every phrase of content words.
+_sentences = hst.lists(_fuzz_sentence, min_size=1, max_size=3).map(
+    lambda ss: " ".join(w for s in ss for w in s)
+)
 
 
-@given(_fuzz_text)
+def _assert_roundtrips_and_tags_each_token_once(tokens, result):
+    assert result.text() == detokenize(tokens)
+    for clause in result.clauses:
+        toks = list(clause.tokens())
+        assert len(set(toks)) == len(toks)
+        assert set(pos_tag(clause)) == set(toks)
+
+
+@given(_token_soup)
 @settings(max_examples=400, deadline=None)
 def test_parse_roundtrips_and_tags_each_token_once(text):
     """Only GrammarError escapes; a parse gives back its tokens, each tagged once."""
@@ -401,11 +415,31 @@ def test_parse_roundtrips_and_tags_each_token_once(text):
         result = parse(tokens, LENIENT)
     except GrammarError:
         return
-    assert result.text() == detokenize(tokens)
-    for clause in result.clauses:
-        toks = list(clause.tokens())
-        assert len(set(toks)) == len(toks)
-        assert set(pos_tag(clause)) == set(toks)
+    _assert_roundtrips_and_tags_each_token_once(tokens, result)
+
+
+@given(_sentences)
+@settings(max_examples=400, deadline=None)
+def test_sentence_shaped_text_parses_roundtrips_and_tags_each_token_once(text):
+    """Well-shaped sentences of content words always parse."""
+    tokens = tokenize(text)
+    _assert_roundtrips_and_tags_each_token_once(tokens, parse(tokens, LENIENT))
+
+
+def test_vocative_takes_prepositional_phrases_like_a_subject():
+    """``jan lon tomo o kama`` addresses the person in the house."""
+    (clause,) = parse_text("jan lon tomo o kama.").clauses
+    assert clause.vocative.phrase.head.surface == "jan"
+    ((prep, complement),) = clause.prepositional
+    assert (prep.surface, complement.head.surface) == ("lon", "tomo")
+    assert clause.to_dict()["vocative_preps"] == [{
+        "prep": "lon",
+        "complement": {"head": "tomo", "role": "noun", "modifiers": [], "conj": []},
+    }]
+    assert clause.pretty().splitlines()[:3] == [
+        "vocative: jan", "prep: lon", "    complement: tomo",
+    ]
+    assert "vocative_preps" not in parse_text("jan o kama.").clauses[0].to_dict()
 
 
 def test_tree_serializations(corpus_lines):

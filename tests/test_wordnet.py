@@ -1,7 +1,11 @@
 """WNDB parsing and the three mapping modes, against a small database
 written in the genuine index/data file format."""
 
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from tokipona.wordnet import (
     MappingMode,
@@ -14,7 +18,7 @@ from tokipona.wordnet import (
     load_wordnet_db,
     relations,
 )
-from conftest import FIXTURE_INDEX, write_wndb
+from conftest import _HEADER, _SUFFIX, FIXTURE_INDEX, write_wndb
 
 
 # --- database loading ------------------------------------------------------------
@@ -67,6 +71,204 @@ def test_version_warning(tmp_path):
     db = load_wordnet_db(root)
     assert db.version == "3.1"
     assert any("3.0" in w for w in db.warnings)
+
+
+# --- loader error paths ------------------------------------------------------
+
+def _load_error(root) -> str:
+    with pytest.raises(WordNetError) as info:
+        load_wordnet_db(root)
+    return str(info.value)
+
+
+def _lines_in(path) -> int:
+    return path.read_text("utf-8").count("\n")
+
+
+@pytest.mark.parametrize("name, line, message", [
+    ("data.noun", "10000999 03", "truncated synset line"),
+    ("data.noun", "", "truncated synset line"),
+    ("data.noun", "1000x999 03 n 01 ghost 0 000 | a bad offset",
+     "bad synset offset '1000x999'"),
+    ("index.noun", "ghost n", "list index out of range"),
+    ("index.noun", "", "list index out of range"),
+    ("index.noun", "ghost n x 1 @ 1 1 10000001",
+     "invalid literal for int() with base 10: 'x'"),
+    ("index.noun", "ghost n 1 y @ 1 1 10000001",
+     "invalid literal for int() with base 10: 'y'"),
+    ("index.noun", "ghost n 1 1 @ 1 1 1000000z",
+     "invalid literal for int() with base 10: '1000000z'"),
+    ("index.noun", "ghost n 2 1 @ 2 2 10000001", "expected 2 offsets, got 1"),
+    ("index.noun", "ghost n 1 1 @ 1 1 99999999", "offset 99999999 not in data.noun"),
+    ("index.verb", "ghost v 2 0 2 0 20000001 10000001", "offset 10000001 not in data.verb"),
+])
+def test_loader_error_names_file_and_line(tmp_path, name, line, message):
+    root = write_wndb(tmp_path / "dict")
+    lineno = _lines_in(root / name) + 1
+    with open(root / name, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    assert _load_error(root) == f"{name}:{lineno}: {message}"
+
+
+@pytest.mark.parametrize("name, message", [
+    ("data.noun", "truncated synset line"),
+    ("index.noun", "list index out of range"),
+])
+def test_blank_line_in_the_middle_is_an_error_at_its_line(tmp_path, name, message):
+    root = write_wndb(tmp_path / "dict")
+    lines = (root / name).read_text("utf-8").split("\n")
+    lines.insert(5, "")
+    (root / name).write_text("\n".join(lines), "utf-8")
+    assert _load_error(root) == f"{name}:6: {message}"
+
+
+def test_first_bad_line_of_the_first_bad_file_is_reported(tmp_path):
+    """Every data file is read before any index file, each from its top."""
+    root = write_wndb(tmp_path / "dict")
+    for name in ("index.noun", "data.verb", "data.verb"):
+        with open(root / name, "a", encoding="utf-8") as fh:
+            fh.write("ghost\n")
+    first = _lines_in(root / "data.verb") - 1
+    assert _load_error(root) == f"data.verb:{first}: truncated synset line"
+
+
+def test_form_feed_inside_a_line_does_not_move_line_numbers(tmp_path):
+    root = write_wndb(tmp_path / "dict")
+    text = (root / "data.noun").read_text("utf-8")
+    text = text.replace("a fixture synset", "a \x0cfixture\x1c synset\x85\u2028")
+    (root / "data.noun").write_text(text + "ghost\n", "utf-8")
+    assert _load_error(root) == f"data.noun:{_lines_in(root / 'data.noun')}: truncated synset line"
+
+
+@pytest.mark.parametrize("newline, final", [
+    ("\r\n", True), ("\r\n", False), ("\n", False), ("\r", True),
+])
+def test_line_ends_and_a_missing_final_newline(tmp_path, newline, final):
+    root = write_wndb(tmp_path / "dict")
+    for path in root.iterdir():
+        text = path.read_text("utf-8")
+        text = text.replace("\n", newline) if final else text[:-1].replace("\n", newline)
+        path.write_bytes(text.encode("utf-8"))
+    db = load_wordnet_db(root)
+    assert (db.version, db.warnings) == ("3.0", [])
+    synsets = {(pos, off) for (_, pos), offs in FIXTURE_INDEX.items() for off in offs}
+    assert db.total_synsets == len(synsets)
+    for (lemma, pos), offsets in FIXTURE_INDEX.items():
+        assert db.lookup(lemma, WNPos(pos)) == tuple(offsets)
+
+
+def test_header_only_files_load_empty(tmp_path):
+    root = write_wndb(tmp_path / "dict", index={})
+    db = load_wordnet_db(root)
+    assert (db.total_synsets, db.version, db.warnings) == (0, "3.0", [])
+    assert db.lookup("person", WNPos.NOUN) == ()
+    assert not db.has_lemma("person")
+
+
+def test_offsets_compare_as_numbers(tmp_path):
+    """An index offset need not repeat the data file's zero padding."""
+    root = write_wndb(tmp_path / "dict")
+    with open(root / "index.noun", "a", encoding="utf-8") as fh:
+        fh.write("ghost n 2 0 2 0 10000001 0010000002\n")
+    assert load_wordnet_db(root).lookup("ghost", WNPos.NOUN) == (10000001, 10000002)
+
+
+# --- loader property ----------------------------------------------------------
+
+_POINTERS = ("@", "~", "+", "!", "#p", "%p", "=")
+_ABSENT = 10**8  # outside the range offsets are drawn from
+
+
+@hst.composite
+def _wndb_files(draw):
+    """{file name: lines} for a small database, plus its line end and
+    whether the last line has one."""
+    files = {}
+    for pos, suffix in _SUFFIX.items():
+        offsets = draw(hst.lists(hst.integers(0, _ABSENT - 1), unique=True, max_size=5))
+        files[f"data.{suffix}"] = _HEADER.splitlines() + [
+            f"{off:08d} 03 {pos} 01 w{off} 0 000 | gloss {off}" for off in offsets
+        ]
+        index = []
+        lemmas = draw(hst.lists(hst.text("abz_", min_size=1, max_size=4), unique=True,
+                                max_size=5)) if offsets else []
+        for lemma in sorted(lemmas):
+            senses = draw(hst.lists(hst.sampled_from(offsets), min_size=1, max_size=3))
+            pointers = draw(hst.lists(hst.sampled_from(_POINTERS), max_size=3))
+            width = draw(hst.sampled_from([0, 8, 10]))
+            index.append(" ".join([
+                lemma, pos, str(len(senses)), str(len(pointers)), *pointers,
+                str(len(senses)), "0", *(f"{off:0{width}d}" for off in senses),
+            ]))
+        files[f"index.{suffix}"] = _HEADER.splitlines() + index
+    return files, draw(hst.sampled_from(["\n", "\r\n"])), draw(hst.booleans())
+
+
+def _write(root: Path, files, newline, final):
+    root.mkdir()
+    for name, lines in files.items():
+        text = newline.join(lines) + (newline if final and lines else "")
+        (root / name).write_bytes(text.encode("utf-8"))
+
+
+def _naive_parse(files):
+    """(lemma, pos) -> offsets and the total synset count, read field by field."""
+    index, total = {}, 0
+    for pos, suffix in _SUFFIX.items():
+        total += len({int(l.split()[0]) for l in files[f"data.{suffix}"] if l[:1] != " "})
+        for line in files[f"index.{suffix}"]:
+            if line[:1] == " ":
+                continue
+            fields = line.split()
+            offsets = fields[6 + int(fields[3]):]
+            assert len(offsets) == int(fields[2])
+            index[fields[0], WNPos(pos)] = tuple(int(o) for o in offsets)
+    return index, total
+
+
+@given(db_files=_wndb_files())
+@settings(max_examples=100, deadline=None)
+def test_loader_matches_a_naive_parse(db_files):
+    files, newline, final = db_files
+    index, total = _naive_parse(files)
+    with tempfile.TemporaryDirectory() as tmp:
+        _write(Path(tmp) / "dict", files, newline, final)
+        db = load_wordnet_db(Path(tmp) / "dict")
+    assert db.total_synsets == total
+    for (lemma, pos), offsets in index.items():
+        assert db.lookup(lemma.replace("_", " "), pos) == offsets
+        assert db.has_lemma(lemma)
+    for lemma in ("zzzzz", "q", "q q"):  # outside the drawn alphabet or length
+        assert not db.has_lemma(lemma)
+    for pos in WNPos:
+        assert db.lookup("zzzzz", pos) == ()
+
+
+@given(db_files=_wndb_files(), data=hst.data())
+@settings(max_examples=100, deadline=None)
+def test_one_corrupted_line_is_reported_at_its_file_and_line(db_files, data):
+    files, newline, final = db_files
+    name = data.draw(hst.sampled_from(sorted(files)))
+    lines = files[name]
+    at = data.draw(hst.integers(3, len(lines)))  # past the header; len(lines) appends
+    if name.startswith("data."):
+        bad = ["00000001 03", "0000000x 03 n 01 w 0 000 | gloss"]
+    else:
+        suffix = name.split(".")[1]
+        pos = next(p for p, s in _SUFFIX.items() if s == suffix)
+        known = next((l.split()[0] for l in files[f"data.{suffix}"][3:]), str(_ABSENT))
+        bad = ["ghost", f"ghost {pos}", f"ghost {pos} x 0 1 0 {known}",
+               f"ghost {pos} 1 0 1 0 {known} {known}", f"ghost {pos} 1 0 1 0 {_ABSENT}",
+               f"ghost {pos} 1 9 1 0 {known}"]
+    if at + 1 < len(lines) or final:
+        bad.append("")  # a blank last line is a line only if a line end follows it
+    bad = data.draw(hst.sampled_from(bad))
+    files = {**files, name: lines[:at] + [bad] + lines[at + 1:]}
+    with tempfile.TemporaryDirectory() as tmp:
+        _write(Path(tmp) / "dict", files, newline, final)
+        with pytest.raises(WordNetError) as info:
+            load_wordnet_db(Path(tmp) / "dict")
+    assert str(info.value).startswith(f"{name}:{at + 1}: ")
 
 
 # --- mappings ------------------------------------------------------------
