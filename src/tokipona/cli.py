@@ -162,6 +162,8 @@ def _emit_rows(header: list[str], rows: list[list[str]], fmt: str, out) -> None:
 
 
 def _cmd_stats(args, lex, out) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise ValueError("--limit must not be negative")
     if args.sentence_space:
         parts = [int(x) for x in args.sentence_space.split(",")]
         if len(parts) != 4:

@@ -6,10 +6,11 @@ weigh each choice of the grammar by how much of what can follow it still
 fits, and go top-down: the recursive method of Flajolet, Zimmermann and
 Van Cutsem (1994).  The tables split in two:
 
-- the skeleton: the shapes each part of ``verse_text`` and
-  ``sentence_text`` can take, as free content words, other words (particles,
-  prepositions, a one-word subject) and their letters, with the grammar's
-  probabilities.  It depends only on the config and is built once;
+- the skeleton: the options of each choice of the grammar ``synth.grammar``
+  states, and the shapes of what can follow each, as free content words,
+  other words (particles, prepositions, a one-word subject) and their
+  letters, with the grammar's probabilities.  It depends only on the
+  grammar and is built once, but for the weights of one-word subjects;
 - the letters of n free content words, which depend on the word weights.
   They are frozen at the start of each verse or sentence, and counted only
   where the budget binds.
@@ -21,19 +22,14 @@ is compensated from Python 3.12 on: a seed draws the same on every version.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from math import inf
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
+from math import inf
 from operator import add
 from typing import Sequence
 
-from .synth import (
-    BARE_VERSE_PROBABILITY,
-    LI_LESS_SUBJECTS,
-    SENTENCE_PREPOSITIONS,
-    SynthConfig,
-)
+from .synth import LI_LESS_SUBJECTS
+
 
 def _running_total(values) -> float:
     """The sum of ``values``, added left to right."""
@@ -82,87 +78,12 @@ def _entries(table: Table):
 _END: Table = _table([(0, 0, 0, 1.0)])
 
 
-def _then(first: Table, rest: Table) -> Table:
-    """The table of a ``first`` part followed by a ``rest`` part."""
+def _joined(options) -> Table:
+    """The table of a choice among ``options`` and what follows each."""
     return _table(
         (n + n2, w + w2, l + l2, p * p2)
-        for n, w, l, p in _entries(first)
+        for p, n, w, l, rest, _, _ in options
         for n2, w2, l2, p2 in _entries(rest)
-    )
-
-
-@dataclass(frozen=True)
-class Grammar:
-    """The parts of ``verse_text`` and ``sentence_text`` as count tables
-    and as the options of a top-down draw.
-
-    An option is (weight, free words, other words, their letters, the table
-    of what follows it, payload).  A phrase's payload is its shape
-    (content words, pi or not).
-    """
-
-    phrase: Table
-    phrases: tuple  # one phrase, then nothing
-    verse: tuple  # a bare verse phrase
-    subjects: tuple  # a subject phrase that takes li: 2+ words, or pi
-    one_word: float  # the chance of a one-word subject phrase
-    predicate: Table  # the sentence after its subject
-    predicates: tuple
-    object_counts: tuple
-    objects: tuple  # objects[k]: one object, then k more and the rest
-    prepositions: tuple
-
-
-def build_grammar(cfg: SynthConfig) -> Grammar:
-    pi = cfg.pi_probability
-    shapes = tuple(
-        (weight * share, n, with_pi)
-        for n, weight in sorted(cfg.phrase_len_weights.items())
-        for share, with_pi in (((1 - pi, 0), (pi, 1)) if n >= 3 else ((1.0, 0),))
-        if weight * share > 0
-    )
-
-    def options(words: int, letters: int, rest: Table) -> tuple:
-        """A phrase after ``words`` particles of ``letters`` letters, then ``rest``."""
-        return tuple(
-            (p, n, words + with_pi, letters + 2 * with_pi, rest, (n, with_pi))
-            for p, n, with_pi in shapes
-        )
-
-    phrase = _table((n, with_pi, 2 * with_pi, p) for p, n, with_pi in shapes)
-    prep = cfg.prep_probability / len(SENTENCE_PREPOSITIONS)
-    preposition = _table(
-        [(0, 0, 0, 1 - cfg.prep_probability)]
-        + [(n, w + 1, l + len(word), prep * p)
-           for word in SENTENCE_PREPOSITIONS for n, w, l, p in _entries(phrase)]
-    )
-    e_phrase = _table((n, w + 1, l + 1, p) for n, w, l, p in _entries(phrase))
-    tails = [preposition]  # tails[k]: k objects, then a preposition or not
-    while len(tails) <= max(cfg.object_count_weights):
-        tails.append(_then(e_phrase, tails[-1]))
-    object_counts = tuple(
-        (p, 0, 0, 0, tails[k], k) for k, p in sorted(cfg.object_count_weights.items()) if p > 0
-    )
-    after_predicate = _table(
-        (n, w, l, p * q) for p, _, _, _, tail, _ in object_counts for n, w, l, q in _entries(tail)
-    )
-    predicate = _then(phrase, after_predicate)
-    return Grammar(
-        phrase=phrase,
-        phrases=options(0, 0, _END),
-        verse=((BARE_VERSE_PROBABILITY, 0, 0, 0, phrase, None),),
-        subjects=tuple(o for o in options(1, 2, predicate) if o[-1] != (1, 0)),
-        one_word=_running_total(p for p, n, with_pi in shapes if n == 1),
-        predicate=predicate,
-        predicates=options(0, 0, after_predicate),
-        object_counts=object_counts,
-        objects=tuple(options(1, 1, tail) for tail in tails),
-        prepositions=tuple(
-            o
-            for o in [(1 - cfg.prep_probability, 0, 0, 0, _END, None)]
-            + [(prep, 0, 1, len(word), phrase, word) for word in SENTENCE_PREPOSITIONS]
-            if o[0] > 0
-        ),
     )
 
 
@@ -205,115 +126,156 @@ class Letters:
 
 
 class CountTables:
-    """A Synthesizer's grammar as count tables, and its word pool by length."""
+    """A sentence and a verse grammar, as ``synth.grammar`` states them, as
+    count tables over a word pool.
 
-    def __init__(self, cfg: SynthConfig, pool: Sequence[str]):
-        self.cfg = cfg
-        self.pool = pool
+    A choice is (options, one-word subjects, table), built once.  An option
+    is (weight, free words, other words, letters, the table of what follows
+    it, emits, the next choice or None), up to the next choice; it emits
+    ("text", "word", "pick" or "shape", value) pairs.  A one-word subject
+    weighs (scale, pool indices) until a draw weighs it; its choice has no table.
+    """
+
+    def __init__(self, sentence: tuple, verse: tuple, pool: Sequence[str]):
+        self.sentence, self.verse, self.pool = sentence, verse, pool
         by_length: dict[int, list[int]] = {}
         for i, word in enumerate(pool):
             by_length.setdefault(len(word), []).append(i)
         #: Pool indices by word length, shortest first.
         self.by_length = sorted(by_length.items())
-        self.li_less = [i for i, word in enumerate(pool) if word in LI_LESS_SUBJECTS]
-        #: Pool indices of the words that take li as a subject, by length.
-        self.li_takers = {
-            length: takers
-            for length, idx in self.by_length
-            if (takers := [i for i in idx if i not in self.li_less])
-        }
+        self._points: dict[tuple, tuple] = {(): (0, 0, (), None)}  # the end
 
-    @cached_property
-    def grammar(self) -> Grammar:
-        return build_grammar(self.cfg)
+    def _point(self, nodes: tuple) -> tuple:
+        """The fixed words that open ``nodes``, as (words, letters, emits),
+        then the choice after them, or None."""
+        point = self._points.get(nodes)
+        if point is None:
+            node, rest = nodes[0], nodes[1:]
+            if node[0] == "seq":
+                point = self._point(node[1] + rest)
+            elif node[0] == "lit":
+                w, l, emit, choice = self._point(rest)
+                point = w + 1, l + len(node[1]), (("text", node[1]), *emit), choice
+            else:
+                options = [self._option(*o) for o in self._options(node, rest, 1.0)]
+                static = tuple(o for o in options if not isinstance(o[0], tuple) and o[0] > 0)
+                subjects = tuple((*o[0], o[1:]) for o in options
+                                 if isinstance(o[0], tuple) and o[0][0] > 0)
+                point = 0, 0, (), (static, subjects, None if subjects else _joined(static))
+            self._points[nodes] = point
+        return point
+
+    def _option(self, weight, n: int, w: int, l: int, emit: tuple, rest: tuple) -> tuple:
+        w2, l2, emit2, choice = self._point(rest)
+        table = _END if choice is None else choice[2]
+        if table is None:
+            raise ValueError("a one-word subject must open its unit")
+        return weight, n, w + w2, l + l2, table, emit + emit2, choice
+
+    def _options(self, node: tuple, rest: tuple, scale: float) -> list:
+        """The options of the choice ``node`` makes before ``rest``, as
+        (weight, free words, other words, letters, emits, what follows).  A
+        word-level choice weighs ``scale`` in all, and merges into the
+        choice around it."""
+        kind = node[0]
+        if kind == "phrase":  # pi before the last two words, from three words on
+            (lengths, weights, _), pi = node[1], node[2]
+            return [
+                (weight * share, n, with_pi, 2 * with_pi, (("shape", (n, with_pi)),), rest)
+                for n, weight in zip(lengths, weights)
+                for share, with_pi in (((1 - pi, 0), (pi, 1)) if n >= 3 else ((1.0, 0),))
+            ]
+        if kind == "subject" and node[1][0] == "phrase":  # one word: the next case
+            return [x for o in self._options(node[1], (("lit", "li"), *rest), scale)
+                    for x in ([o] if o[1:3] != (1, 0) else
+                              self._options(("subject", ("word",)), rest, o[0]))]
+        if kind == "subject":  # each word without li, then the words with li by length
+            pool, li = self.pool, (("lit", "li"), *rest)
+            takers = [(n, [i for i in idx if pool[i] not in LI_LESS_SUBJECTS])
+                      for n, idx in self.by_length]
+            return [((scale, [i]), 0, 1, len(word), (("word", word),), rest)
+                    for i, word in enumerate(pool) if word in LI_LESS_SUBJECTS] + [
+                ((scale, idx), 0, 1, n, (("pick", idx),), li) for n, idx in takers if idx]
+        if kind == "one_of":
+            return [(scale / len(node[1]), 0, 1, len(w), (("text", w),), rest) for w in node[1]]
+        if kind == "repeat":
+            (counts, weights, _), body = node[1], node[2]
+            return [(p, 0, 0, 0, (), (body,) * k + rest) for k, p in zip(counts, weights)]
+        if kind not in ("alt", "maybe"):
+            raise ValueError(f"no counted reading of a {kind!r} node here")
+        branches = [(1 - node[1], ()), (node[1], (node[2],))] if kind == "maybe" else [
+            (weight, (branch,)) for branch, weight in zip(*node[1][:2])]
+        options: list = []
+        for weight, branch in branches:
+            while branch and branch[0][0] == "seq":
+                branch = branch[0][1] + branch[1:]
+            if branch and (branch[0][0] == "one_of" or branch[0][:2] == ("subject", ("word",))):
+                options += self._options(branch[0], branch[1:] + rest, weight)
+            else:
+                options.append((weight, 0, 0, 0, (), branch + rest))
+        return options
+
+    def _whole(self, unit: tuple, weights: list[float]) -> tuple[list, _Draw]:
+        """The options of ``unit``'s first choice under ``weights``, with the
+        fixed words before it, and a draw with the weights."""
+        w, l, _, choice = self._point((unit,))
+        draw = _Draw(self, None, weights, inf, 0, at_most=False)
+        return [(p, n, w + w1, l + l1, rest, None, None)
+                for p, n, w1, l1, rest, _, _ in draw.options(choice)], draw
+
+    def fit(self, unit: tuple, rng, weights: list[float], words: float, letters: float,
+            at_most: bool) -> tuple[list[str], list[str]]:
+        """A draw of ``unit`` of at most ``words`` words and at most (or,
+        unless ``at_most``, exactly) ``letters`` letters: its words, and its
+        content words."""
+        w, l, emit, choice = self._point((unit,))
+        draw = _Draw(self, rng, weights, words - w, letters - l, at_most)
+        parts: list = []
+        while True:
+            for kind, value in emit:  # a pick is drawn at once, a shape at the end
+                if kind == "pick":
+                    value = draw.pick(value)
+                elif kind == "word":
+                    draw.content.append(value)
+                parts.append(value)
+            if choice is None:
+                return draw.fill(parts), draw.content
+            emit, choice = draw.choose(draw.options(choice))[5:]
+
+    def distribution(self, unit: tuple, weights: list[float]) -> dict[tuple[int, int], float]:
+        """The chance that ``unit`` drawn under ``weights`` has so many words
+        and letters, by (words, letters)."""
+        options, draw = self._whole(unit, weights)
+        table = _joined(options)
+        longest = max(draw.count.hi * n + most for n, _, _, most, _ in table)
+        count = Letters(draw.shares, longest, at_most=False)
+        chances: dict[tuple[int, int], float] = {}
+        for n, w, l, p in _entries(table):
+            row = count.row(n)
+            for k in range(count.lo * n, count.hi * n + 1):
+                chances[n + w, l + k] = chances.get((n + w, l + k), 0.0) + p * row[k]
+        return chances
 
     @cached_property
     def verse_support(self) -> tuple[int, ...]:
         """Every letter count a verse can have.  No weight is ever 0, so the
         weights do not change it."""
-        weights = [1.0] * len(self.pool)
-        return tuple(n for n, share in enumerate(self.verse_letters(weights)) if share > 0)
+        chances = self.distribution(self.verse, [1.0] * len(self.pool))
+        return tuple(sorted({letters for (_, letters), p in chances.items() if p > 0}))
 
     @cached_property
     def shortest_sentence(self) -> tuple[int, int]:
-        """Words and letters of the shortest sentence ``sentence_text`` can
-        draw: fewest words, then fewest letters."""
-        g = self.grammar
+        """Words and letters of the shortest sentence, fewest words first."""
+        options, _ = self._whole(self.sentence, [1.0] * len(self.pool))
         low = self.by_length[0][0]
-        draw = _Draw(self, None, [1.0] * len(self.pool), inf, inf, at_most=True)
-        subjects = [*g.subjects, *draw.one_word_subjects(g.one_word, g.predicate)]
-        # The subject and the rest are drawn independently, so the shortest
-        # of each make the shortest sentence.
-        subject = min((n + w, low * n + l) for p, n, w, l, _, _ in subjects if p > 0)
-        rest = min((n + w, low * n + l) for n, w, l, _ in _entries(g.predicate))
-        return subject[0] + rest[0], subject[1] + rest[1]
-
-    def _verse_subjects(self, draw: _Draw) -> list:
-        """A verse's first choice: no subject, or a one-word subject."""
-        g = self.grammar
-        return [*g.verse, *draw.one_word_subjects(1 - BARE_VERSE_PROBABILITY, g.phrase)]
-
-    def verse_letters(self, weights: list[float]) -> list[float]:
-        """The chance that a verse has n letters under ``weights``, for n
-        from 0 to the longest verse."""
-        longest = (1 + max(self.cfg.phrase_len_weights)) * self.by_length[-1][0] + 4
-        draw = _Draw(self, None, weights, inf, longest, at_most=False)
-        phrase = [draw.mass(self.grammar.phrase, 0, inf, n) for n in range(longest + 1)]
-        # Each first choice adds no free words, and a phrase follows it.
-        subjects = self._verse_subjects(draw)
-        return [
-            _running_total(weight * phrase[n - l] for weight, _, _, l, _, _ in subjects if l <= n)
-            for n in range(longest + 1)
-        ]
-
-    def fit_verse(self, rng, weights: list[float], letters: int) -> tuple[str, list[str]]:
-        """A verse of exactly ``letters`` letters, and its content words."""
-        draw = _Draw(self, rng, weights, inf, letters, at_most=False)
-        subject = draw.choose(self._verse_subjects(draw))
-        parts = [] if subject is None else draw.subject(subject)
-        parts.append(draw.choose(self.grammar.phrases))
-        return " ".join(draw.fill(parts)), draw.content
-
-    def fit_sentence(
-        self, rng, weights: list[float], words: float, letters: float
-    ) -> tuple[str, list[str]]:
-        """A sentence of at most ``words`` words and ``letters`` letters, and
-        its content words."""
-        g = self.grammar
-        draw = _Draw(self, rng, weights, words, letters, at_most=True)
-        subject = draw.choose([*g.subjects, *draw.one_word_subjects(g.one_word, g.predicate)])
-        parts = [subject, "li"] if isinstance(subject, tuple) else draw.subject(subject)
-        parts.append(draw.choose(g.predicates))
-        for more in reversed(range(draw.choose(g.object_counts))):
-            parts += ["e", draw.choose(g.objects[more])]
-        preposition = draw.choose(g.prepositions)
-        if preposition is not None:
-            parts += [preposition, draw.choose(g.phrases)]
-        return " ".join(draw.fill(parts)) + ".", draw.content
+        return min((n + n2 + w + w2, low * (n + n2) + l + l2)
+                   for _, n, w, l, rest, _, _ in options for n2, w2, l2, _ in _entries(rest))
 
 
-def count_tables(cfg: SynthConfig, pool: tuple[str, ...]) -> CountTables:
-    """The tables of ``cfg``'s grammar over ``pool``.  Sessions differ in
-    seed and reuse bias, which the tables do not use, so sessions with equal
-    grammars and pools share them."""
-    return _count_tables(
-        tuple(sorted(cfg.phrase_len_weights.items())),
-        tuple(sorted(cfg.object_count_weights.items())),
-        cfg.prep_probability,
-        cfg.pi_probability,
-        pool,
-    )
-
-
-@lru_cache(maxsize=8)
-def _count_tables(phrase_lens, object_counts, prep, pi, pool) -> CountTables:
-    grammar = SynthConfig(
-        phrase_len_weights=dict(phrase_lens),
-        object_count_weights=dict(object_counts),
-        prep_probability=prep,
-        pi_probability=pi,
-    )
-    return CountTables(grammar, pool)
+#: The tables of a sentence and a verse grammar over a pool.  Sessions differ
+#: in seed and reuse bias, which the grammars do not hold, so sessions with
+#: equal grammars and pools share them.
+count_tables = lru_cache(maxsize=8)(CountTables)
 
 
 class _Draw:
@@ -334,17 +296,6 @@ class _Draw:
         self.count = Letters(self.shares, letters, at_most)
         self.free, self.words, self.letters = 0, words, letters
         self.content: list[str] = []
-
-    def one_word_subjects(self, scale: float, rest: Table) -> list:
-        """Options for a subject of one word, at ``scale`` in all: each
-        word without li, and the words with li by length."""
-        pool, weights = self.tables.pool, self.weights
-        options = [(scale * weights[i] / self.total, 0, 1, len(pool[i]), rest, pool[i])
-                   for i in self.tables.li_less]
-        for length, takers in self.tables.li_takers.items():
-            share = _running_total(map(weights.__getitem__, takers)) / self.total
-            options.append((scale * share, 0, 2, length + 2, rest, length))
-        return options
 
     def mass(self, table: Table, free: int, words: float, letters: float) -> float:
         """The weight of ``table`` that fits ``words`` and ``letters`` after
@@ -375,17 +326,26 @@ class _Draw:
                     total += weight * row[k]
         return total
 
-    def choose(self, options):
-        """One option's payload, drawn in proportion to its fitting weight."""
+    def options(self, choice: tuple) -> tuple:
+        """The options of ``choice``, its one-word subjects weighed now."""
+        options, subjects, _ = choice
+        if not subjects:
+            return options
+        weights, total = self.weights, self.total
+        return options + tuple([
+            (scale * (_running_total(map(weights.__getitem__, idx)) / total),) + option
+            for scale, idx, option in subjects
+        ])
+
+    def choose(self, options) -> tuple:
+        """One option, drawn in proportion to its fitting weight."""
         chosen = options[self._index([
             weight * self.mass(rest, self.free + n, self.words - w, self.letters - l)
-            for weight, n, w, l, rest, _ in options
+            for weight, n, w, l, rest, _, _ in options
         ])]
-        _, n, w, l, _, payload = chosen
-        self.free += n
-        self.words -= w
-        self.letters -= l
-        return payload
+        self.free += chosen[1]
+        self.words, self.letters = self.words - chosen[2], self.letters - chosen[3]
+        return chosen
 
     def _index(self, weights: list[float]) -> int:
         cumulative = list(accumulate(weights))
@@ -393,17 +353,10 @@ class _Draw:
         # A roll that rounds up to the total takes the last option of weight.
         return min(i, bisect_left(cumulative, cumulative[-1]))
 
-    def _pick(self, indices: list[int]) -> str:
+    def pick(self, indices: list[int]) -> str:
         word = self.tables.pool[indices[self._index([self.weights[i] for i in indices])]]
         self.content.append(word)
         return word
-
-    def subject(self, choice) -> list[str]:
-        """The words of a subject chosen from ``one_word_subjects``."""
-        if isinstance(choice, str):
-            self.content.append(choice)
-            return [choice]
-        return [self._pick(self.tables.li_takers[choice]), "li"]
 
     def _free_word(self) -> str:
         """A word's length, then the word, for the free words left."""
@@ -412,7 +365,7 @@ class _Draw:
             share * self.count(self.free, self.letters - length) for length, share in self.shares
         ])
         self.letters -= self.shares[i][0]
-        return self._pick(self.tables.by_length[i][1])
+        return self.pick(self.tables.by_length[i][1])
 
     def fill(self, parts: list) -> list[str]:
         """``parts`` with each phrase shape filled by free words."""

@@ -1,15 +1,15 @@
 """Seeded synthesis of phrases, sentences, paragraphs, and poems.
 
-Generation is template based (subject li predicate e object, plus an
-optional prepositional phrase), and tracks used words so that later output
+One template grammar (subject li predicate e object, plus an optional
+prepositional phrase), stated once as data by ``grammar``, is read forward
+for phrases and sentences, and tracks used words so that later output
 re-uses earlier vocabulary.  Poems and paragraphs meet their structural
 targets (letters per verse; sentences, words and letters per paragraph) by
-counting: a table of how many ways each part of the grammar can fill what
-is left of the target lets every choice be drawn top-down, exactly
-conditioned on the target, in the manner of Flajolet, Zimmermann and Van
-Cutsem's recursive method.  All randomness flows through one Mersenne
-Twister generator seeded from the config, so identical seeds give
-byte-identical output.
+reading it as count tables (``counting``): every choice is drawn top-down,
+exactly conditioned on the target, by Flajolet, Zimmermann and Van Cutsem's
+recursive method.  All randomness flows through one Mersenne Twister
+generator seeded from the config, so identical seeds give byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .grammar import (
     Clause,
@@ -35,17 +35,8 @@ from .grammar import (
 )
 from .lexicon import Lexicon, PREPOSITIONS
 
-if TYPE_CHECKING:
-    from .counting import CountTables
-
-SENTENCE_PREPOSITIONS = tuple(sorted(PREPOSITIONS))
-
 #: Subjects that take no li when they stand alone.
 LI_LESS_SUBJECTS = ("mi", "sina")
-
-#: The chance that a verse is a bare phrase rather than a one-word subject
-#: and its predicate.
-BARE_VERSE_PROBABILITY = 0.5
 
 
 class SynthError(RuntimeError):
@@ -185,10 +176,36 @@ def _pick(values: Sequence, cumulative: list[float], roll: float):
     return values[min(bisect_right(cumulative, roll), len(values) - 1)]
 
 
-def _cumulative_table(weights: dict[int, float]) -> tuple[tuple[int, ...], list[float]]:
-    """Values in ascending order with their running weight sums."""
-    values, ws = zip(*sorted(weights.items()))
-    return values, list(accumulate(ws))
+def _weighted(pairs) -> tuple:
+    """(values, weights, running sums of the weights) of (value, weight) pairs."""
+    values, weights = zip(*pairs)
+    return values, weights, tuple(accumulate(weights))
+
+
+def grammar(cfg: SynthConfig) -> tuple[tuple, tuple]:
+    """The sentence and the verse grammar of ``cfg`` as nested tuples, which
+    ``Synthesizer`` reads forward and ``counting.CountTables`` as count tables.
+
+    A node is led by its kind: ``("phrase", (lengths, weights, sums), pi)``,
+    content words as many as a length drawn by weight, and from three on,
+    with chance ``pi``, a pi before the last two; ``("word",)``; ``("subject",
+    node)``, then li unless it is one word of ``LI_LESS_SUBJECTS``; ``("lit",
+    word)``; ``("seq", nodes)``; ``("alt", (nodes, weights, sums))``;
+    ``("maybe", p, node)``; ``("one_of", words)``, each as likely; and
+    ``("repeat", (counts, weights, sums), node)``.
+    """
+    phrase = ("phrase", _weighted(sorted(cfg.phrase_len_weights.items())), cfg.pi_probability)
+    objects = _weighted(sorted(cfg.object_count_weights.items()))
+    prepositions = ("one_of", tuple(sorted(PREPOSITIONS)))
+    sentence = ("seq", (
+        ("subject", phrase),
+        phrase,
+        ("repeat", objects, ("seq", (("lit", "e"), phrase))),
+        ("maybe", cfg.prep_probability, ("seq", (prepositions, phrase))),
+    ))
+    # A poem line: a bare phrase, or a one-word subject and its predicate.
+    clause = ("seq", (("subject", ("word",)), phrase))
+    return sentence, ("alt", _weighted([(phrase, 0.5), (clause, 0.5)]))
 
 
 def letter_count(text: str) -> int:
@@ -214,8 +231,8 @@ class Synthesizer:
         self.tracker = tracker if tracker is not None else ContextTracker()
         self._pool = tuple(sorted(e.surface for e in self.lex.content_words()))
         self._pool_index = {w: i for i, w in enumerate(self._pool)}
-        self._phrase_lens = _cumulative_table(cfg.phrase_len_weights)
-        self._object_counts = _cumulative_table(cfg.object_count_weights)
+        self._sentence, self._verse = grammar(cfg)
+        self._phrase = self._sentence[1][1]  # the predicate
 
     # sampling -----------------------------------------------------------
 
@@ -228,16 +245,54 @@ class Synthesizer:
         tracker.observe(word)
         return word
 
+    # the forward reader ---------------------------------------------------
+
+    def _read(self, node: tuple, tracker: ContextTracker, words: list[str]) -> None:
+        """Draw ``node`` of the grammar onto the end of ``words``."""
+        kind, rng = node[0], self.rng
+        if kind == "phrase":
+            (lengths, _, sums), pi = node[1], node[2]
+            length = _pick(lengths, sums, rng.random())
+            phrase = [self.sample_word(tracker) for _ in range(length)]
+            if length >= 3 and rng.random() < pi:
+                phrase.insert(length - 2, "pi")
+            words += phrase
+        elif kind == "seq":
+            for item in node[1]:
+                self._read(item, tracker, words)
+        elif kind in ("lit", "word"):
+            words.append(node[1] if kind == "lit" else self.sample_word(tracker))
+        elif kind == "subject":
+            start = len(words)
+            self._read(node[1], tracker, words)
+            if len(words) - start != 1 or words[start] not in LI_LESS_SUBJECTS:
+                words.append("li")
+        elif kind == "repeat":
+            counts, _, sums = node[1]
+            for _ in range(_pick(counts, sums, rng.random())):
+                self._read(node[2], tracker, words)
+        elif kind == "maybe":
+            if rng.random() < node[1]:
+                self._read(node[2], tracker, words)
+        elif kind == "one_of":
+            options = node[1]
+            words.append(options[int(rng.random() * len(options)) % len(options)])
+        elif kind == "alt":
+            nodes, _, sums = node[1]
+            self._read(_pick(nodes, sums, rng.random()), tracker, words)
+        else:
+            raise ValueError(f"unknown grammar node {kind!r}")
+
+    def _words(self, node: tuple, tracker: Optional[ContextTracker]) -> list[str]:
+        words: list[str] = []
+        self._read(node, tracker if tracker is not None else self.tracker, words)
+        return words
+
     # phrase and sentence units -----------------------------------------
 
     def phrase_words(self, tracker: Optional[ContextTracker] = None) -> list[str]:
         """A phrase as a word list, possibly with an embedded pi group."""
-        tracker = tracker if tracker is not None else self.tracker
-        length = _pick(*self._phrase_lens, self.rng.random())
-        words = [self.sample_word(tracker) for _ in range(length)]
-        if length >= 3 and self.rng.random() < self.cfg.pi_probability:
-            words.insert(length - 2, "pi")
-        return words
+        return self._words(self._phrase, tracker)
 
     def synth_phrase(self, tracker: Optional[ContextTracker] = None) -> PhraseNode:
         """A phrase as a tree: sampled head, modifiers, maybe a pi group.
@@ -246,24 +301,8 @@ class Synthesizer:
         """
         return pi_readings(self.phrase_words(tracker))[0]
 
-    def _sentence_words(self, tracker: Optional[ContextTracker] = None) -> list[str]:
-        tracker = tracker if tracker is not None else self.tracker
-        subject = self.phrase_words(tracker)
-        words = list(subject)
-        if not (len(subject) == 1 and subject[0] in LI_LESS_SUBJECTS):
-            words.append("li")
-        words += self.phrase_words(tracker)
-        for _ in range(_pick(*self._object_counts, self.rng.random())):
-            words.append("e")
-            words += self.phrase_words(tracker)
-        if self.rng.random() < self.cfg.prep_probability:
-            idx = int(self.rng.random() * len(SENTENCE_PREPOSITIONS)) % len(SENTENCE_PREPOSITIONS)
-            words.append(SENTENCE_PREPOSITIONS[idx])
-            words += self.phrase_words(tracker)
-        return words
-
     def sentence_text(self, tracker: Optional[ContextTracker] = None) -> str:
-        return " ".join(self._sentence_words(tracker)) + "."
+        return " ".join(self._words(self._sentence, tracker)) + "."
 
     def synth_sentence(self, tracker: Optional[ContextTracker] = None) -> Clause:
         """One synthesized sentence, returned as its (strict) parse tree."""
@@ -274,50 +313,51 @@ class Synthesizer:
     # larger units --------------------------------------------------------
 
     @cached_property
-    def _tables(self) -> "CountTables":
+    def _tables(self):
         # Imported on first use: only poems and paragraphs need the tables.
         from .counting import count_tables
 
-        return count_tables(self.cfg, self._pool)
+        return count_tables(self._sentence, self._verse, self._pool)
 
     def _weights(self) -> list[float]:
         return self.tracker.weights(self._pool_index, self.cfg.reuse_bias)
 
-    def _drawn(self, fit, *budget) -> str:
-        """The text of a counted draw, ``fit`` from the count tables, with the
-        weights frozen for the draw; its content words are observed after."""
-        text, content = fit(self.rng, self._weights(), *budget)
+    def _drawn(self, unit: tuple, words: float, letters: float, at_most: bool) -> str:
+        """A counted draw of ``unit``; its content words are observed after."""
+        drawn, content = self._tables.fit(unit, self.rng, self._weights(), words, letters, at_most)
         for word in content:
             self.tracker.observe(word)
-        return text
+        return " ".join(drawn)
 
     def verse_letters(self) -> list[float]:
         """The chance that a verse drawn now has n letters, for n from 0 to
         the longest verse, with the tracker's weights as they stand."""
-        return self._tables.verse_letters(self._weights())
+        chances = self._tables.distribution(self._verse, self._weights())
+        letters = [0.0] * (1 + max(n for _, n in chances))
+        for (_, n), p in chances.items():
+            letters[n] += p
+        return letters
 
     def synth_paragraph(self, spec: ParagraphSpec) -> str:
         """``spec.sentences`` sentences of the ``sentence_text`` grammar
         within the bounds.  Each sentence is drawn exactly conditioned on
         fitting what is left of them after keeping room for the shortest
         sentence in each one still to come."""
-        tables = self._tables
-        least_words, least_letters = tables.shortest_sentence
+        least_words, least_letters = self._tables.shortest_sentence
         need_words = spec.sentences * least_words
         need_letters = spec.sentences * least_letters
-        if (spec.max_words is not None and need_words > spec.max_words) or (
-            spec.max_letters is not None and need_letters > spec.max_letters
-        ):
+        # What is left of each bound beyond the shortest sentences.
+        words = math.inf if spec.max_words is None else spec.max_words - need_words
+        letters = math.inf if spec.max_letters is None else spec.max_letters - need_letters
+        if words < 0 or letters < 0:
             raise SynthError(
                 f"{spec.sentences} sentences need at least {need_words} words "
                 f"and {need_letters} letters"
             )
-        # What is left of each bound beyond the shortest sentences.
-        words = math.inf if spec.max_words is None else spec.max_words - need_words
-        letters = math.inf if spec.max_letters is None else spec.max_letters - need_letters
         sentences: list[str] = []
         for _ in range(spec.sentences):
-            text = self._drawn(tables.fit_sentence, words + least_words, letters + least_letters)
+            bounds = words + least_words, letters + least_letters
+            text = self._drawn(self._sentence, *bounds, at_most=True) + "."
             words -= len(text.split()) - least_words
             letters -= letter_count(text) - least_letters
             sentences.append(text)
@@ -325,15 +365,7 @@ class Synthesizer:
 
     def verse_text(self, tracker: Optional[ContextTracker] = None) -> str:
         """A poem line: a bare phrase, or a short subject-predicate clause."""
-        tracker = tracker if tracker is not None else self.tracker
-        if self.rng.random() < BARE_VERSE_PROBABILITY:
-            return " ".join(self.phrase_words(tracker))
-        subject = self.sample_word(tracker)
-        words = [subject]
-        if subject not in LI_LESS_SUBJECTS:
-            words.append("li")
-        words += self.phrase_words(tracker)
-        return " ".join(words)
+        return " ".join(self._words(self._verse, tracker))
 
     def synth_poem(self, spec: PoemSpec) -> str:
         """Stanzas of verses of the ``verse_text`` grammar, each drawn exactly
@@ -343,12 +375,9 @@ class Synthesizer:
         tables, letters = self._tables, spec.phonemes_per_verse
         if letters not in tables.verse_support:
             raise SynthError(f"verses have {spans(tables.verse_support)} letters, not {letters}")
-        verses = spec.verses_per_stanza
-        stanzas = (
-            "\n".join(self._drawn(tables.fit_verse, letters) for _ in range(verses))
-            for _ in range(spec.stanzas)
-        )
-        return "\n\n".join(stanzas)
+        verses = [[self._drawn(self._verse, math.inf, letters, at_most=False)
+                   for _ in range(spec.verses_per_stanza)] for _ in range(spec.stanzas)]
+        return "\n\n".join("\n".join(stanza) for stanza in verses)
 
     # interactive composition ----------------------------------------------
 
@@ -375,11 +404,8 @@ class Synthesizer:
             candidates: list[tuple[str, ContextTracker]] = []
             for _ in range(k):
                 probe = self.tracker.copy()
-                if unit is ComposeUnit.SENTENCE:
-                    text = self.sentence_text(probe)
-                else:
-                    text = self.verse_text(probe)
-                candidates.append((text, probe))
+                draw = self.sentence_text if unit is ComposeUnit.SENTENCE else self.verse_text
+                candidates.append((draw(probe), probe))
             for idx, (text, _) in enumerate(candidates, start=1):
                 write(f"{idx}) {text}\n")
             write(f"pick 1..{k}, r to reroll, f to finish> ")

@@ -161,6 +161,14 @@ def test_synth_count_must_be_positive(capsys, count):
     assert (code, out, err) == (1, "", "error: --count must be at least 1\n")
 
 
+@pytest.mark.parametrize("table", ["letters", "syllables"])
+def test_stats_limit_must_not_be_negative(capsys, table):
+    code, out, err = run(capsys, "stats", "--table", table, "--limit", "-12")
+    assert (code, out, err) == (1, "", "error: --limit must not be negative\n")
+    code, out, _ = run(capsys, "stats", "--table", table, "--limit", "0")
+    assert code == 0 and len(out.splitlines()) == 1  # the header only
+
+
 def test_synth_paragraph_bounds_error(capsys):
     code, _, err = run(
         capsys, "--seed", "7", "synth", "--kind", "paragraph",

@@ -293,6 +293,28 @@ def test_verse_table_agrees_with_drawn_verses():
         assert abs(drawn[letters] - n * p) <= 4 * math.sqrt(n * p * (1 - p)) + 1, letters
 
 
+_OTHER_GRAMMAR = dict(
+    prep_probability=0.5, pi_probability=0.5, object_count_weights={0: 0.2, 2: 0.8}
+)
+
+
+@pytest.mark.parametrize("grammar", [{}, _OTHER_GRAMMAR])
+def test_sentence_table_agrees_with_drawn_sentences(grammar):
+    s = Synthesizer(SynthConfig(seed=47, reuse_bias=0.0, **grammar))
+    table = s._tables.distribution(s._sentence, [1.0] * len(s._pool))
+    assert math.isclose(sum(table.values()), 1.0)
+    n = 40_000
+    texts = (s.sentence_text() for _ in range(n))
+    drawn = Counter((len(text.split()), letter_count(text)) for text in texts)
+    # (words, letters) bins expected fewer than 5 times are pooled into one.
+    rare = [key for key in table.keys() | drawn.keys() if n * table.get(key, 0.0) < 5]
+    bins = {key: (drawn[key], table[key]) for key in table if key not in rare}
+    bins["rare"] = sum(drawn[key] for key in rare), sum(table.get(key, 0.0) for key in rare)
+    assert len(bins) > 100
+    for key, (count, p) in bins.items():
+        assert abs(count - n * p) <= 4 * math.sqrt(n * p * (1 - p)) + 1, key
+
+
 def test_fixed_target_matches_rejection():
     # At bias 0 freezing the weights changes nothing, so a verse drawn by
     # counting must be distributed as one drawn until it fits.
@@ -374,19 +396,24 @@ def _other_lexicon(tmp_path):
 
 def _skeleton_support(s, n, v, o, p):
     """Distinct sentences with phrase sizes (n, v, o, p), one object, one
-    preposition and no pi, counted from the tables that the draws use."""
+    preposition and no pi, counted from the grammar that both readers read
+    and from the count tables built from it."""
+    subject, predicate, objects, preposition = s._sentence[1]
+    e, object_phrase = objects[2][1]
+    prepositions, preposition_phrase = preposition[2][1]
+    assert subject[0] == "subject" and e == ("lit", "e") and 1 in objects[1][0]
+    assert prepositions[0] == "one_of" and preposition[1] > 0
+    phrases = (n, subject[1]), (v, predicate), (o, object_phrase), (p, preposition_phrase)
+    for size, phrase in phrases:
+        assert phrase[0] == "phrase" and size in phrase[1][0] and phrase[2] == 0.0
     tables = s._tables
-    g = tables.grammar
-    assert (n, 0) in [o[-1] for o in g.subjects] or n == 1
-    for size, options in ((v, g.predicates), (o, g.objects[0]), (p, g.phrases)):
-        assert (size, 0) in [o[-1] for o in options]
-    one_word = n == 1
-    free = n + v + o + p - one_word
+    # A one-word subject is drawn from the pool by the sentence's first choice.
+    one_word = tables._point((s._sentence,))[3][1]
+    subjects = sum(len(idx) for _, idx, _ in one_word) if n == 1 else 1
+    free = n + v + o + p - (n == 1)
     count = Letters([(length, len(idx)) for length, idx in tables.by_length], 15 * free, False)
     sequences = sum(count(free, letters) for letters in range(count.hi * free + 1))
-    subjects = len(tables.li_less) + sum(map(len, tables.li_takers.values())) if one_word else 1
-    prepositions = [o for o in g.prepositions if o[-1] is not None]
-    return subjects * sequences * len(prepositions)
+    return subjects * sequences * len(prepositions[1])
 
 
 @pytest.mark.parametrize("sizes", [(1, 1, 1, 1), (2, 1, 1, 1), (1, 2, 3, 1), (3, 1, 2, 2)])
