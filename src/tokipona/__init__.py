@@ -17,7 +17,6 @@ from .phonotactics import (
     CountingMode,
     PhonotacticsError,
     Syllable,
-    SyllabifiedWord,
     count_possible_words,
     syllabify,
     validate_proper_noun,

@@ -1,8 +1,9 @@
 """Command-line entry point: one subcommand per capability.
 
-Exit status: 0 on success, 1 on a domain error (reported on stderr),
-2 on a usage error.  All randomized subcommands honor --seed, so equal
-invocations produce byte-identical output.
+Exit status: 0 on success, 2 on a usage error, and 1 when the library
+raises a ValueError (every error class of the package is one) or an
+OSError, with the message on stderr.  All randomized subcommands
+honor --seed, so equal invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -16,18 +17,10 @@ from . import highlight as hl
 from . import stats as st
 from . import synth as sy
 from . import wordnet as wn
-from .grammar import (
-    GrammarError,
-    LENIENT,
-    ParseOptions,
-    TagValue,
-    parse_text,
-    pos_tag,
-)
-from .lexicon import LexiconError, load_lexicon
+from .grammar import LENIENT, ParseOptions, TagValue, parse_text, pos_tag
+from .lexicon import load_lexicon
 from .phonotactics import (
     CountingMode,
-    PhonotacticsError,
     count_possible_words,
     syllabify,
     validate_proper_noun,
@@ -172,26 +165,26 @@ def _cmd_stats(args, lex, out) -> int:
         print(st.sentence_space(lex, query), file=out)
         return 0
     table = args.table or "pos"
+    total: list[list[str]] = []  # kept after the limit, and counts every tag
     if table == "pos":
+        header = ["pos", "all", "chosen"]
         rows = [[t.value, str(a), str(c)] for t, a, c in st.pos_histogram(lex)]
-        total_all, total_chosen = st.pos_totals(lex)
-        rows.append(["total", str(total_all), str(total_chosen)])
-        _emit_rows(["pos", "all", "chosen"], rows, args.format, out)
+        total = [["total", *map(str, st.pos_totals(lex))]]
     elif table == "lengths":
+        header = ["syllables", "count", "percent"]
         rows = [
             [str(n), str(c), st.format_percent(p)]
             for n, (c, p) in st.word_length_report(lex).items()
         ]
-        _emit_rows(["syllables", "count", "percent"], rows, args.format, out)
     else:
         scope = st.Scope(args.scope)
         if table == "syllables":
             t = st.syllable_frequency(lex, scope)
         else:
             t = st.letter_frequency(lex, scope, st.LetterRestrict(args.restrict))
-        shown = t.rows if args.limit is None else t.rows[: args.limit]
-        rows = [[r.item, str(r.count), st.format_percent(r.percent)] for r in shown]
-        _emit_rows(["item", "count", "percent"], rows, args.format, out)
+        header = ["item", "count", "percent"]
+        rows = [[r.item, str(r.count), st.format_percent(r.percent)] for r in t.rows]
+    _emit_rows(header, rows[: args.limit] + total, args.format, out)
     return 0
 
 
@@ -355,16 +348,6 @@ _COMMANDS = {
     "wordnet": _cmd_wordnet,
 }
 
-_DOMAIN_ERRORS = (
-    GrammarError,
-    LexiconError,
-    PhonotacticsError,
-    sy.SynthError,
-    wn.WordNetError,
-    ValueError,
-    OSError,
-)
-
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
@@ -372,7 +355,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         lex = load_lexicon(args.lexicon)
         return _COMMANDS[args.command](args, lex, sys.stdout)
-    except _DOMAIN_ERRORS as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

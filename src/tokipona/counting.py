@@ -28,8 +28,6 @@ from math import inf
 from operator import add
 from typing import Sequence
 
-from .synth import LI_LESS_SUBJECTS
-
 
 def _running_total(values) -> float:
     """The sum of ``values``, added left to right."""
@@ -188,13 +186,13 @@ class CountTables:
         if kind == "subject" and node[1][0] == "phrase":  # one word: the next case
             return [x for o in self._options(node[1], (("lit", "li"), *rest), scale)
                     for x in ([o] if o[1:3] != (1, 0) else
-                              self._options(("subject", ("word",)), rest, o[0]))]
+                              self._options(("subject", ("word",), node[2]), rest, o[0]))]
         if kind == "subject":  # each word without li, then the words with li by length
-            pool, li = self.pool, (("lit", "li"), *rest)
-            takers = [(n, [i for i in idx if pool[i] not in LI_LESS_SUBJECTS])
+            pool, li, li_less = self.pool, (("lit", "li"), *rest), node[2]
+            takers = [(n, [i for i in idx if pool[i] not in li_less])
                       for n, idx in self.by_length]
             return [((scale, [i]), 0, 1, len(word), (("word", word),), rest)
-                    for i, word in enumerate(pool) if word in LI_LESS_SUBJECTS] + [
+                    for i, word in enumerate(pool) if word in li_less] + [
                 ((scale, idx), 0, 1, n, (("pick", idx),), li) for n, idx in takers if idx]
         if kind == "one_of":
             return [(scale / len(node[1]), 0, 1, len(w), (("text", w),), rest) for w in node[1]]

@@ -19,18 +19,9 @@ from .lexicon import (
     PREPOSITIONS,
     PREVERBS,
     PURE_PARTICLES,
-    load_lexicon,
+    default_lexicon,
 )
 from .phonotactics import validate_proper_noun
-
-_DEFAULT_LEXICON: Optional[Lexicon] = None
-
-
-def default_lexicon() -> Lexicon:
-    global _DEFAULT_LEXICON
-    if _DEFAULT_LEXICON is None:
-        _DEFAULT_LEXICON = load_lexicon()
-    return _DEFAULT_LEXICON
 
 
 # --- tokens ---------------------------------------------------------------
@@ -472,6 +463,9 @@ class ParseResult:
 
 _INTERJECTIONS = {"a", "mu"}
 
+#: Subjects that take no li when they stand alone; synthesis reads them too.
+LI_LESS_SUBJECTS = ("mi", "sina")
+
 
 def _is_word(tok: Optional[Token], surface: str) -> bool:
     return tok is not None and tok.kind is TokenKind.WORD and tok.surface == surface
@@ -702,12 +696,12 @@ class _ClauseParser:
             if self.i != split:
                 raise GrammarError("could not read the subject before li", self.peek())
             clause.subject = subject
-            bare = subject.head.surface in ("mi", "sina") and not subject.modifiers \
+            bare = subject.head.surface in LI_LESS_SUBJECTS and not subject.modifiers \
                 and not subject.conj and not clause.subject_complements
             if bare and not self.opts.lenient_li:
                 self.warn("li after a bare mi or sina is non-canonical", toks[split])
             marker = self.take()
-        elif _word_in(first, ("mi", "sina")) and len(toks) > 1:
+        elif _word_in(first, LI_LESS_SUBJECTS) and len(toks) > 1:
             # Elided li after a bare mi / sina.
             clause.subject = PhraseNode(head=self.take(), role=PhraseRole.NOUN_HEAD)
             clause.li_elided = True

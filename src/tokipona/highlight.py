@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
-from .grammar import _TOKEN_RE, TokenKind, classify, default_lexicon
-from .lexicon import Lexicon, PosTag
+from .grammar import _TOKEN_RE, TokenKind, classify
+from .lexicon import Lexicon, PosTag, default_lexicon
 
 PROPER_PATTERN = r"/\v<[A-Z][a-z]*>/"
 

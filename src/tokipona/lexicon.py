@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
@@ -312,3 +313,9 @@ def load_lexicon(path: Optional[str | Path] = None) -> Lexicon:
     if path is None:
         check_paper_figures(lex)
     return lex
+
+
+@cache
+def default_lexicon() -> Lexicon:
+    """The bundled lexicon, loaded once."""
+    return load_lexicon()

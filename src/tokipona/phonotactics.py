@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Optional
 
 VOWELS = frozenset("aeiou")
 CONSONANTS = frozenset("jklmnpstw")
@@ -58,24 +58,6 @@ class Syllable:
 
 
 @dataclass(frozen=True)
-class SyllabifiedWord:
-    syllables: tuple[Syllable, ...]
-
-    @property
-    def text(self) -> str:
-        return "".join(s.text for s in self.syllables)
-
-    def __len__(self) -> int:
-        return len(self.syllables)
-
-    def __iter__(self) -> Iterator[Syllable]:
-        return iter(self.syllables)
-
-    def __getitem__(self, i):
-        return self.syllables[i]
-
-
-@dataclass(frozen=True)
 class ValidationResult:
     ok: bool
     reason: Optional[str] = None
@@ -84,7 +66,7 @@ class ValidationResult:
         return self.ok
 
 
-def syllabify(word: str) -> SyllabifiedWord:
+def syllabify(word: str) -> tuple[Syllable, ...]:
     """Parse ``word`` into (C)V(n) syllables.
 
     The parse is deterministic: a consonant before a vowel is an onset,
@@ -122,7 +104,7 @@ def syllabify(word: str) -> SyllabifiedWord:
             coda_n = True
             i += 1
         syllables.append(Syllable(onset, nucleus, coda_n))
-    return SyllabifiedWord(tuple(syllables))
+    return tuple(syllables)
 
 
 def _syllable_fault(syl: Syllable, mode: CountingMode) -> Optional[str]:
@@ -152,7 +134,7 @@ def validate_word(word: str, mode: CountingMode = CountingMode.STRICT) -> Valida
     except PhonotacticsError as exc:
         return ValidationResult(False, str(exc))
 
-    pairs = zip(parsed, parsed.syllables[1:])
+    pairs = zip(parsed, parsed[1:])
     faults = [_syllable_fault(syl, mode) for syl in parsed]
     faults += [_boundary_fault(prev.coda_n, nxt.onset, mode) for prev, nxt in pairs]
     reason = next(filter(None, faults), None)

@@ -25,22 +25,13 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
-from .grammar import (
-    Clause,
-    ParseOptions,
-    PhraseNode,
-    default_lexicon,
-    parse_text,
-    pi_readings,
-)
-from .lexicon import Lexicon, PREPOSITIONS
-
-#: Subjects that take no li when they stand alone.
-LI_LESS_SUBJECTS = ("mi", "sina")
+from .grammar import LI_LESS_SUBJECTS, Clause, ParseOptions, PhraseNode, parse_text, pi_readings
+from .lexicon import Lexicon, PREPOSITIONS, default_lexicon
 
 
-class SynthError(RuntimeError):
-    """A structural constraint cannot be met."""
+class SynthError(ValueError):
+    """A structural target cannot be met, such as a verse length no verse
+    has: a ``ValueError``, since the target is a bad value."""
 
 
 def _check_distribution(weights: dict[int, float], name: str):
@@ -189,22 +180,22 @@ def grammar(cfg: SynthConfig) -> tuple[tuple, tuple]:
     A node is led by its kind: ``("phrase", (lengths, weights, sums), pi)``,
     content words as many as a length drawn by weight, and from three on,
     with chance ``pi``, a pi before the last two; ``("word",)``; ``("subject",
-    node)``, then li unless it is one word of ``LI_LESS_SUBJECTS``; ``("lit",
-    word)``; ``("seq", nodes)``; ``("alt", (nodes, weights, sums))``;
-    ``("maybe", p, node)``; ``("one_of", words)``, each as likely; and
-    ``("repeat", (counts, weights, sums), node)``.
+    node, words)``, then li unless it is one word of ``words``, which is
+    ``grammar.LI_LESS_SUBJECTS``; ``("lit", word)``; ``("seq", nodes)``;
+    ``("alt", (nodes, weights, sums))``; ``("maybe", p, node)``; ``("one_of",
+    words)``, each as likely; and ``("repeat", (counts, weights, sums), node)``.
     """
     phrase = ("phrase", _weighted(sorted(cfg.phrase_len_weights.items())), cfg.pi_probability)
     objects = _weighted(sorted(cfg.object_count_weights.items()))
     prepositions = ("one_of", tuple(sorted(PREPOSITIONS)))
     sentence = ("seq", (
-        ("subject", phrase),
+        ("subject", phrase, LI_LESS_SUBJECTS),
         phrase,
         ("repeat", objects, ("seq", (("lit", "e"), phrase))),
         ("maybe", cfg.prep_probability, ("seq", (prepositions, phrase))),
     ))
     # A poem line: a bare phrase, or a one-word subject and its predicate.
-    clause = ("seq", (("subject", ("word",)), phrase))
+    clause = ("seq", (("subject", ("word",), LI_LESS_SUBJECTS), phrase))
     return sentence, ("alt", _weighted([(phrase, 0.5), (clause, 0.5)]))
 
 
@@ -240,8 +231,8 @@ class Synthesizer:
         """Draw a content word; each candidate weighs 1 + reuse_bias * uses."""
         tracker = tracker if tracker is not None else self.tracker
         weights = tracker.weights(self._pool_index, self.cfg.reuse_bias)
-        roll = self.rng.random() * sum(weights)
-        word = _pick(self._pool, list(accumulate(weights)), roll)
+        cumulative = list(accumulate(weights))
+        word = _pick(self._pool, cumulative, self.rng.random() * cumulative[-1])
         tracker.observe(word)
         return word
 
@@ -265,7 +256,7 @@ class Synthesizer:
         elif kind == "subject":
             start = len(words)
             self._read(node[1], tracker, words)
-            if len(words) - start != 1 or words[start] not in LI_LESS_SUBJECTS:
+            if len(words) - start != 1 or words[start] not in node[2]:
                 words.append("li")
         elif kind == "repeat":
             counts, _, sums = node[1]

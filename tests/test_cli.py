@@ -72,6 +72,10 @@ def test_stats_sentence_space(capsys):
         capsys, "stats", "--sentence-space", "1,0,0,0", "--without-particles"
     )
     assert out.strip() == "535"
+    code, out, err = run(capsys, "stats", "--sentence-space", "1,1,1")
+    assert (code, out, err) == (
+        1, "", "error: --sentence-space expects four comma-separated integers\n"
+    )
 
 
 def test_syllabify(capsys):
@@ -113,6 +117,15 @@ def test_parse_json_output(capsys):
     tree = json.loads(out.strip())
     assert tree["subject"]["head"] == "ona"
     assert tree["predicates"][0]["phrase"]["head"] == "pona"
+
+
+def test_parse_reads_stdin_and_needs_text(capsys, monkeypatch):
+    import io
+    monkeypatch.setattr("sys.stdin", io.StringIO("ona li pona.\nmi moku.\n"))
+    code, out, _ = run(capsys, "parse", "--stdin")
+    assert (code, out) == (0, "subject: ona\npredicate [li]:\n    head: pona\n\n"
+                              "subject: mi\npredicate [(li)]:\n    head: moku\n")
+    assert run(capsys, "parse") == (1, "", "error: no input text\n")
 
 
 def test_parse_error_exit(capsys):
@@ -167,6 +180,22 @@ def test_stats_limit_must_not_be_negative(capsys, table):
     assert (code, out, err) == (1, "", "error: --limit must not be negative\n")
     code, out, _ = run(capsys, "stats", "--table", table, "--limit", "0")
     assert code == 0 and len(out.splitlines()) == 1  # the header only
+
+
+@pytest.mark.parametrize("table, rows, total", [
+    ("pos", ["NOUN\t58\t49", "ADJECTIVE\t40\t34"], ["total\t140\t120"]),
+    ("lengths", ["1\t26\t20.97"], []),
+])
+def test_stats_limit_applies_to_every_table(capsys, table, rows, total):
+    code, out, _ = run(capsys, "--format", "tsv", "stats", "--table", table,
+                       "--limit", str(len(rows)))
+    assert code == 0
+    assert out.splitlines()[1:] == rows + total  # pos keeps its total of every tag
+
+
+def test_synth_poem_length_error(capsys):
+    code, out, err = run(capsys, "synth", "--kind", "poem", "--phonemes", "40")
+    assert (code, out, err) == (1, "", "error: verses have 2–39 letters, not 40\n")
 
 
 def test_synth_paragraph_bounds_error(capsys):
@@ -227,6 +256,21 @@ def test_wordnet_cli(capsys, tmp_path):
 
     code, _, err = run(capsys, "wordnet", "build", "--db", str(tmp_path / "none"))
     assert code == 1 and "error:" in err
+
+    coverage = tmp_path / "coverage.txt"
+    code, out, _ = run(capsys, "wordnet", "build", "--db", str(db), "--coverage", str(coverage))
+    assert code == 0 and out.endswith(f"wrote {coverage}\n")
+    assert "mi\tme\n" in coverage.read_text("utf-8")
+
+
+def test_wordnet_warning_reaches_stderr(capsys, tmp_path):
+    db = write_wndb(tmp_path / "dict")
+    for path in db.iterdir():
+        lines = path.read_text("utf-8").splitlines(keepends=True)
+        path.write_text("".join(l for l in lines if "WordNet 3.0" not in l), "utf-8")
+    code, out, err = run(capsys, "wordnet", "lookup", "--db", str(db), "moku")
+    assert code == 0 and out
+    assert err == "warning: no version line found in the data files\n"
 
 
 def test_wordnet_relations(capsys):

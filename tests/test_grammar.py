@@ -240,12 +240,22 @@ def test_parse_vocative_and_imperative():
     assert imp.vocative is None
     assert imp.predicates[0].marker.surface == "o"
 
+    result = parse_text("jan o, moku!")
+    (comma_voc,) = result.clauses
+    assert result.text() == "jan o, moku!"
+    assert comma_voc.vocative.comma.surface == ","
+    assert pos_tag(comma_voc)[comma_voc.vocative.comma] is TagValue.PUNCT
+    assert comma_voc.predicates[0].phrase.head.surface == "moku"
+
 
 def test_parse_en_subject_coordination():
     clause = parse_text("mi en sina li moku.").clauses[0]
     assert clause.subject.head.surface == "mi"
     assert [(c.surface, p.head.surface) for c, p in clause.subject.conj] == [("en", "sina")]
     assert not clause.li_elided
+    assert render_grouping(clause.subject) == "mi en sina"
+    nested = parse_text("jan pi kulupu suli en soweli anu kala li moku.").clauses[0]
+    assert render_grouping(nested.subject) == "jan [kulupu suli en soweli anu kala]"
 
 
 def test_parse_anu_in_object():
@@ -254,6 +264,7 @@ def test_parse_anu_in_object():
     obj = clause.predicates[0].objects[0]
     assert obj.head.surface == "telo"
     assert obj.conj[0][1].head.surface == "moku"
+    assert render_grouping(obj) == "telo anu moku"
     assert not result.problems()  # anu is canonical in any noun slot
 
 
@@ -386,13 +397,13 @@ _fuzz_complement = hst.tuples(
 ).map(lambda c: [*c[0], c[1], *c[2]])
 _fuzz_sentence = hst.tuples(
     _fuzz_phrase,
-    hst.sampled_from([[], ["li"], ["o"]]),
+    hst.sampled_from([[], ["li"], ["o"], ["o", ","]]),
     _fuzz_phrase,
     hst.lists(_fuzz_complement, max_size=3),
     hst.sampled_from(list(".!?:")),
 ).map(lambda s: [*s[0], *s[1], *s[2], *(w for c in s[3] for w in c), s[4]])
-#: Sentences shaped as subject or vocative, li, o or neither, predicate and
-#: complements, with every phrase of content words.
+#: Sentences shaped as subject or vocative, li, o, o and a comma, or neither,
+#: predicate and complements, with every phrase of content words.
 _sentences = hst.lists(_fuzz_sentence, min_size=1, max_size=3).map(
     lambda ss: " ".join(w for s in ss for w in s)
 )

@@ -113,6 +113,7 @@ def test_vim_syntax_line_grammar(lexicon):
         assert all(kind != "unknown" for kind, _ in kinds), [
             l for k, l in kinds if k == "unknown"
         ]
+    assert classify_syntax_lines("set nocompatible\n") == [("unknown", "set nocompatible")]
 
 
 def test_filetype_detect():

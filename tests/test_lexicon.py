@@ -1,16 +1,22 @@
 """Lexicon loading, lookup, word sets, and transcription checksums."""
 
+import re
+
 import pytest
 
 from tokipona.lexicon import (
     EXPECTED_CHOSEN_COUNTS,
     EXPECTED_TAG_INCIDENCE,
+    Lemma,
+    Lexicon,
     LexiconError,
     PosTag,
     PREPOSITIONS,
     PREVERBS,
     PURE_PARTICLES,
     SOLE_PREPOSITIONS,
+    SYNONYM_GROUPS,
+    Sense,
     check_paper_figures,
     choose_tag,
     load_lexicon,
@@ -226,3 +232,59 @@ def test_invalid_surface_is_loud(tmp_path):
     p.write_text("\n".join(lines) + "\n", "utf-8")
     with pytest.raises(LexiconError):
         load_lexicon(p)
+
+
+_AKESI = "akesi\tNOUN\t-\treptile;amphibian;lizard;snake"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda ls: ls + [_AKESI], "duplicate lemmas: ['akesi']"),
+    (lambda ls: [_AKESI.replace("NOUN", "NOUN,NOUN") if l == _AKESI else l for l in ls],
+     "akesi: duplicate tags"),
+    (lambda ls: [l.replace("kepeken\tPREPOSITION", "kepeken\tNOUN,PREPOSITION") for l in ls],
+     "sole-preposition set ['lon', 'tan'] != ['kepeken', 'lon', 'tan']"),
+    (lambda ls: [l.replace("wile\tPRE", "wile\tVERB") for l in ls],
+     "pre-verb set ['awen', 'kama', 'ken', 'lukin', 'sona'] != "
+     "['awen', 'kama', 'ken', 'lukin', 'sona', 'wile']"),
+    (lambda ls: [_AKESI.replace("NOUN", "NOUN,PREPOSITION") if l == _AKESI else l for l in ls],
+     "preposition set ['akesi', 'kepeken', 'lon', 'sama', 'tan', 'tawa'] != "
+     "['kepeken', 'lon', 'sama', 'tan', 'tawa']"),
+    (lambda ls: [_AKESI.replace("reptile", "|reptile") if l == _AKESI else l for l in ls],
+     "empty sense in '|reptile;amphibian;lizard;snake'"),
+    (lambda ls: [_AKESI.replace("reptile", "Reptile") if l == _AKESI else l for l in ls],
+     "bad gloss 'Reptile'"),
+    (lambda ls: [l for l in ls if l.startswith("#")], "empty lexicon file"),
+], ids=["duplicate-lemma", "repeated-tag", "sole-prepositions", "pre-verbs",
+        "prepositions", "empty-sense", "upper-case-gloss", "empty-file"])
+def test_broken_file_is_loud(tmp_path, edit, message):
+    p = tmp_path / "lexicon.tsv"
+    p.write_text("\n".join(edit(_tsv_lines())) + "\n", "utf-8")
+    with pytest.raises(LexiconError, match=f"^{re.escape(message)}$"):
+        load_lexicon(p)
+
+
+def test_broken_lemma_is_loud():
+    with pytest.raises(LexiconError, match="^empty sense$"):
+        Sense(())
+    with pytest.raises(LexiconError, match="^akesi: no tags$"):
+        Lexicon([Lemma("akesi", (), (Sense(("lizard",)),))])
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("DISTINCT_COUNT", 121, "distinct lemma count 120 != 121"),
+    ("EXPECTED_CHOSEN_COUNTS", {**EXPECTED_CHOSEN_COUNTS, PosTag.NUMBER: 2},
+     "chosen count for NUMBER: 1 != 2"),
+    ("CONTENT_COUNT", 108, "content word count 107 != 108"),
+])
+def test_each_paper_figure_is_checked(lexicon, monkeypatch, name, value, message):
+    monkeypatch.setattr(f"tokipona.lexicon.{name}", value)
+    with pytest.raises(LexiconError, match=f"^{re.escape(message)}$"):
+        check_paper_figures(lexicon)
+
+
+def test_synonym_groups_are_checked(lexicon, monkeypatch):
+    groups = {k: v for k, v in SYNONYM_GROUPS.items() if k != "ale"}
+    monkeypatch.setattr("tokipona.lexicon.SYNONYM_GROUPS", groups)
+    message = f"synonym groups {lexicon.synonym_groups} != {groups}"
+    with pytest.raises(LexiconError, match=f"^{re.escape(message)}$"):
+        check_paper_figures(lexicon)

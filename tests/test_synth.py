@@ -34,6 +34,12 @@ def test_config_validation():
         SynthConfig(prep_probability=1.5)
     with pytest.raises(ValueError):
         SynthConfig(reuse_bias=-0.1)
+    with pytest.raises(ValueError, match="^phrase_len_weights is empty$"):
+        SynthConfig(phrase_len_weights={})
+    with pytest.raises(ValueError, match="^object_count_weights has negative weights$"):
+        SynthConfig(object_count_weights={0: 1.5, 1: -0.5})
+    with pytest.raises(ValueError, match=r"^object counts must lie in 0\.\.2$"):
+        SynthConfig(object_count_weights={0: 0.5, 3: 0.5})
 
 
 def test_tracker_window_eviction():
@@ -440,6 +446,8 @@ def test_verse_range_follows_the_lexicon(tmp_path):
 def test_spec_validation():
     with pytest.raises(ValueError):
         ParagraphSpec(sentences=0)
+    with pytest.raises(ValueError, match="^bounds must be positive$"):
+        ParagraphSpec(2, max_words=0)
     with pytest.raises(ValueError):
         PoemSpec(0, 1, 10)
     with pytest.raises(ValueError):
@@ -491,6 +499,21 @@ def test_compose_channel_closed_returns_partial():
     s = Synthesizer(SynthConfig(seed=33))
     text = s.interactive_compose(ComposeUnit.SENTENCE, k=2, read=read, write=write)
     assert text.count(".") == 1
+
+
+def test_compose_ends_on_a_reader_error_and_names_a_bad_reply():
+    replies = ["9\n", "x\n"]
+
+    def read():
+        if not replies:
+            raise EOFError
+        return replies.pop(0)
+
+    log: list[str] = []
+    s = Synthesizer(SynthConfig(seed=4))
+    assert s.interactive_compose(ComposeUnit.VERSE, k=2, read=read, write=log.append) == ""
+    assert "".join(log).count("unrecognized reply\n") == 2
+    assert s.tracker.total() == 0
 
 
 def test_compose_picked_words_feed_tracker():

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as hst
 from tokipona.wordnet import (
     MappingMode,
     SynsetRef,
+    TPWordnet,
     WNPos,
     WordNetError,
     build_mapping,
@@ -363,6 +364,12 @@ def test_coverage_report(mappings):
     assert "mi\tme" in text
 
 
+def test_coverage_report_without_gaps():
+    # The bundled lexicon always has gaps: wile is only a pre-verb, which
+    # expands to no WordNet class.
+    assert coverage_report(TPWordnet(MappingMode.ALL, {}, ())) == "all glosses resolved\n"
+
+
 def test_dump_tsv_shape(mappings):
     tpw = mappings[MappingMode.ALL]
     lines = dump_tsv(tpw).splitlines()
@@ -388,6 +395,7 @@ def test_relations_content(lexicon):
 
     assert table.is_antonym("suno", "mun")
     assert table.is_antonym("mun", "suno")  # symmetric
+    assert table.antonyms_of("mun") == ("suno",)  # found from either side of a pair
     assert table.is_antonym("pona", "jaki")
     assert table.is_antonym("pona", "ike")
     assert table.is_antonym("sinpin", "monsi")
