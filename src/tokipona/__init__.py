@@ -49,7 +49,6 @@ from .synth import (
 from .highlight import (
     HighlightGroup,
     MergeMode,
-    SchemeConfig,
     build_scheme,
     emit_filetype_detect,
     emit_vim_syntax,

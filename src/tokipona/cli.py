@@ -246,8 +246,7 @@ def _cmd_tag(args, lex, out) -> int:
     rows = []
     for clause in result.clauses:
         assignment = pos_tag(clause, resolve_with_dictionary=not args.no_dictionary, lex=lex)
-        for tok in clause.tokens():
-            value = assignment[tok]
+        for tok, value in assignment.items():
             label = value.value if isinstance(value, TagValue) else str(value)
             rows.append([tok.surface, label])
     _emit_rows(["token", "tag"], rows, args.format, out)
@@ -287,7 +286,7 @@ def _cmd_compose(args, lex, out) -> int:
 
 def _cmd_highlight(args, lex, out) -> int:
     if args.action == "emit-vim":
-        scheme = hl.build_scheme(lex, hl.SchemeConfig(hl.MergeMode(args.merge)))
+        scheme = hl.build_scheme(lex, hl.MergeMode(args.merge))
         root = Path(args.out)
         syntax_dir = root / "syntax"
         ftdetect_dir = root / "ftdetect"

@@ -180,11 +180,6 @@ HYBRID_NVA = Hybrid(frozenset({TagValue.NOUN, TagValue.VERB, TagValue.ADJECTIVE}
 TaggedToken = tuple[Token, Assignment]
 
 
-class PhraseRole(Enum):
-    NOUN_HEAD = "noun"
-    VERB_HEAD = "verb"
-
-
 @dataclass(slots=True)
 class PiGroup:
     pi_token: Token
@@ -195,7 +190,6 @@ class PiGroup:
 class PhraseNode:
     head: Token
     modifiers: list[Union[Token, PiGroup]] = field(default_factory=list)
-    role: PhraseRole = PhraseRole.NOUN_HEAD
     conj: list[tuple[Token, "PhraseNode"]] = field(default_factory=list)
 
     def walk(self, head: Assignment, mod: TagValue) -> Iterator[TaggedToken]:
@@ -350,15 +344,18 @@ class Clause:
     # serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        def phrase_dict(p: PhraseNode) -> dict:
+        """The clause as plain data.  Each phrase has role ``"verb"`` when it
+        is a predicate's phrase or a pi group or ``en``/``anu`` phrase inside
+        one, and role ``"noun"`` otherwise."""
+        def phrase_dict(p: PhraseNode, role: str = "noun") -> dict:
             return {
                 "head": p.head.surface,
-                "role": p.role.value,
+                "role": role,
                 "modifiers": [
-                    {"pi": phrase_dict(m.inner)} if isinstance(m, PiGroup) else m.surface
+                    {"pi": phrase_dict(m.inner, role)} if isinstance(m, PiGroup) else m.surface
                     for m in p.modifiers
                 ],
-                "conj": [{c.surface: phrase_dict(ph)} for c, ph in p.conj],
+                "conj": [{c.surface: phrase_dict(ph, role)} for c, ph in p.conj],
             }
 
         def prep_dict(pp: PrepPhrase) -> dict:
@@ -382,7 +379,7 @@ class Clause:
                 {
                     "marker": p.marker.surface if p.marker else None,
                     "preverbs": [t.surface for t in p.preverbs],
-                    "phrase": phrase_dict(p.phrase),
+                    "phrase": phrase_dict(p.phrase, "verb"),
                     "complements": [
                         {"object": phrase_dict(c.phrase)}
                         if isinstance(c, ObjectArg)
@@ -527,7 +524,7 @@ class _ClauseParser:
     # phrase level --------------------------------------------------------
 
     def phrase(
-        self, role: PhraseRole, clause: Clause, allow_conj: bool, in_pi: bool = False
+        self, clause: Clause, allow_conj: bool, in_pi: bool = False, verb: bool = False
     ) -> PhraseNode:
         head = self.peek()
         if not _can_head(head):
@@ -537,29 +534,27 @@ class _ClauseParser:
         if _is_word(head, "mu"):
             self.warn("mu used as a content word (dictionary lists it only as a particle)", head)
         self._mark_question(head, clause)
-        node = PhraseNode(head=self.take(), role=role)
+        node = PhraseNode(self.take())
         while True:
             tok = self.peek()
             if _is_word(tok, "pi"):
                 self.i += 1
                 if not _can_head(self.peek()):
                     raise GrammarError("dangling pi at phrase end", tok)
-                inner = self.phrase(role, clause, allow_conj=False, in_pi=True)
+                inner = self.phrase(clause, allow_conj=False, in_pi=True, verb=verb)
                 if not inner.modifiers and not inner.conj:
                     self.warn("pi before a single final word is redundant", tok)
                 node.modifiers.append(PiGroup(tok, inner))
             elif _word_in(tok, ("en", "anu")):
                 # Canonical slots: anu in any noun slot; en in the subject
                 # or inside a pi group.  Anything else is an extension.
-                canonical = role is PhraseRole.NOUN_HEAD and (
-                    tok.surface == "anu" or in_pi or allow_conj
-                )
+                canonical = not verb and (tok.surface == "anu" or in_pi or allow_conj)
                 if not canonical and not self.opts.extended_en_anu:
                     self.warn(f"{tok.surface} outside its canonical slots", tok)
                 self.i += 1
                 if not _can_head(self.peek()):
                     raise GrammarError(f"{tok.surface} must join two phrases", tok)
-                node.conj.append((tok, self.phrase(role, clause, allow_conj, in_pi)))
+                node.conj.append((tok, self.phrase(clause, allow_conj, in_pi, verb)))
             elif _word_in(tok, PREPOSITIONS) and not in_pi:
                 break  # post-phrase preposition opens a prepositional phrase
             elif _can_head(tok) and not _is_word(tok, "mu"):
@@ -577,7 +572,7 @@ class _ClauseParser:
         )
         complement = None
         if _can_head(self.peek()):
-            complement = self.phrase(PhraseRole.NOUN_HEAD, clause, allow_conj=False)
+            complement = self.phrase(clause, allow_conj=False)
         return PrepPhrase(prep, complement, lead_sep)
 
     def preps(self, clause: Clause) -> list[PrepPhrase]:
@@ -616,7 +611,7 @@ class _ClauseParser:
 
         pred = Predicate(
             marker=marker,
-            phrase=self.phrase(PhraseRole.VERB_HEAD, clause, allow_conj=False),
+            phrase=self.phrase(clause, allow_conj=False, verb=True),
             preverbs=preverbs,
             possessive_pi=possessive,
             lead_sep=lead_sep,
@@ -632,7 +627,7 @@ class _ClauseParser:
                 self.i += 1
                 if not _can_head(self.peek()):
                     raise GrammarError("e must introduce an object phrase", tok)
-                obj = self.phrase(PhraseRole.NOUN_HEAD, clause, allow_conj=False)
+                obj = self.phrase(clause, allow_conj=False)
                 pred.complements.append(ObjectArg(tok, obj, sep))
             elif _word_in(tok, PREPOSITIONS):
                 pred.complements.append(self.prep(clause, sep))
@@ -676,7 +671,7 @@ class _ClauseParser:
             marker = self.take()
         elif split is not None and toks[split].surface == "o":
             # Vocative: phrase [prep phrases] o [,] ...
-            phrase = self.phrase(PhraseRole.NOUN_HEAD, clause, allow_conj=True)
+            phrase = self.phrase(clause, allow_conj=True)
             preps = self.preps(clause)
             if self.i != split:
                 raise GrammarError("could not read the phrase before o", self.peek())
@@ -691,7 +686,7 @@ class _ClauseParser:
                 marker = self.take()
         elif split is not None:
             # Subject ... li ...
-            subject = self.phrase(PhraseRole.NOUN_HEAD, clause, allow_conj=True)
+            subject = self.phrase(clause, allow_conj=True)
             clause.subject_complements = self.preps(clause)
             if self.i != split:
                 raise GrammarError("could not read the subject before li", self.peek())
@@ -703,7 +698,7 @@ class _ClauseParser:
             marker = self.take()
         elif _word_in(first, LI_LESS_SUBJECTS) and len(toks) > 1:
             # Elided li after a bare mi / sina.
-            clause.subject = PhraseNode(head=self.take(), role=PhraseRole.NOUN_HEAD)
+            clause.subject = PhraseNode(self.take())
             clause.li_elided = True
         else:
             # Fragment: comma-separated phrases, possibly with complements.

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import html as _html
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -57,7 +57,6 @@ _SGR = {
 class HighlightGroup:
     name: str
     members: frozenset[str]
-    link_target: str
     pattern: Optional[str] = None
 
     def distinct_size(self, lex: Lexicon) -> int:
@@ -67,12 +66,6 @@ class HighlightGroup:
             entry = lex.lookup(surface)
             primaries.add(entry.synonym_group or surface)
         return len(primaries)
-
-
-@dataclass(frozen=True)
-class SchemeConfig:
-    merge_mode: MergeMode = MergeMode.FULL
-    link_map: dict[str, str] = field(default_factory=dict)
 
 
 def _merged_name(tag: PosTag, mode: MergeMode) -> str:
@@ -87,7 +80,7 @@ def _merged_name(tag: PosTag, mode: MergeMode) -> str:
     return "tpCONTENT"
 
 
-def build_scheme(lex: Lexicon, cfg: SchemeConfig = SchemeConfig()) -> list[HighlightGroup]:
+def build_scheme(lex: Lexicon, mode: MergeMode = MergeMode.FULL) -> list[HighlightGroup]:
     """Partition the vocabulary into highlight groups by chosen tag.
 
     Group membership follows the synonym pair's primary entry so that a
@@ -98,23 +91,11 @@ def build_scheme(lex: Lexicon, cfg: SchemeConfig = SchemeConfig()) -> list[Highl
     for entry in lex:
         primary_surface = entry.synonym_group or entry.surface
         primary = lex.lookup(primary_surface)
-        name = _merged_name(primary.chosen, cfg.merge_mode)
+        name = _merged_name(primary.chosen, mode)
         members.setdefault(name, set()).add(entry.surface)
 
-    for name in cfg.link_map:
-        if name not in members and name != "tpPROPER":
-            raise ValueError(f"link_map references unknown group {name!r}")
-
-    def link(name: str) -> str:
-        return cfg.link_map.get(name, DEFAULT_LINKS[name])
-
-    groups = [
-        HighlightGroup(name, frozenset(words), link(name))
-        for name, words in sorted(members.items())
-    ]
-    groups.append(
-        HighlightGroup("tpPROPER", frozenset(), link("tpPROPER"), pattern=PROPER_PATTERN)
-    )
+    groups = [HighlightGroup(name, frozenset(words)) for name, words in sorted(members.items())]
+    groups.append(HighlightGroup("tpPROPER", frozenset(), pattern=PROPER_PATTERN))
     return groups
 
 
@@ -136,7 +117,7 @@ def emit_vim_syntax(scheme: list[HighlightGroup]) -> str:
         if group.pattern is not None:
             lines.append(f"syn match {group.name} {group.pattern}")
     for group in scheme:
-        lines.append(f"hi def link {group.name} {group.link_target}")
+        lines.append(f"hi def link {group.name} {DEFAULT_LINKS[group.name]}")
     lines.append(f'let b:current_syntax = "{FILETYPE_NAME}"')
     return "\n".join(lines) + "\n"
 

@@ -163,9 +163,8 @@ class Lexicon:
         return {k: tuple(sorted(v, key=lambda s: (s != k, s))) for k, v in groups.items()}
 
     def lookup(self, surface: str) -> Optional[Lemma]:
-        """Exact lowercase lookup; capitalized (proper-noun) forms never match."""
-        if surface != surface.lower():
-            return None
+        """Exact lookup.  Every surface passed the strict word rules, which
+        allow lowercase letters only, so a capitalized form never matches."""
         return self._by_surface.get(surface)
 
     def distinct_entries(self) -> tuple[Lemma, ...]:

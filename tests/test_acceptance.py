@@ -14,7 +14,6 @@ import pytest
 from tokipona.grammar import LENIENT, parse_text, pi_readings, render_grouping, tokenize
 from tokipona.highlight import (
     MergeMode,
-    SchemeConfig,
     build_scheme,
     classify_syntax_lines,
     emit_vim_syntax,
@@ -173,15 +172,15 @@ def test_criterion_09_synthesis_closure():
 
 def test_criterion_10_highlight(lexicon):
     for mode in MergeMode:
-        scheme = build_scheme(lexicon, SchemeConfig(mode))
+        scheme = build_scheme(lexicon, mode)
         keyword_groups = [g for g in scheme if g.pattern is None]
         members = [w for g in keyword_groups for w in g.members]
         assert len(members) == len(set(members)) == 124
         assert sum(g.distinct_size(lexicon) for g in keyword_groups) == 120
         content = emit_vim_syntax(scheme)
-        assert content == emit_vim_syntax(build_scheme(lexicon, SchemeConfig(mode)))
+        assert content == emit_vim_syntax(build_scheme(lexicon, mode))
         assert all(kind != "unknown" for kind, _ in classify_syntax_lines(content))
-    full = build_scheme(lexicon, SchemeConfig(MergeMode.FULL))
+    full = build_scheme(lexicon, MergeMode.FULL)
     sizes = {g.name: g.distinct_size(lexicon) for g in full if g.pattern is None}
     assert sizes == {
         "tpNOUN": 49, "tpADJECTIVE": 34, "tpVERB": 13, "tpPARTICLE": 12,

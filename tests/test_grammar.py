@@ -248,6 +248,24 @@ def test_parse_vocative_and_imperative():
     assert comma_voc.predicates[0].phrase.head.surface == "moku"
 
 
+def test_interjection_after_a_lone_comma():
+    """The trailing ``a`` leaves nothing before it but a comma."""
+    result = parse_text(", a.")
+    (clause,) = result.clauses
+    assert [t.surface for t in clause.tail] == [",", "a"]
+    assert [d.message for d in result.diagnostics] == ["interjection-only sentence"]
+    assert result.text() == ", a."
+    assert list(pos_tag(clause).values()) == [TagValue.PUNCT, TagValue.PARTICLE, TagValue.PUNCT]
+    # With interjections before the comma, these raise; whether they should
+    # is open (ROADMAP item 8).
+    with pytest.raises(GrammarError) as err:
+        parse_text("a, a.")
+    assert str(err.value) == "expected a content word to head a phrase (at 'a', 0..1)"
+    with pytest.raises(GrammarError) as err:
+        parse_text("mu mu, a.")
+    assert str(err.value) == "unparsed trailing material (at 'mu', 3..5)"
+
+
 def test_parse_en_subject_coordination():
     clause = parse_text("mi en sina li moku.").clauses[0]
     assert clause.subject.head.surface == "mi"
@@ -414,7 +432,7 @@ def _assert_roundtrips_and_tags_each_token_once(tokens, result):
     for clause in result.clauses:
         toks = list(clause.tokens())
         assert len(set(toks)) == len(toks)
-        assert set(pos_tag(clause)) == set(toks)
+        assert list(pos_tag(clause)) == toks  # in reading order, as `tag` prints them
 
 
 @given(_token_soup)

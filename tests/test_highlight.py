@@ -9,9 +9,7 @@ from tokipona.grammar import TokenKind, tokenize
 from tokipona.highlight import (
     _HTML_COLORS,
     _SGR,
-    DEFAULT_LINKS,
     MergeMode,
-    SchemeConfig,
     build_scheme,
     classify_syntax_lines,
     emit_filetype_detect,
@@ -28,7 +26,7 @@ def _keyword_groups(scheme):
 
 @pytest.mark.parametrize("mode", list(MergeMode))
 def test_partition_all_modes(lexicon, mode):
-    scheme = build_scheme(lexicon, SchemeConfig(mode))
+    scheme = build_scheme(lexicon, mode)
     keyword = _keyword_groups(scheme)
     all_members = [w for g in keyword for w in g.members]
     assert len(all_members) == 124            # covers every lemma
@@ -37,7 +35,7 @@ def test_partition_all_modes(lexicon, mode):
 
 
 def test_full_group_sizes(lexicon):
-    scheme = build_scheme(lexicon, SchemeConfig(MergeMode.FULL))
+    scheme = build_scheme(lexicon, MergeMode.FULL)
     sizes = {g.name: g.distinct_size(lexicon) for g in _keyword_groups(scheme)}
     assert sizes == {
         "tpNOUN": 49, "tpADJECTIVE": 34, "tpVERB": 13, "tpPARTICLE": 12,
@@ -48,30 +46,21 @@ def test_full_group_sizes(lexicon):
 
 
 def test_merge_mode_sizes(lexicon):
-    scheme = build_scheme(lexicon, SchemeConfig(MergeMode.PARTICLES_VS_REST))
+    scheme = build_scheme(lexicon, MergeMode.PARTICLES_VS_REST)
     sizes = {g.name: g.distinct_size(lexicon) for g in _keyword_groups(scheme)}
     assert sizes == {"tpPARTICLE": 12, "tpCONTENT": 108}
 
-    scheme = build_scheme(lexicon, SchemeConfig(MergeMode.PARTICLES_PREPS_VS_REST))
+    scheme = build_scheme(lexicon, MergeMode.PARTICLES_PREPS_VS_REST)
     sizes = {g.name: g.distinct_size(lexicon) for g in _keyword_groups(scheme)}
     assert sizes == {"tpPARTICLE": 12, "tpPREPOSITION": 5, "tpCONTENT": 103}
 
 
 def test_synonym_pairs_share_groups(lexicon):
     for mode in MergeMode:
-        scheme = build_scheme(lexicon, SchemeConfig(mode))
+        scheme = build_scheme(lexicon, mode)
         for pair in (("a", "kin"), ("lukin", "oko"), ("sin", "namako"), ("ale", "ali")):
             homes = [g.name for g in scheme for w in pair if w in g.members]
             assert len(set(homes)) == 1, (pair, homes)
-
-
-def test_link_map_override_and_errors(lexicon):
-    scheme = build_scheme(lexicon, SchemeConfig(link_map={"tpNOUN": "Comment"}))
-    by_name = {g.name: g for g in scheme}
-    assert by_name["tpNOUN"].link_target == "Comment"
-    assert by_name["tpVERB"].link_target == DEFAULT_LINKS["tpVERB"]
-    with pytest.raises(ValueError, match="unknown group"):
-        build_scheme(lexicon, SchemeConfig(link_map={"tpBAD": "Comment"}))
 
 
 # --- vim emission ------------------------------------------------------------
@@ -108,7 +97,7 @@ def test_vim_syntax_deterministic(lexicon):
 
 def test_vim_syntax_line_grammar(lexicon):
     for mode in MergeMode:
-        content = emit_vim_syntax(build_scheme(lexicon, SchemeConfig(mode)))
+        content = emit_vim_syntax(build_scheme(lexicon, mode))
         kinds = classify_syntax_lines(content)
         assert all(kind != "unknown" for kind, _ in kinds), [
             l for k, l in kinds if k == "unknown"
@@ -228,7 +217,7 @@ def _old_render_ansi(text, scheme, lex, depth):
 
 _LEX = load_lexicon()
 _WORDS = sorted(e.surface for e in _LEX)
-_SCHEMES = {m: build_scheme(_LEX, SchemeConfig(merge_mode=m)) for m in MergeMode}
+_SCHEMES = {m: build_scheme(_LEX, m) for m in MergeMode}
 
 #: Lexicon words, names, unknown words, punctuation, characters that HTML
 #: escapes, digits and non-ASCII letters, with any whitespace (or none)
