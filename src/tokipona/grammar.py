@@ -285,7 +285,6 @@ class Clause:
     tail: list[Token] = field(default_factory=list)  # trailing interjections
     terminator: Optional[Token] = None
     li_elided: bool = False
-    question_focus: Optional[Token] = None
 
     @property
     def prepositional(self) -> list[tuple[Token, Optional[PhraseNode]]]:
@@ -295,6 +294,13 @@ class Clause:
         for pred in self.predicates:
             out += [(pp.prep, pp.complement) for pp in pred.prepositional]
         return out
+
+    @property
+    def question_focus(self) -> Optional[Token]:
+        """The first seme of the clause's own phrases, else of its contexts'."""
+        semes = [t for t in self.tokens() if _is_word(t, "seme")]
+        in_contexts = sum(_is_word(t, "seme") for ctx in self.contexts for t in ctx.tokens())
+        return (semes[in_contexts:] or semes or [None])[0]
 
     def walk(self) -> Iterator[TaggedToken]:
         """Every token of the clause, in reading order, with the tag its slot
@@ -517,15 +523,9 @@ class _ClauseParser:
         where = () if tok is None else (tok.start, tok.end)
         self.diags.append(Diagnostic(sev, message, *where))
 
-    def _mark_question(self, tok: Token, clause: Clause):
-        if _is_word(tok, "seme") and clause.question_focus is None:
-            clause.question_focus = tok
-
     # phrase level --------------------------------------------------------
 
-    def phrase(
-        self, clause: Clause, allow_conj: bool, in_pi: bool = False, verb: bool = False
-    ) -> PhraseNode:
+    def phrase(self, allow_conj: bool, in_pi: bool = False, verb: bool = False) -> PhraseNode:
         head = self.peek()
         if not _can_head(head):
             raise GrammarError("expected a content word to head a phrase", head)
@@ -533,7 +533,6 @@ class _ClauseParser:
             self.note("proper noun used as a phrase head", head)
         if _is_word(head, "mu"):
             self.warn("mu used as a content word (dictionary lists it only as a particle)", head)
-        self._mark_question(head, clause)
         node = PhraseNode(self.take())
         while True:
             tok = self.peek()
@@ -541,7 +540,7 @@ class _ClauseParser:
                 self.i += 1
                 if not _can_head(self.peek()):
                     raise GrammarError("dangling pi at phrase end", tok)
-                inner = self.phrase(clause, allow_conj=False, in_pi=True, verb=verb)
+                inner = self.phrase(allow_conj=False, in_pi=True, verb=verb)
                 if not inner.modifiers and not inner.conj:
                     self.warn("pi before a single final word is redundant", tok)
                 node.modifiers.append(PiGroup(tok, inner))
@@ -554,17 +553,16 @@ class _ClauseParser:
                 self.i += 1
                 if not _can_head(self.peek()):
                     raise GrammarError(f"{tok.surface} must join two phrases", tok)
-                node.conj.append((tok, self.phrase(clause, allow_conj, in_pi, verb)))
+                node.conj.append((tok, self.phrase(allow_conj, in_pi, verb)))
             elif _word_in(tok, PREPOSITIONS) and not in_pi:
                 break  # post-phrase preposition opens a prepositional phrase
             elif _can_head(tok) and not _is_word(tok, "mu"):
-                self._mark_question(tok, clause)
                 node.modifiers.append(self.take())
             else:
                 break
         return node
 
-    def prep(self, clause: Clause, lead_sep: Optional[Token] = None) -> PrepPhrase:
+    def prep(self, lead_sep: Optional[Token] = None) -> PrepPhrase:
         prep = self.take()
         self.note(
             f"{prep.surface} read as a preposition; the modifier reading is also possible",
@@ -572,21 +570,19 @@ class _ClauseParser:
         )
         complement = None
         if _can_head(self.peek()):
-            complement = self.phrase(clause, allow_conj=False)
+            complement = self.phrase(allow_conj=False)
         return PrepPhrase(prep, complement, lead_sep)
 
-    def preps(self, clause: Clause) -> list[PrepPhrase]:
+    def preps(self) -> list[PrepPhrase]:
         """The prepositional phrases that follow a subject or a vocative."""
         out = []
         while _word_in(self.peek(), PREPOSITIONS):
-            out.append(self.prep(clause))
+            out.append(self.prep())
         return out
 
     # predicate level ------------------------------------------------------
 
-    def predicate(
-        self, marker: Optional[Token], clause: Clause, lead_sep: Optional[Token] = None
-    ) -> Predicate:
+    def predicate(self, marker: Optional[Token], lead_sep: Optional[Token] = None) -> Predicate:
         possessive = None
         if _is_word(self.peek(), "pi"):
             if marker is None or not self.opts.pije_pi_possession:
@@ -611,7 +607,7 @@ class _ClauseParser:
 
         pred = Predicate(
             marker=marker,
-            phrase=self.phrase(clause, allow_conj=False, verb=True),
+            phrase=self.phrase(allow_conj=False, verb=True),
             preverbs=preverbs,
             possessive_pi=possessive,
             lead_sep=lead_sep,
@@ -627,10 +623,10 @@ class _ClauseParser:
                 self.i += 1
                 if not _can_head(self.peek()):
                     raise GrammarError("e must introduce an object phrase", tok)
-                obj = self.phrase(clause, allow_conj=False)
+                obj = self.phrase(allow_conj=False)
                 pred.complements.append(ObjectArg(tok, obj, sep))
             elif _word_in(tok, PREPOSITIONS):
-                pred.complements.append(self.prep(clause, sep))
+                pred.complements.append(self.prep(sep))
             else:
                 break
         return pred
@@ -671,8 +667,8 @@ class _ClauseParser:
             marker = self.take()
         elif split is not None and toks[split].surface == "o":
             # Vocative: phrase [prep phrases] o [,] ...
-            phrase = self.phrase(clause, allow_conj=True)
-            preps = self.preps(clause)
+            phrase = self.phrase(allow_conj=True)
+            preps = self.preps()
             if self.i != split:
                 raise GrammarError("could not read the phrase before o", self.peek())
             o_tok = self.take()
@@ -686,8 +682,8 @@ class _ClauseParser:
                 marker = self.take()
         elif split is not None:
             # Subject ... li ...
-            subject = self.phrase(clause, allow_conj=True)
-            clause.subject_complements = self.preps(clause)
+            subject = self.phrase(allow_conj=True)
+            clause.subject_complements = self.preps()
             if self.i != split:
                 raise GrammarError("could not read the subject before li", self.peek())
             clause.subject = subject
@@ -707,7 +703,7 @@ class _ClauseParser:
         fragment = clause.subject is None and marker is None
         sep = None
         while True:
-            clause.predicates.append(self.predicate(marker, clause, sep))
+            clause.predicates.append(self.predicate(marker, sep))
             tok = self.peek()
             if _word_in(tok, ("li", "o")):
                 marker, sep = self.take(), None
@@ -739,9 +735,6 @@ class _ClauseParser:
             raise GrammarError("la must introduce a main clause", body[-1])
         clause = Clause(contexts=contexts, terminator=terminator)
         self.clause_body(body[start:], clause)
-        for ctx in contexts:
-            if ctx.question_focus is not None and clause.question_focus is None:
-                clause.question_focus = ctx.question_focus
 
         # ":" standing for "e ni:" straight after a predicate.
         if (

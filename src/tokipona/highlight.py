@@ -1,8 +1,8 @@
 """Highlight schemes from chosen POS tags, with Vim / HTML / ANSI emission.
 
 Every distinct word belongs to exactly one keyword group (synonym pairs
-always travel together); proper nouns are matched by a pattern.  Emission
-is byte-deterministic so regenerated files can be diffed.
+always travel together); proper nouns and errors are matched by patterns.
+Emission is byte-deterministic so regenerated files can be diffed.
 """
 
 from __future__ import annotations
@@ -11,12 +11,17 @@ import html as _html
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
+from itertools import groupby
 from typing import Callable, Optional
 
 from .grammar import _TOKEN_RE, TokenKind, classify
 from .lexicon import Lexicon, PosTag, default_lexicon
+from .phonotactics import CONSONANTS, CountingMode, _boundary_fault, _syllable_inventory
 
-PROPER_PATTERN = r"/\v<[A-Z][a-z]*>/"
+#: :func:`classify`'s ERROR in Vim: a run of letters that no keyword or name
+#: claims, or a character that is not a letter, punctuation or space.
+_ERROR_PATTERN = r"/\v\a+|[^A-Za-z.!?,:[:space:]]/"
 
 FILETYPE_NAME = "tokipona"
 
@@ -51,6 +56,7 @@ _SGR = {
     16: {name: sgr for name, (_, _, sgr, _) in _STYLES.items()},
     256: {name: f"38;5;{index}" for name, (_, _, _, index) in _STYLES.items()},
 }
+_KIND_GROUPS = {TokenKind.PROPER: "tpPROPER", TokenKind.ERROR: "tpERROR"}
 
 
 @dataclass(frozen=True)
@@ -68,53 +74,70 @@ class HighlightGroup:
         return len(primaries)
 
 
-def _merged_name(tag: PosTag, mode: MergeMode) -> str:
-    if mode is MergeMode.FULL:
-        return f"tp{tag.value}"
-    if mode is MergeMode.PARTICLES_VS_REST:
-        return "tpPARTICLE" if tag is PosTag.PARTICLE else "tpCONTENT"
-    if tag is PosTag.PARTICLE:
-        return "tpPARTICLE"
-    if tag is PosTag.PREPOSITION:
-        return "tpPREPOSITION"
-    return "tpCONTENT"
+#: The tags that each merge mode keeps apart; the others go to tpCONTENT.
+_KEPT_APART = {
+    MergeMode.FULL: frozenset(PosTag),
+    MergeMode.PARTICLES_VS_REST: frozenset({PosTag.PARTICLE}),
+    MergeMode.PARTICLES_PREPS_VS_REST: frozenset({PosTag.PARTICLE, PosTag.PREPOSITION}),
+}
+
+
+@cache
+def _proper_pattern() -> str:
+    """:func:`validate_proper_noun` as a Vim pattern over a whole run of
+    letters, built on first use from the strict syllable inventory and the
+    consonants that may not follow a coda n."""
+    mode = CountingMode.STRICT
+    barred = "".join(c for c in sorted(CONSONANTS) if _boundary_fault(True, c, mode))
+
+    def syllable(initial: bool) -> str:
+        cap = str.upper if initial else str
+        pairs = sorted({(s.onset or "", s.nucleus) for s in _syllable_inventory(initial, mode)})
+        alternatives = []
+        for onset, group in groupby(pairs, key=lambda pair: pair[0]):
+            nuclei = "".join(nucleus for _, nucleus in group)
+            # Only a first syllable lacks an onset; then its vowel is the capital.
+            alternatives.append(cap(onset) + f"[{nuclei}]" if onset else f"[{cap(nuclei)}]")
+        return f"%(%({'|'.join(alternatives)})%(n[{barred}]@!)?)"
+
+    return rf"/\v\a@<!{syllable(True)}{syllable(False)}*\a@!/"
 
 
 def build_scheme(lex: Lexicon, mode: MergeMode = MergeMode.FULL) -> list[HighlightGroup]:
     """Partition the vocabulary into highlight groups by chosen tag.
 
     Group membership follows the synonym pair's primary entry so that a
-    pair is never split, and the merge mode coalesces groups.  The
-    proper-noun group carries a pattern instead of members.
+    pair is never split, and the merge mode coalesces groups.  The error
+    and proper-noun groups come last, in the order Vim needs, with patterns.
     """
     members: dict[str, set[str]] = {}
     for entry in lex:
-        primary_surface = entry.synonym_group or entry.surface
-        primary = lex.lookup(primary_surface)
-        name = _merged_name(primary.chosen, mode)
+        tag = lex.lookup(entry.synonym_group or entry.surface).chosen
+        name = f"tp{tag.value}" if tag in _KEPT_APART[mode] else "tpCONTENT"
         members.setdefault(name, set()).add(entry.surface)
 
     groups = [HighlightGroup(name, frozenset(words)) for name, words in sorted(members.items())]
-    groups.append(HighlightGroup("tpPROPER", frozenset(), pattern=PROPER_PATTERN))
+    groups.append(HighlightGroup("tpERROR", frozenset(), pattern=_ERROR_PATTERN))
+    groups.append(HighlightGroup("tpPROPER", frozenset(), pattern=_proper_pattern()))
     return groups
 
 
 # --- Vim emission ----------------------------------------------------------
 
 def emit_vim_syntax(scheme: list[HighlightGroup]) -> str:
-    """The syntax file: guard, keyword lines, proper-noun pattern, links."""
+    """The syntax file: guard, ``syn iskeyword``, a keyword or match line per
+    group in scheme order (of two matches at a column the later wins), links."""
     lines = [
         '" Vim syntax file for Toki Pona (generated; edit the generator, not this file)',
         'if exists("b:current_syntax")',
         "  finish",
         "endif",
+        "syn iskeyword a-z,A-Z",  # keywords end where tokens do: moku1 holds moku
     ]
     for group in scheme:
         if group.pattern is None:
-            words = " ".join(sorted(group.members))
-            lines.append(f"syn keyword {group.name} {words}")
-    for group in scheme:
-        if group.pattern is not None:
+            lines.append(f"syn keyword {group.name} {' '.join(sorted(group.members))}")
+        else:
             lines.append(f"syn match {group.name} {group.pattern}")
     for group in scheme:
         lines.append(f"hi def link {group.name} {DEFAULT_LINKS[group.name]}")
@@ -135,6 +158,7 @@ _LINE_KINDS = (
     ("comment", lambda s: s.startswith('"')),
     ("guard", lambda s: s in ('if exists("b:current_syntax")', "  finish", "endif")
         or s.startswith("let b:current_syntax")),
+    ("setting", lambda s: s.startswith("syn iskeyword ")),
     ("keyword", lambda s: s.startswith("syn keyword tp")),
     ("pattern", lambda s: s.startswith("syn match tp")),
     ("link", lambda s: s.startswith("hi def link tp")),
@@ -180,14 +204,8 @@ def _render(
         out = chunks.get(s)
         if out is None:
             kind, _ = classify(s, lex)
-            if kind is TokenKind.WORD:
-                group = group_of.get(s, "")
-            elif kind is TokenKind.PROPER:
-                group = "tpPROPER"
-            elif kind is TokenKind.ERROR:
-                group = "tpERROR"
-            else:
-                group = ""  # punctuation keeps the default color
+            # Punctuation keeps the default color.
+            group = group_of.get(s, "") if kind is TokenKind.WORD else _KIND_GROUPS.get(kind, "")
             out = chunks[s] = paint(group, escape(s)) if group else escape(s)
         return out
 

@@ -28,13 +28,6 @@ class WNPos(str, Enum):
     ADV = "r"
 
 
-_FILE_SUFFIX = {
-    WNPos.NOUN: "noun",
-    WNPos.VERB: "verb",
-    WNPos.ADJ: "adj",
-    WNPos.ADV: "adv",
-}
-
 _VERSION_RE = re.compile(r"Word[nN]et (\d+\.\d+|\d+) Copyright")
 
 
@@ -68,10 +61,10 @@ class WordNetDatabase:
     def _load(self):
         if not self.root.is_dir():
             raise WordNetError(f"{self.root} is not a directory")
-        for pos, suffix in _FILE_SUFFIX.items():
-            self._load_data(pos, self.root / f"data.{suffix}")
-        for pos, suffix in _FILE_SUFFIX.items():
-            self._load_index(pos, self.root / f"index.{suffix}")
+        for pos in WNPos:
+            self._load_data(pos, self.root / f"data.{pos.name.lower()}")
+        for pos in WNPos:
+            self._load_index(pos, self.root / f"index.{pos.name.lower()}")
         if self.version is None:
             self.warnings.append("no version line found in the data files")
         elif self.version != "3.0":
@@ -113,7 +106,7 @@ class WordNetDatabase:
             if not synsets.issuperset(offsets):
                 bad = next(o for o in offsets if o not in synsets)
                 raise WordNetError(
-                    f"{path.name}:{lineno}: offset {bad:08d} not in data.{_FILE_SUFFIX[pos]}"
+                    f"{path.name}:{lineno}: offset {bad:08d} not in data.{pos.name.lower()}"
                 )
             index[fields[0]] = offsets
 

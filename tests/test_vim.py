@@ -6,6 +6,7 @@ directory, edits a ``.tp`` file, and reports the syntax group at the first
 column of each token.  Skips only when no ``vim`` is on ``PATH``.
 """
 
+import random
 import re
 import shutil
 import subprocess
@@ -21,12 +22,20 @@ from tokipona.highlight import (
     emit_vim_syntax,
     render_html,
 )
+from tokipona.phonotactics import ALPHABET
 
 pytestmark = pytest.mark.skipif(shutil.which("vim") is None, reason="no vim on PATH")
 
 DOCUMENT = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "document.txt"
 
-INVALID_WORDS = ["Xq li pona.", "Ti en Wu li lon.", "Ann o, Nka li xyz."]
+INVALID_WORDS = [
+    "Xq li pona.", "Ti en Wu li lon.", "Ann o, Nka li xyz.",
+    "moku1 jan_pona Mali2 é (jan) Anna Anan Kenm Jin Tonsi Oan mAli MALI",
+    'mi moku; sina "toki" 3 x...',
+]
+
+SEED = 14
+LETTERS = "".join(sorted(ALPHABET))
 
 _PROBE = """\
 let &rtp = {root} . ',' . &rtp
@@ -99,12 +108,25 @@ def test_vim_agrees_with_the_renderers(tmp_path, lexicon, corpus_lines, mode):
     assert vim == rendered
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="ROADMAP item 7: Vim matches any capitalized word as tpPROPER and has no "
-           "tpERROR group, while the renderers mark invalid words as tpERROR",
-)
 def test_vim_agrees_with_the_renderers_on_invalid_words(tmp_path, lexicon):
     for mode in MergeMode:
         vim, rendered = _vim_and_renderer_groups(tmp_path, mode, lexicon, INVALID_WORDS)
         assert vim == rendered
+
+
+def test_vim_agrees_with_the_renderers_on_random_strings(tmp_path, lexicon):
+    """Capitalized strings over the 14 letters, some of them valid names, and
+    short strings that mix in other letters, a digit, punctuation and space."""
+    rng = random.Random(SEED)
+    names = [
+        "".join(rng.choices(LETTERS, k=rng.randint(1, 9))).capitalize() for _ in range(4000)
+    ]
+    mixed = [
+        "".join(rng.choices(LETTERS + "AKPTXxqé0.,!: ", k=rng.randint(1, 6)))
+        for _ in range(1000)
+    ]
+    vim, rendered = _vim_and_renderer_groups(tmp_path, MergeMode.FULL, lexicon, names + mixed)
+    groups = [group for _, group in rendered]
+    assert len(vim) > 5000
+    assert groups.count("tpPROPER") > 300 and groups.count("tpERROR") > 3000
+    assert vim == rendered
