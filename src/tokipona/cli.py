@@ -312,6 +312,8 @@ def _cmd_wordnet(args, lex, out) -> int:
         rows += [["antonym", a, b] for a, b in table.antonym_pairs]
         _emit_rows(["relation", "word", "other"], rows, args.format, out)
         return 0
+    if args.action == "lookup" and args.word not in lex:
+        raise ValueError(f"{args.word!r} is not in the lexicon")
     db = wn.load_wordnet_db(args.db)
     for warning in db.warnings:
         print(f"warning: {warning}", file=sys.stderr)

@@ -184,11 +184,11 @@ class CountTables:
                 for share, with_pi in (((1 - pi, 0), (pi, 1)) if n >= 3 else ((1.0, 0),))
             ]
         if kind == "subject" and node[1][0] == "phrase":  # one word: the next case
-            return [x for o in self._options(node[1], (("lit", "li"), *rest), scale)
+            return [x for o in self._options(node[1], (("lit", node[3]), *rest), scale)
                     for x in ([o] if o[1:3] != (1, 0) else
-                              self._options(("subject", ("word",), node[2]), rest, o[0]))]
+                              self._options(("subject", ("word",), *node[2:]), rest, o[0]))]
         if kind == "subject":  # each word without li, then the words with li by length
-            pool, li, li_less = self.pool, (("lit", "li"), *rest), node[2]
+            pool, li, li_less = self.pool, (("lit", node[3]), *rest), node[2]
             takers = [(n, [i for i in idx if pool[i] not in li_less])
                       for n, idx in self.by_length]
             return [((scale, [i]), 0, 1, len(word), (("word", word),), rest)

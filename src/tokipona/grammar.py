@@ -35,8 +35,10 @@ class TokenKind(Enum):
 
 
 TERMINATORS = {".", "!", "?"}
+#: Every punctuation mark the tokenizer reads: the terminators, comma and colon.
+PUNCTUATION = ".!?,:"
 
-_TOKEN_RE = re.compile(r"[A-Za-z]+|[.!?,:]|\S")
+_TOKEN_RE = re.compile(rf"[A-Za-z]+|[{PUNCTUATION}]|\S")
 
 
 @dataclass(frozen=True, slots=True)
@@ -370,6 +372,7 @@ class Clause:
                 "complement": phrase_dict(pp.complement) if pp.complement else None,
             }
 
+        focus = self.question_focus
         return {
             "contexts": [c.to_dict() for c in self.contexts],
             "vocative": phrase_dict(self.vocative.phrase) if self.vocative else None,
@@ -380,7 +383,7 @@ class Clause:
             "subject": phrase_dict(self.subject) if self.subject else None,
             "subject_preps": [prep_dict(pp) for pp in self.subject_complements],
             "li_elided": self.li_elided,
-            "question_focus": self.question_focus.surface if self.question_focus else None,
+            "question_focus": focus.surface if focus else None,
             "predicates": [
                 {
                     "marker": p.marker.surface if p.marker else None,
@@ -399,51 +402,57 @@ class Clause:
             "terminator": self.terminator.surface if self.terminator else None,
         }
 
-    def pretty(self, indent: str = "") -> str:
-        lines: list[str] = []
+    def pretty(self) -> str:
+        """The indented text form: :func:`render_record` of :meth:`to_dict`, so
+        that it shows nothing the record does not hold."""
+        return render_record(self.to_dict())
 
-        def phrase_lines(p: PhraseNode, pad: str, label: str):
-            lines.append(f"{pad}{label}: {p.head.surface}")
-            for m in p.modifiers:
-                if isinstance(m, PiGroup):
-                    phrase_lines(m.inner, pad + "    ", "pi")
+
+def render_record(record: dict) -> str:
+    """A clause record, as :meth:`Clause.to_dict` returns it, as an indented tree."""
+    lines: list[str] = []
+
+    def phrase(p: dict, pad: str, label: str):
+        lines.append(f"{pad}{label}: {p['head']}")
+        for m in p["modifiers"] + p["conj"]:
+            if isinstance(m, str):
+                lines.append(f"{pad}    mod: {m}")
+            else:  # a phrase under its pi, en or anu: {"pi": phrase}
+                for word, inner in m.items():
+                    phrase(inner, pad + "    ", word)
+
+    def prep(pp: dict, pad: str):
+        lines.append(f"{pad}prep: {pp['prep']}")
+        if pp["complement"]:
+            phrase(pp["complement"], pad + "    ", "complement")
+
+    def clause(c: dict, pad: str):
+        start = len(lines)
+        for ctx in c["contexts"]:
+            lines.append(f"{pad}context:")
+            clause(ctx, pad + "    ")
+        for slot in ("vocative", "subject"):
+            if c[slot]:
+                phrase(c[slot], pad, slot)
+            for pp in c.get(f"{slot}_preps", ()):
+                prep(pp, pad)
+        for p in c["predicates"]:
+            marker = p["marker"] or ("(li)" if c["li_elided"] else "(none)")
+            lines.append(f"{pad}predicate [{marker}]:")
+            lines.extend(f"{pad}    preverb: {pv}" for pv in p["preverbs"])
+            phrase(p["phrase"], pad + "    ", "head")
+            for comp in p["complements"]:
+                if "object" in comp:
+                    phrase(comp["object"], pad + "    ", "object")
                 else:
-                    lines.append(f"{pad}    mod: {m.surface}")
-            for conj_tok, ph in p.conj:
-                phrase_lines(ph, pad + "    ", conj_tok.surface)
+                    prep(comp, pad + "    ")
+        if c["tail"]:
+            lines.append(f"{pad}tail: {' '.join(c['tail'])}")
+        if len(lines) == start and c["terminator"]:  # an empty sentence
+            lines.append(f"{pad}terminator: {c['terminator']}")
 
-        def prep_lines(pp: PrepPhrase, pad: str):
-            lines.append(f"{pad}prep: {pp.prep.surface}")
-            if pp.complement:
-                phrase_lines(pp.complement, pad + "    ", "complement")
-
-        for ctx in self.contexts:
-            lines.append(f"{indent}context:")
-            lines.append(ctx.pretty(indent + "    "))
-        if self.vocative:
-            phrase_lines(self.vocative.phrase, indent, "vocative")
-            for pp in self.vocative.complements:
-                prep_lines(pp, indent)
-        if self.subject:
-            phrase_lines(self.subject, indent, "subject")
-        for pp in self.subject_complements:
-            prep_lines(pp, indent)
-        for p in self.predicates:
-            marker = p.marker.surface if p.marker else ("(li)" if self.li_elided else "(none)")
-            lines.append(f"{indent}predicate [{marker}]:")
-            for pv in p.preverbs:
-                lines.append(f"{indent}    preverb: {pv.surface}")
-            phrase_lines(p.phrase, indent + "    ", "head")
-            for c in p.complements:
-                if isinstance(c, ObjectArg):
-                    phrase_lines(c.phrase, indent + "    ", "object")
-                else:
-                    prep_lines(c, indent + "    ")
-        if self.tail:
-            lines.append(f"{indent}tail: {' '.join(t.surface for t in self.tail)}")
-        if not lines and self.terminator:  # an empty sentence
-            lines.append(f"{indent}terminator: {self.terminator.surface}")
-        return "\n".join(lines)
+    clause(record, "")
+    return "\n".join(lines)
 
 
 @dataclass
@@ -635,19 +644,14 @@ class _ClauseParser:
 
     def clause_body(self, toks: list[Token], clause: Clause) -> None:
         """Parse one non-empty clause, without its la or terminator, into ``clause``."""
-        # Pure interjection sentence: "a!", "mu mu!"
+        # The tail: every token of "a!" or "mu mu!", else a trailing "[,] a".
+        cut = len(toks)
         if all(_word_in(t, _INTERJECTIONS) for t in toks):
-            clause.tail.extend(toks)
-            self.note("interjection-only sentence")
-            return
-
-        # Trailing interjection: ... [,] a
-        tail: list[Token] = []
-        if len(toks) >= 2 and _is_word(toks[-1], "a"):
-            cut = -2 if _is_comma(toks[-2]) else -1
-            toks, tail = toks[:cut], toks[cut:]
+            cut = 0
+        elif len(toks) >= 2 and _is_word(toks[-1], "a"):
+            cut -= 2 if _is_comma(toks[-2]) else 1
+        toks, clause.tail = toks[:cut], toks[cut:]
         if not toks:
-            clause.tail.extend(tail)
             self.note("interjection-only sentence")
             return
         self.toks, self.i = toks, 0
@@ -676,7 +680,6 @@ class _ClauseParser:
             clause.vocative = Vocative(phrase, o_tok, comma, preps)
             if self.peek() is None:
                 self.note("vocative-only sentence", o_tok)
-                clause.tail.extend(tail)
                 return
             if _is_word(self.peek(), "li"):
                 marker = self.take()
@@ -713,7 +716,6 @@ class _ClauseParser:
                 break
         if tok is not None:
             raise GrammarError("unparsed trailing material", tok)
-        clause.tail.extend(tail)
 
     # sentence level --------------------------------------------------------
 
@@ -886,15 +888,7 @@ def render_grouping(phrase: PhraseNode) -> str:
 # --- POS tagging -------------------------------------------------------------
 
 
-_DICT_TO_TAGVALUE = {
-    PosTag.NOUN: TagValue.NOUN,
-    PosTag.ADJECTIVE: TagValue.ADJECTIVE,
-    PosTag.VERB: TagValue.VERB,
-    PosTag.PRE: TagValue.VERB,
-    PosTag.PREPOSITION: TagValue.PREPOSITION,
-    PosTag.PARTICLE: TagValue.PARTICLE,
-    PosTag.NUMBER: TagValue.NUMBER,
-}
+_DICT_TO_TAGVALUE = {t: TagValue.VERB if t is PosTag.PRE else TagValue[t.name] for t in PosTag}
 
 
 def pos_tag(

@@ -15,13 +15,13 @@ from functools import cache
 from itertools import groupby
 from typing import Callable, Optional
 
-from .grammar import _TOKEN_RE, TokenKind, classify
+from .grammar import _TOKEN_RE, PUNCTUATION, TokenKind, classify
 from .lexicon import Lexicon, PosTag, default_lexicon
 from .phonotactics import CONSONANTS, CountingMode, _boundary_fault, _syllable_inventory
 
 #: :func:`classify`'s ERROR in Vim: a run of letters that no keyword or name
 #: claims, or a character that is not a letter, punctuation or space.
-_ERROR_PATTERN = r"/\v\a+|[^A-Za-z.!?,:[:space:]]/"
+_ERROR_PATTERN = rf"/\v\a+|[^A-Za-z{PUNCTUATION}[:space:]]/"
 
 FILETYPE_NAME = "tokipona"
 

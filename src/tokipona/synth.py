@@ -180,22 +180,23 @@ def grammar(cfg: SynthConfig) -> tuple[tuple, tuple]:
     A node is led by its kind: ``("phrase", (lengths, weights, sums), pi)``,
     content words as many as a length drawn by weight, and from three on,
     with chance ``pi``, a pi before the last two; ``("word",)``; ``("subject",
-    node, words)``, then li unless it is one word of ``words``, which is
-    ``grammar.LI_LESS_SUBJECTS``; ``("lit", word)``; ``("seq", nodes)``;
-    ``("alt", (nodes, weights, sums))``; ``("maybe", p, node)``; ``("one_of",
-    words)``, each as likely; and ``("repeat", (counts, weights, sums), node)``.
+    node, words, particle)``, then ``particle`` (li) unless it is one word of
+    ``words`` (``grammar.LI_LESS_SUBJECTS``); ``("lit", word)``;
+    ``("seq", nodes)``; ``("alt", (nodes, weights, sums))``; ``("maybe", p,
+    node)``; ``("one_of", words)``, each as likely; and ``("repeat", (counts,
+    weights, sums), node)``.
     """
     phrase = ("phrase", _weighted(sorted(cfg.phrase_len_weights.items())), cfg.pi_probability)
     objects = _weighted(sorted(cfg.object_count_weights.items()))
     prepositions = ("one_of", tuple(sorted(PREPOSITIONS)))
     sentence = ("seq", (
-        ("subject", phrase, LI_LESS_SUBJECTS),
+        ("subject", phrase, LI_LESS_SUBJECTS, "li"),
         phrase,
         ("repeat", objects, ("seq", (("lit", "e"), phrase))),
         ("maybe", cfg.prep_probability, ("seq", (prepositions, phrase))),
     ))
     # A poem line: a bare phrase, or a one-word subject and its predicate.
-    clause = ("seq", (("subject", ("word",), LI_LESS_SUBJECTS), phrase))
+    clause = ("seq", (("subject", ("word",), LI_LESS_SUBJECTS, "li"), phrase))
     return sentence, ("alt", _weighted([(phrase, 0.5), (clause, 0.5)]))
 
 
@@ -257,7 +258,7 @@ class Synthesizer:
             start = len(words)
             self._read(node[1], tracker, words)
             if len(words) - start != 1 or words[start] not in node[2]:
-                words.append("li")
+                words.append(node[3])
         elif kind == "repeat":
             counts, _, sums = node[1]
             for _ in range(_pick(counts, sums, rng.random())):

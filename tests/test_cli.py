@@ -254,6 +254,15 @@ def test_wordnet_cli(capsys, tmp_path):
     assert code == 0
     assert any(line.startswith("v2000000") for line in out.splitlines())
 
+    # A lexicon word without synsets prints nothing; a word outside the
+    # lexicon is an error, whatever the database holds.
+    assert run(capsys, "wordnet", "lookup", "--db", str(db), "li") == (0, "", "")
+    for word in ("xyz", "Moku"):
+        code, out, err = run(capsys, "wordnet", "lookup", "--db", str(db), word)
+        assert (code, out, err) == (1, "", f"error: {word!r} is not in the lexicon\n")
+    code, _, err = run(capsys, "wordnet", "lookup", "--db", str(tmp_path / "none"), "xyz")
+    assert (code, err) == (1, "error: 'xyz' is not in the lexicon\n")
+
     code, _, err = run(capsys, "wordnet", "build", "--db", str(tmp_path / "none"))
     assert code == 1 and "error:" in err
 

@@ -29,6 +29,7 @@ from tokipona.grammar import (
     pi_readings,
     pos_tag,
     render_grouping,
+    render_record,
     tokenize,
 )
 from tokipona.lexicon import PREPOSITIONS, load_lexicon
@@ -472,11 +473,15 @@ def test_vocative_takes_prepositional_phrases_like_a_subject():
 
 
 def test_tree_serializations(corpus_lines):
+    """The indented text form is the JSON record rendered: it needs nothing
+    beyond what one JSON line carries."""
     import json
-    for line in corpus_lines:
-        for clause in parse_text(line, LENIENT).clauses:
-            assert clause.pretty()  # indented text form renders
-            json.dumps(clause.to_dict())  # nested form is JSON-serializable
+    cases = [(line, opts) for line in corpus_lines for opts in (ParseOptions(), LENIENT)]
+    for text, opts in cases + [("jan lon tomo o kama.", ParseOptions())]:
+        for clause in parse_text(text, opts).clauses:
+            text_form = clause.pretty()
+            assert text_form
+            assert render_record(json.loads(json.dumps(clause.to_dict()))) == text_form
 
 
 # --- pi readings ------------------------------------------------------------
