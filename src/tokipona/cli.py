@@ -4,28 +4,20 @@ Exit status: 0 on success, 2 on a usage error, and 1 when the library
 raises a ValueError (every error class of the package is one) or an
 OSError, with the message on stderr.  All randomized subcommands
 honor --seed, so equal invocations produce byte-identical output.
+
+Each subcommand imports the modules it uses when it runs, so one call
+loads only those.  The choice lists of ``build_parser`` are the values of
+their enums, written out for the same reason; the tests check that they
+agree.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from . import highlight as hl
-from . import stats as st
-from . import synth as sy
-from . import wordnet as wn
-from .grammar import LENIENT, ParseOptions, TagValue, parse_text, pos_tag
 from .lexicon import load_lexicon
-from .phonotactics import (
-    CountingMode,
-    count_possible_words,
-    syllabify,
-    validate_proper_noun,
-    validate_word,
-)
 
 FORMATS = ("text", "tsv", "json-lines")
 
@@ -42,10 +34,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("stats", help="vocabulary statistics and sentence-space size")
     q.add_argument("--table", choices=("pos", "syllables", "letters", "lengths"))
-    q.add_argument("--scope", choices=[s.value for s in st.Scope], default="all")
-    q.add_argument(
-        "--restrict", choices=[r.value for r in st.LetterRestrict], default="all"
-    )
+    q.add_argument("--scope", choices=("all", "first", "last", "middle"), default="all")
+    q.add_argument("--restrict", choices=("all", "vowels", "consonants"), default="all")
     q.add_argument("--limit", type=int, help="show only the top rows")
     q.add_argument(
         "--sentence-space",
@@ -89,29 +79,30 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--phonemes", type=int, default=12, help="letters per verse")
 
     q = sub.add_parser("compose", help="interactive composition (stdin protocol)")
-    q.add_argument("--unit", choices=[u.value for u in sy.ComposeUnit], default="sentence")
+    q.add_argument("--unit", choices=("sentence", "verse"), default="sentence")
     q.add_argument("-k", type=int, default=3, help="candidates per round")
 
     q = sub.add_parser("highlight", help="emit or render highlight schemes")
     hsub = q.add_subparsers(dest="action", required=True)
     e = hsub.add_parser("emit-vim", help="write syntax/ and ftdetect/ files")
     e.add_argument("--out", required=True, metavar="DIR")
-    e.add_argument("--merge", choices=[m.value for m in hl.MergeMode], default="full")
+    e.add_argument("--merge", choices=("full", "particles", "particles-preps"), default="full")
     r = hsub.add_parser("render", help="render colored text")
     r.add_argument("--mode", choices=("html", "ansi"), default="ansi")
     r.add_argument("--color-depth", type=int, choices=(16, 256), default=16)
     r.add_argument("text", nargs="+")
 
     q = sub.add_parser("wordnet", help="build synset mappings / show relations")
+    modes = ("all", "noprep", "matched")
     wsub = q.add_subparsers(dest="action", required=True)
     b = wsub.add_parser("build", help="build a mapping against a WordNet directory")
     b.add_argument("--db", required=True, metavar="DIR")
-    b.add_argument("--mode", choices=[m.value for m in wn.MappingMode], default="all")
+    b.add_argument("--mode", choices=modes, default="all")
     b.add_argument("--dump", metavar="PATH", help="write the mapping as TSV")
     b.add_argument("--coverage", metavar="PATH", help="write the coverage report")
     lk = wsub.add_parser("lookup", help="synsets of one word")
     lk.add_argument("--db", required=True, metavar="DIR")
-    lk.add_argument("--mode", choices=[m.value for m in wn.MappingMode], default="all")
+    lk.add_argument("--mode", choices=modes, default="all")
     lk.add_argument("word")
     wsub.add_parser("relations", help="static hyponym and antonym pairs")
     return p
@@ -125,7 +116,9 @@ def _add_parse_options(q: argparse.ArgumentParser):
     q.add_argument("--extended-en-anu", action="store_true")
 
 
-def _parse_options(args) -> ParseOptions:
+def _parse_options(args):
+    from .grammar import LENIENT, ParseOptions
+
     if args.lenient:
         return LENIENT
     return ParseOptions(
@@ -142,6 +135,8 @@ def _emit_rows(header: list[str], rows: list[list[str]], fmt: str, out) -> None:
         for row in rows:
             print("\t".join(row), file=out)
     elif fmt == "json-lines":
+        import json
+
         for row in rows:
             print(json.dumps(dict(zip(header, row))), file=out)
     else:
@@ -155,6 +150,8 @@ def _emit_rows(header: list[str], rows: list[list[str]], fmt: str, out) -> None:
 
 
 def _cmd_stats(args, lex, out) -> int:
+    from . import stats as st
+
     if args.limit is not None and args.limit < 0:
         raise ValueError("--limit must not be negative")
     if args.sentence_space:
@@ -189,6 +186,8 @@ def _cmd_stats(args, lex, out) -> int:
 
 
 def _cmd_syllabify(args, lex, out) -> int:
+    from .phonotactics import syllabify
+
     rows = []
     for word in args.words:
         syls = syllabify(word.lower())
@@ -198,6 +197,8 @@ def _cmd_syllabify(args, lex, out) -> int:
 
 
 def _cmd_validate(args, lex, out) -> int:
+    from .phonotactics import CountingMode, validate_proper_noun, validate_word
+
     mode = CountingMode(args.mode)
     rows = []
     ok_all = True
@@ -215,21 +216,27 @@ def _cmd_validate(args, lex, out) -> int:
 
 
 def _cmd_count(args, lex, out) -> int:
+    from .phonotactics import CountingMode, count_possible_words
+
     mode = CountingMode(args.mode)
     print(count_possible_words(args.syllables, mode), file=out)
     return 0
 
 
 def _cmd_parse(args, lex, out) -> int:
-    text = " ".join(args.text) if args.text else ""
+    from .grammar import parse_text
+
+    text = " ".join(args.text)
     if args.stdin:
         text = (text + " " + sys.stdin.read()).strip()
-    if not text:
+    if not text.strip():
         raise ValueError("no input text")
     result = parse_text(text, _parse_options(args), lex)
     for diag in result.diagnostics:
         print(str(diag), file=sys.stderr)
     if args.format == "json-lines":
+        import json
+
         for clause in result.clauses:
             print(json.dumps(clause.to_dict()), file=out)
     else:
@@ -241,7 +248,11 @@ def _cmd_parse(args, lex, out) -> int:
 
 
 def _cmd_tag(args, lex, out) -> int:
+    from .grammar import TagValue, parse_text, pos_tag
+
     text = " ".join(args.text)
+    if not text.strip():
+        raise ValueError("no input text")
     result = parse_text(text, _parse_options(args), lex)
     rows = []
     for clause in result.clauses:
@@ -254,6 +265,8 @@ def _cmd_tag(args, lex, out) -> int:
 
 
 def _cmd_synth(args, lex, out) -> int:
+    from . import synth as sy
+
     if args.count < 1:
         raise ValueError("--count must be at least 1")
     cfg = sy.SynthConfig(seed=args.seed)
@@ -274,6 +287,8 @@ def _cmd_synth(args, lex, out) -> int:
 
 
 def _cmd_compose(args, lex, out) -> int:
+    from . import synth as sy
+
     cfg = sy.SynthConfig(seed=args.seed)
     synthesizer = sy.Synthesizer(cfg, lex)
     text = synthesizer.interactive_compose(
@@ -285,6 +300,8 @@ def _cmd_compose(args, lex, out) -> int:
 
 
 def _cmd_highlight(args, lex, out) -> int:
+    from . import highlight as hl
+
     if args.action == "emit-vim":
         scheme = hl.build_scheme(lex, hl.MergeMode(args.merge))
         root = Path(args.out)
@@ -306,6 +323,8 @@ def _cmd_highlight(args, lex, out) -> int:
 
 
 def _cmd_wordnet(args, lex, out) -> int:
+    from . import wordnet as wn
+
     if args.action == "relations":
         table = wn.relations()
         rows = [["hyponym", a, b] for a, b in table.hyponym_pairs]

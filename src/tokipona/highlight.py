@@ -154,31 +154,6 @@ def emit_filetype_detect() -> str:
     )
 
 
-_LINE_KINDS = (
-    ("comment", lambda s: s.startswith('"')),
-    ("guard", lambda s: s in ('if exists("b:current_syntax")', "  finish", "endif")
-        or s.startswith("let b:current_syntax")),
-    ("setting", lambda s: s.startswith("syn iskeyword ")),
-    ("keyword", lambda s: s.startswith("syn keyword tp")),
-    ("pattern", lambda s: s.startswith("syn match tp")),
-    ("link", lambda s: s.startswith("hi def link tp")),
-    ("blank", lambda s: s == ""),
-)
-
-
-def classify_syntax_lines(content: str) -> list[tuple[str, str]]:
-    """(kind, line) per line; kind is 'unknown' for anything unexpected."""
-    out = []
-    for line in content.splitlines():
-        for kind, pred in _LINE_KINDS:
-            if pred(line):
-                out.append((kind, line))
-                break
-        else:
-            out.append(("unknown", line))
-    return out
-
-
 # --- rendering -------------------------------------------------------------
 
 def _render(

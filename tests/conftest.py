@@ -1,5 +1,6 @@
-"""Shared fixtures: the bundled lexicon, corpus lines, and a small
-WordNet database directory written in the standard WNDB file format."""
+"""Shared fixtures: the bundled lexicon, corpus lines, a small WordNet
+database directory written in the standard WNDB file format, and a
+classifier for the lines of an emitted Vim syntax file."""
 
 import os
 from importlib import resources
@@ -115,6 +116,32 @@ def write_wndb(root: Path, index=None, skip_files=()) -> Path:
                         + "\n"
                     )
     return root
+
+
+#: The kinds of line an emitted Vim syntax file may contain.
+_LINE_KINDS = (
+    ("comment", lambda s: s.startswith('"')),
+    ("guard", lambda s: s in ('if exists("b:current_syntax")', "  finish", "endif")
+        or s.startswith("let b:current_syntax")),
+    ("setting", lambda s: s.startswith("syn iskeyword ")),
+    ("keyword", lambda s: s.startswith("syn keyword tp")),
+    ("pattern", lambda s: s.startswith("syn match tp")),
+    ("link", lambda s: s.startswith("hi def link tp")),
+    ("blank", lambda s: s == ""),
+)
+
+
+def classify_syntax_lines(content: str) -> list[tuple[str, str]]:
+    """(kind, line) per line; kind is 'unknown' for anything unexpected."""
+    out = []
+    for line in content.splitlines():
+        for kind, pred in _LINE_KINDS:
+            if pred(line):
+                out.append((kind, line))
+                break
+        else:
+            out.append(("unknown", line))
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,6 @@ from tokipona.grammar import LENIENT, parse_text, pi_readings, render_grouping, 
 from tokipona.highlight import (
     MergeMode,
     build_scheme,
-    classify_syntax_lines,
     emit_vim_syntax,
 )
 from tokipona.lexicon import PosTag
@@ -34,7 +33,7 @@ from tokipona.stats import (
 from tokipona.synth import PoemSpec, SynthConfig, Synthesizer, letter_count
 from tokipona.wordnet import MappingMode, build_mapping, load_wordnet_db
 
-from conftest import find_real_wordnet
+from conftest import classify_syntax_lines, find_real_wordnet
 from test_phonotactics import _brute_force_count
 from test_grammar import brute_force_groupings, _shapes
 

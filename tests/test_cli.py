@@ -1,13 +1,17 @@
 """CLI behavior: dispatch, formats, exit codes, determinism."""
 
+import argparse
 import json
 import re
 from importlib import resources
 
 import pytest
 
-from tokipona.cli import main
-from tokipona.stats import Scope, syllable_frequency
+from tokipona.cli import build_parser, main
+from tokipona.highlight import MergeMode
+from tokipona.stats import LetterRestrict, Scope, syllable_frequency
+from tokipona.synth import ComposeUnit
+from tokipona.wordnet import MappingMode
 from conftest import write_wndb
 
 
@@ -126,6 +130,11 @@ def test_parse_reads_stdin_and_needs_text(capsys, monkeypatch):
     assert (code, out) == (0, "subject: ona\npredicate [li]:\n    head: pona\n\n"
                               "subject: mi\npredicate [(li)]:\n    head: moku\n")
     assert run(capsys, "parse") == (1, "", "error: no input text\n")
+
+
+@pytest.mark.parametrize("argv", [("parse", ""), ("parse", "   "), ("tag", ""), ("tag", "   ")])
+def test_blank_input_is_an_error(capsys, argv):
+    assert run(capsys, *argv) == (1, "", "error: no input text\n")
 
 
 def test_parse_error_exit(capsys):
@@ -296,6 +305,28 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def _option(path, option):
+    """The argparse action of ``option`` in the subcommand ``path`` names."""
+    parser = build_parser()
+    for name in path:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[name]
+    return next(a for a in parser._actions if option in a.option_strings)
+
+
+@pytest.mark.parametrize("path, option, enum", [
+    (("stats",), "--scope", Scope),
+    (("stats",), "--restrict", LetterRestrict),
+    (("compose",), "--unit", ComposeUnit),
+    (("highlight", "emit-vim"), "--merge", MergeMode),
+    (("wordnet", "build"), "--mode", MappingMode),
+    (("wordnet", "lookup"), "--mode", MappingMode),
+])
+def test_choices_are_the_enum_values(path, option, enum):
+    # build_parser writes these lists out so that it imports no module for them.
+    assert _option(path, option).choices == tuple(m.value for m in enum)
 
 
 def _bundled_lexicon_text():

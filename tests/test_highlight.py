@@ -5,13 +5,13 @@ import html
 import pytest
 from hypothesis import given, settings, strategies as hst
 
+from conftest import classify_syntax_lines
 from tokipona.grammar import TokenKind, tokenize
 from tokipona.highlight import (
     _HTML_COLORS,
     _SGR,
     MergeMode,
     build_scheme,
-    classify_syntax_lines,
     emit_filetype_detect,
     emit_vim_syntax,
     render_ansi,

@@ -1,7 +1,18 @@
-"""The package's modules import one another without a cycle."""
+"""The package's modules import one another without a cycle, the package
+and each CLI call load only the modules they use, and the package exports
+the same names as when it imported every module up front."""
 
 import ast
+import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
+
+import tokipona
 
 PACKAGE = Path(__file__).parents[1] / "src" / "tokipona"
 
@@ -52,3 +63,70 @@ def test_relative_imports_form_no_cycle():
     assert graph["cli"] >= {"grammar", "synth"}  # the walk finds imports at all
     assert "synth" not in graph["counting"]
     assert _cycle(graph) == []
+
+
+#: Run in a fresh interpreter: import the package, or run one CLI call, and
+#: print the package's modules that are then loaded.
+_PROBE = """
+import contextlib, io, json, sys
+argv = json.loads(sys.argv[1])
+if argv is None:
+    import tokipona
+else:
+    from tokipona.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(argv)
+loaded = (m.removeprefix("tokipona.") for m in sys.modules if m.startswith("tokipona."))
+print(json.dumps(sorted(loaded)))
+"""
+
+_CLI = ["cli", "lexicon", "phonotactics"]
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (None, []),
+    (["syllabify", "toki"], _CLI),
+    (["validate", "toki"], _CLI),
+    (["count", "--syllables", "2"], _CLI),
+    (["parse", "mi moku."], _CLI + ["grammar"]),
+    (["tag", "mi moku."], _CLI + ["grammar"]),
+    (["wordnet", "relations"], _CLI + ["wordnet"]),
+])
+def test_modules_loaded(argv, modules):
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argv)], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert json.loads(proc.stdout) == sorted(modules)
+
+
+#: Every name the package exports, by the module that defines it.
+PUBLIC = {
+    "lexicon": ["Lemma", "Lexicon", "LexiconError", "PosTag", "Sense", "load_lexicon"],
+    "phonotactics": ["CountingMode", "PhonotacticsError", "Syllable", "count_possible_words",
+                     "syllabify", "validate_proper_noun", "validate_word"],
+    "grammar": ["Clause", "Diagnostic", "GrammarError", "ParseOptions", "ParseResult",
+                "PhraseNode", "PiGroup", "Token", "parse", "parse_text", "pi_readings",
+                "pos_tag", "tokenize"],
+    "synth": ["ComposeUnit", "ContextTracker", "ParagraphSpec", "PoemSpec", "SynthConfig",
+              "SynthError", "Synthesizer"],
+    "highlight": ["HighlightGroup", "MergeMode", "build_scheme", "emit_filetype_detect",
+                  "emit_vim_syntax", "render_ansi", "render_html"],
+    "wordnet": ["MappingMode", "RelationTable", "SynsetRef", "TPWordnet", "WordNetError",
+                "build_mapping", "load_wordnet_db", "relations"],
+}
+
+
+def test_public_names():
+    names = [name for exported in PUBLIC.values() for name in exported]
+    for module, exported in PUBLIC.items():
+        defining = importlib.import_module(f"tokipona.{module}")
+        for name in exported:
+            assert getattr(tokipona, name) is getattr(defining, name)
+    assert sorted(tokipona.__all__) == sorted(names)
+    assert set(dir(tokipona)) >= set(names)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        tokipona.no_such_name
+    from tokipona import parse, wordnet  # a name, and a module that is not one
+
+    assert parse is tokipona.grammar.parse
+    assert wordnet is importlib.import_module("tokipona.wordnet")
