@@ -273,7 +273,7 @@ def _cmd_synth(args, lex, out) -> int:
     synthesizer = sy.Synthesizer(cfg, lex)
     if args.kind == "phrase":
         for _ in range(args.count):
-            print(str(synthesizer.synth_phrase()), file=out)
+            print(" ".join(synthesizer.phrase_words()), file=out)
     elif args.kind == "sentence":
         for _ in range(args.count):
             print(synthesizer.sentence_text(), file=out)

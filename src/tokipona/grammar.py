@@ -15,6 +15,7 @@ from typing import Container, Iterator, Optional, Sequence, Union
 
 from .lexicon import (
     Lexicon,
+    LI_LESS_SUBJECTS,
     PosTag,
     PREPOSITIONS,
     PREVERBS,
@@ -376,8 +377,8 @@ class Clause:
         return {
             "contexts": [c.to_dict() for c in self.contexts],
             "vocative": phrase_dict(self.vocative.phrase) if self.vocative else None,
-            # Only present when the vocative has any, which keeps the record
-            # of every other clause as it was before vocatives could have them.
+            # This key, possessive_pi and colon_object are present only when
+            # set, which keeps the record of every other clause as it was.
             **({"vocative_preps": [prep_dict(pp) for pp in self.vocative.complements]}
                if self.vocative and self.vocative.complements else {}),
             "subject": phrase_dict(self.subject) if self.subject else None,
@@ -387,6 +388,7 @@ class Clause:
             "predicates": [
                 {
                     "marker": p.marker.surface if p.marker else None,
+                    **({"possessive_pi": True} if p.possessive_pi else {}),
                     "preverbs": [t.surface for t in p.preverbs],
                     "phrase": phrase_dict(p.phrase, "verb"),
                     "complements": [
@@ -395,6 +397,7 @@ class Clause:
                         else prep_dict(c)
                         for c in p.complements
                     ],
+                    **({"colon_object": True} if p.colon_object else {}),
                 }
                 for p in self.predicates
             ],
@@ -439,6 +442,8 @@ def render_record(record: dict) -> str:
         for p in c["predicates"]:
             marker = p["marker"] or ("(li)" if c["li_elided"] else "(none)")
             lines.append(f"{pad}predicate [{marker}]:")
+            if p.get("possessive_pi"):
+                lines.append(f"{pad}    possessive: pi")
             lines.extend(f"{pad}    preverb: {pv}" for pv in p["preverbs"])
             phrase(p["phrase"], pad + "    ", "head")
             for comp in p["complements"]:
@@ -446,6 +451,8 @@ def render_record(record: dict) -> str:
                     phrase(comp["object"], pad + "    ", "object")
                 else:
                     prep(comp, pad + "    ")
+            if p.get("colon_object"):
+                lines.append(f"{pad}    object: (the colon, for e ni)")
         if c["tail"]:
             lines.append(f"{pad}tail: {' '.join(c['tail'])}")
         if len(lines) == start and c["terminator"]:  # an empty sentence
@@ -475,8 +482,9 @@ class ParseResult:
 
 _INTERJECTIONS = {"a", "mu"}
 
-#: Subjects that take no li when they stand alone; synthesis reads them too.
-LI_LESS_SUBJECTS = ("mi", "sina")
+#: How deep pi, en and anu phrases may nest: far past real text, and well inside
+#: the recursion limit for every walk of a parse (``to_dict``, ``pos_tag``, ...).
+MAX_NESTING = 100
 
 
 def _is_word(tok: Optional[Token], surface: str) -> bool:
@@ -534,7 +542,10 @@ class _ClauseParser:
 
     # phrase level --------------------------------------------------------
 
-    def phrase(self, allow_conj: bool, in_pi: bool = False, verb: bool = False) -> PhraseNode:
+    def phrase(self, allow_conj: bool, in_pi: bool = False, verb: bool = False,
+               depth: int = 0) -> PhraseNode:
+        if depth > MAX_NESTING:
+            raise GrammarError(f"phrases nest more than {MAX_NESTING} deep", self.toks[self.i - 1])
         head = self.peek()
         if not _can_head(head):
             raise GrammarError("expected a content word to head a phrase", head)
@@ -549,7 +560,7 @@ class _ClauseParser:
                 self.i += 1
                 if not _can_head(self.peek()):
                     raise GrammarError("dangling pi at phrase end", tok)
-                inner = self.phrase(allow_conj=False, in_pi=True, verb=verb)
+                inner = self.phrase(allow_conj=False, in_pi=True, verb=verb, depth=depth + 1)
                 if not inner.modifiers and not inner.conj:
                     self.warn("pi before a single final word is redundant", tok)
                 node.modifiers.append(PiGroup(tok, inner))
@@ -562,7 +573,7 @@ class _ClauseParser:
                 self.i += 1
                 if not _can_head(self.peek()):
                     raise GrammarError(f"{tok.surface} must join two phrases", tok)
-                node.conj.append((tok, self.phrase(allow_conj, in_pi, verb)))
+                node.conj.append((tok, self.phrase(allow_conj, in_pi, verb, depth + 1)))
             elif _word_in(tok, PREPOSITIONS) and not in_pi:
                 break  # post-phrase preposition opens a prepositional phrase
             elif _can_head(tok) and not _is_word(tok, "mu"):

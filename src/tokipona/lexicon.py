@@ -52,6 +52,9 @@ PREPOSITIONS = frozenset({"kepeken", "lon", "sama", "tan", "tawa"})
 #: The six pre-verbs.
 PREVERBS = frozenset({"wile", "ken", "awen", "kama", "lukin", "sona"})
 
+#: Subjects that take no li when they stand alone: the parser and synthesis read them.
+LI_LESS_SUBJECTS = ("mi", "sina")
+
 # --- the paper's figures, checked by check_paper_figures ------------------
 
 #: The four synonym pairs, keyed by the pair's primary surface.

@@ -9,7 +9,7 @@ reading it as count tables (``counting``): every choice is drawn top-down,
 exactly conditioned on the target, by Flajolet, Zimmermann and Van Cutsem's
 recursive method.  All randomness flows through one Mersenne Twister
 generator seeded from the config, so identical seeds give byte-identical
-output.
+output.  It returns words and text, which ``tokipona.grammar`` parses.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import random
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -25,8 +25,7 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
-from .grammar import LI_LESS_SUBJECTS, Clause, ParseOptions, PhraseNode, parse_text, pi_readings
-from .lexicon import Lexicon, PREPOSITIONS, default_lexicon
+from .lexicon import LI_LESS_SUBJECTS, Lexicon, PREPOSITIONS, default_lexicon
 
 
 class SynthError(ValueError):
@@ -163,8 +162,9 @@ class ComposeUnit(Enum):
 
 
 def _pick(values: Sequence, cumulative: list[float], roll: float):
-    """The first value whose cumulative weight exceeds ``roll``, else the last."""
-    return values[min(bisect_right(cumulative, roll), len(values) - 1)]
+    """The first value whose running sum exceeds ``roll``, else the last of weight."""
+    i = bisect_right(cumulative, roll)
+    return values[i if i < len(values) else bisect_left(cumulative, cumulative[-1])]
 
 
 def _weighted(pairs) -> tuple:
@@ -181,7 +181,7 @@ def grammar(cfg: SynthConfig) -> tuple[tuple, tuple]:
     content words as many as a length drawn by weight, and from three on,
     with chance ``pi``, a pi before the last two; ``("word",)``; ``("subject",
     node, words, particle)``, then ``particle`` (li) unless it is one word of
-    ``words`` (``grammar.LI_LESS_SUBJECTS``); ``("lit", word)``;
+    ``words`` (``lexicon.LI_LESS_SUBJECTS``); ``("lit", word)``;
     ``("seq", nodes)``; ``("alt", (nodes, weights, sums))``; ``("maybe", p,
     node)``; ``("one_of", words)``, each as likely; and ``("repeat", (counts,
     weights, sums), node)``.
@@ -218,10 +218,9 @@ class Synthesizer:
         tracker: Optional[ContextTracker] = None,
     ):
         self.cfg = cfg
-        self.lex = lex or default_lexicon()
         self.rng = random.Random(cfg.seed)
         self.tracker = tracker if tracker is not None else ContextTracker()
-        self._pool = tuple(sorted(e.surface for e in self.lex.content_words()))
+        self._pool = tuple(sorted(e.surface for e in (lex or default_lexicon()).content_words()))
         self._pool_index = {w: i for i, w in enumerate(self._pool)}
         self._sentence, self._verse = grammar(cfg)
         self._phrase = self._sentence[1][1]  # the predicate
@@ -286,21 +285,8 @@ class Synthesizer:
         """A phrase as a word list, possibly with an embedded pi group."""
         return self._words(self._phrase, tracker)
 
-    def synth_phrase(self, tracker: Optional[ContextTracker] = None) -> PhraseNode:
-        """A phrase as a tree: sampled head, modifiers, maybe a pi group.
-
-        The words hold at most one interior pi, so they have one reading.
-        """
-        return pi_readings(self.phrase_words(tracker))[0]
-
     def sentence_text(self, tracker: Optional[ContextTracker] = None) -> str:
         return " ".join(self._words(self._sentence, tracker)) + "."
-
-    def synth_sentence(self, tracker: Optional[ContextTracker] = None) -> Clause:
-        """One synthesized sentence, returned as its (strict) parse tree."""
-        text = self.sentence_text(tracker)
-        result = parse_text(text, ParseOptions(), self.lex)
-        return result.clauses[0]
 
     # larger units --------------------------------------------------------
 

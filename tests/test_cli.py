@@ -8,6 +8,7 @@ from importlib import resources
 import pytest
 
 from tokipona.cli import build_parser, main
+from tokipona.grammar import MAX_NESTING
 from tokipona.highlight import MergeMode
 from tokipona.stats import LetterRestrict, Scope, syllable_frequency
 from tokipona.synth import ComposeUnit
@@ -390,3 +391,11 @@ def test_other_lexicon_drives_every_subcommand(capsys, tmp_path):
     code, out, _ = run(capsys, *lex, *synth)
     assert code == 0
     assert not DROPPED & set(re.findall(r"[a-z]+", out))
+
+
+@pytest.mark.parametrize("command", ["parse", "tag"])
+def test_nesting_past_the_limit_is_an_error(capsys, command):
+    text = "jan" + " pi ma suli" * (MAX_NESTING + 1) + " li moku."
+    code, out, err = run(capsys, command, text)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: phrases nest more than {MAX_NESTING} deep (at 'pi', ")

@@ -5,6 +5,7 @@ bracket builder over every phrase shape up to eight words and three pi
 particles.
 """
 
+import json
 import re
 from math import comb
 
@@ -15,6 +16,7 @@ from tokipona.grammar import (
     GrammarError,
     Hybrid,
     LENIENT,
+    MAX_NESTING,
     ParseOptions,
     PhraseNode,
     PiGroup,
@@ -470,6 +472,69 @@ def test_vocative_takes_prepositional_phrases_like_a_subject():
         "vocative: jan", "prep: lon", "    complement: tomo",
     ]
     assert "vocative_preps" not in parse_text("jan o kama.").clauses[0].to_dict()
+
+
+def test_record_keeps_possessive_pi_and_colon_object():
+    """``li pi X`` and a colon read as ``e ni:`` reach the record and its
+    text tree, each under a key that only such a predicate has."""
+    for marked, plain, key, line in (
+        ("ni li pi mi.", "ni li mi.", "possessive_pi", "    possessive: pi"),
+        ("mi wile:", "mi wile.", "colon_object", "    object: (the colon, for e ni)"),
+    ):
+        (clause,), (other,) = (parse_text(t, LENIENT).clauses for t in (marked, plain))
+        record = clause.to_dict()
+        assert record["predicates"][0][key] is True
+        assert key not in other.to_dict()["predicates"][0]
+        assert line in clause.pretty().splitlines()
+        assert clause.pretty() != other.pretty()
+        assert render_record(json.loads(json.dumps(record))) == clause.pretty()
+    # Strict options warn about the colon and do not read it as an object.
+    (strict,) = parse_text("mi wile:").clauses
+    assert "colon_object" not in strict.to_dict()["predicates"][0]
+
+
+#: Chains of groups that each nest one phrase deeper, in three slots.
+_CHAIN_UNITS = (" pi ma suli", " en jan", " anu jan")
+_CHAIN_SLOTS = ("jan{} li moku.", "mi moku e jan{}.", "mi moku lon jan{}.")
+
+
+@pytest.mark.parametrize("unit", _CHAIN_UNITS)
+@pytest.mark.parametrize("slot", _CHAIN_SLOTS)
+def test_nesting_limit(unit, slot):
+    """At the limit a chain parses, serializes, renders and tags; one group
+    more is a GrammarError at the group's own particle."""
+    (clause,) = parse_text(slot.format(unit * MAX_NESTING), LENIENT).clauses
+    record = json.loads(json.dumps(clause.to_dict()))
+    assert render_record(record) == clause.pretty()
+    assert list(pos_tag(clause)) == list(clause.tokens())
+    pred = clause.predicates[0]
+    phrases = [clause.subject, *pred.objects, *(pp.complement for pp in pred.prepositional)]
+    # Each group renders as two items: "[ma suli]", "en jan" or "anu jan".
+    assert max(len(render_grouping(p).split()) for p in phrases) == 1 + 2 * MAX_NESTING
+    with pytest.raises(GrammarError, match=f"^phrases nest more than {MAX_NESTING} deep") as exc:
+        parse_text(slot.format(unit * (MAX_NESTING + 1)), LENIENT)
+    assert exc.value.token.surface == unit.split()[0]
+
+
+@given(
+    hst.sampled_from(_CHAIN_UNITS),
+    hst.sampled_from(_CHAIN_SLOTS),
+    hst.integers(0, 3000),
+    hst.sampled_from([ParseOptions(), LENIENT]),
+)
+@settings(max_examples=60, deadline=None)
+def test_deep_chains_parse_or_raise_grammar_error(unit, slot, groups, opts):
+    """Only GrammarError escapes however long the chain, and only past the limit."""
+    text = slot.format(unit * groups)
+    try:
+        result = parse_text(text, opts)
+    except GrammarError:
+        assert groups > MAX_NESTING
+        return
+    assert groups <= MAX_NESTING
+    _assert_roundtrips_and_tags_each_token_once(tokenize(text), result)
+    for clause in result.clauses:
+        assert clause.pretty()
 
 
 def test_tree_serializations(corpus_lines):

@@ -62,6 +62,7 @@ def test_relative_imports_form_no_cycle():
     graph = {p.stem: _relative_imports(p) for p in sorted(PACKAGE.glob("*.py"))}
     assert graph["cli"] >= {"grammar", "synth"}  # the walk finds imports at all
     assert "synth" not in graph["counting"]
+    assert "grammar" not in graph["synth"]  # synthesis returns text, not trees
     assert _cycle(graph) == []
 
 
@@ -91,11 +92,17 @@ _CLI = ["cli", "lexicon", "phonotactics"]
     (["parse", "mi moku."], _CLI + ["grammar"]),
     (["tag", "mi moku."], _CLI + ["grammar"]),
     (["wordnet", "relations"], _CLI + ["wordnet"]),
+    (["synth", "--count", "2"], _CLI + ["synth"]),
+    (["synth", "--kind", "phrase"], _CLI + ["synth"]),
+    (["synth", "--kind", "poem"], _CLI + ["counting", "synth"]),
+    (["synth", "--kind", "paragraph"], _CLI + ["counting", "synth"]),
+    (["compose"], _CLI + ["synth"]),
 ])
 def test_modules_loaded(argv, modules):
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(argv)], env=env,
-                          capture_output=True, text=True, timeout=60, check=True)
+                          stdin=subprocess.DEVNULL, capture_output=True, text=True,
+                          timeout=60, check=True)
     assert json.loads(proc.stdout) == sorted(modules)
 
 

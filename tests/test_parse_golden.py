@@ -31,8 +31,9 @@ SEED = 8
 SAMPLE = 200
 EDIT_TOKENS = ("la", "o", "li", "e", "pi", "en", "anu", "a", "mu", "seme", ",", ":", "Mali", "xq")
 
-#: Sentences that reach messages the corpus and the sample do not, and a
-#: text whose unknown word must be reported before its earlier broken sentence.
+#: Sentences that reach messages the corpus and the sample do not, a text
+#: whose unknown word must be reported before its earlier broken sentence, and
+#: pi groups nested one deeper than the parser allows.
 HANDWRITTEN = (
     "jan li pi mi.",
     "jan e o, o moku.",
@@ -43,6 +44,7 @@ HANDWRITTEN = (
     "o moku, pona.",
     "jan li moku, e kili, lon tomo.",
     "mi moku, a!",
+    "jan" + " pi ma suli" * (grammar.MAX_NESTING + 1) + " li moku.",
 )
 
 

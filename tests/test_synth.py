@@ -5,11 +5,12 @@ import math
 import random
 from collections import Counter
 from importlib import resources
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from tokipona.grammar import PiGroup, parse_text
+from tokipona.grammar import PiGroup, parse_text, pi_readings
 from tokipona.counting import Letters
 from tokipona.lexicon import PURE_PARTICLES, SOLE_PREPOSITIONS, load_lexicon
 from tokipona.stats import SentenceSpaceQuery, sentence_space
@@ -56,9 +57,9 @@ def test_tracker_window_eviction():
 def test_phrase_determinism():
     a = Synthesizer(SynthConfig(seed=123))
     b = Synthesizer(SynthConfig(seed=123))
-    assert str(a.synth_phrase()) == str(b.synth_phrase())
+    assert str(pi_readings(a.phrase_words())[0]) == str(pi_readings(b.phrase_words())[0])
     single = Synthesizer(SynthConfig(seed=5, phrase_len_weights={1: 1.0}))
-    phrase = single.synth_phrase()
+    phrase = pi_readings(single.phrase_words())[0]
     assert len(phrase.words()) == 1
 
 
@@ -66,10 +67,30 @@ def test_phrase_pi_forced():
     cfg = SynthConfig(seed=9, phrase_len_weights={3: 0.5, 4: 0.5}, pi_probability=1.0)
     s = Synthesizer(cfg)
     for _ in range(20):
-        phrase = s.synth_phrase()
+        phrase = pi_readings(s.phrase_words())[0]
         groups = [m for m in phrase.modifiers if isinstance(m, PiGroup)]
         assert groups, phrase.words()
         assert len(list(groups[0].inner.tokens())) >= 2
+
+
+def test_phrase_text_is_its_one_reading():
+    """``synth --kind phrase`` prints the words: they hold at most one
+    interior pi, so they have one reading, and it prints as they do."""
+    s = Synthesizer(SynthConfig(seed=3, phrase_len_weights={3: 0.5, 4: 0.5}, pi_probability=0.5))
+    for _ in range(200):
+        words = s.phrase_words()
+        (reading,) = pi_readings(words)
+        assert str(reading) == " ".join(words)
+
+
+def test_a_roll_at_the_total_takes_no_option_of_weight_zero():
+    """These length weights sum to just under 1, so the largest roll equals
+    the total; it takes the last length that has weight, never 4."""
+    cfg = SynthConfig(phrase_len_weights={1: 0.7, 2: 0.2, 3: 0.1, 4: 0.0}, pi_probability=0.0)
+    s = Synthesizer(cfg)
+    s.rng = SimpleNamespace(random=lambda: 1 - 2**-53)  # every roll the largest
+    assert s._phrase[1][2][-1] == 1 - 2**-53  # the running sums
+    assert len(s.phrase_words()) == 3
 
 
 def test_phrase_heads_are_content_words():
@@ -167,12 +188,12 @@ def test_sampling_unbiased_when_bias_zero():
 
 def test_sentence_examples():
     s = Synthesizer(SynthConfig(seed=2, object_count_weights={1: 1.0}))
-    clause = s.synth_sentence()
+    clause = parse_text(s.sentence_text()).clauses[0]
     assert len(clause.predicates[0].objects) == 1
 
     # a bare mi/sina subject elides li
     for _ in range(200):
-        clause = s.synth_sentence()
+        clause = parse_text(s.sentence_text()).clauses[0]
         subj = clause.subject
         if subj and subj.head.surface in ("mi", "sina") and not subj.modifiers:
             assert clause.li_elided
