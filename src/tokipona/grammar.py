@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Container, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .lexicon import (
     Lexicon,
@@ -301,8 +301,8 @@ class Clause:
     @property
     def question_focus(self) -> Optional[Token]:
         """The first seme of the clause's own phrases, else of its contexts'."""
-        semes = [t for t in self.tokens() if _is_word(t, "seme")]
-        in_contexts = sum(_is_word(t, "seme") for ctx in self.contexts for t in ctx.tokens())
+        semes = [t for t in self.tokens() if t.surface == "seme"]
+        in_contexts = sum(t.surface == "seme" for ctx in self.contexts for t in ctx.tokens())
         return (semes[in_contexts:] or semes or [None])[0]
 
     def walk(self) -> Iterator[TaggedToken]:
@@ -487,44 +487,35 @@ _INTERJECTIONS = {"a", "mu"}
 MAX_NESTING = 100
 
 
-def _is_word(tok: Optional[Token], surface: str) -> bool:
-    return tok is not None and tok.kind is TokenKind.WORD and tok.surface == surface
-
-
-def _word_in(tok: Optional[Token], surfaces: Container[str]) -> bool:
-    return tok is not None and tok.kind is TokenKind.WORD and tok.surface in surfaces
-
-
-def _is_comma(tok: Optional[Token]) -> bool:
-    return tok is not None and tok.kind is TokenKind.PUNCT and tok.surface == ","
-
-
-def _can_head(tok: Optional[Token]) -> bool:
-    """True when the token may head or continue a phrase."""
-    if tok is None:
-        return False
-    if tok.kind is TokenKind.PROPER:
-        return True
-    return tok.kind is TokenKind.WORD and (
-        tok.surface in ("seme", "mu") or tok.surface not in PURE_PARTICLES
+# The parser reads surfaces, not token kinds.  ``parse`` has already raised on
+# every ERROR token and split the text at ".!?:", so a clause body holds only
+# WORD and PROPER tokens and ",", and their surfaces tell them apart: every
+# lexicon word is lowercase (``Lexicon`` holds strict-valid words only), a
+# name starts with a capital (``validate_proper_noun``), and "," is no letter.
+def _can_head(word: Optional[str]) -> bool:
+    """True when the surface (``None`` past the end) may head or continue a phrase."""
+    return word is not None and word != "," and (
+        word in ("seme", "mu") or word not in PURE_PARTICLES
     )
 
 
 class _ClauseParser:
     """Recursive descent over one clause body at a time, through a cursor:
-    ``peek`` looks ahead (``None`` past the end), ``take`` consumes."""
+    ``peek`` looks ahead at a surface (``None`` past the end), ``take``
+    consumes a token."""
 
     def __init__(self, opts: ParseOptions):
         self.opts = opts
         self.diags: list[Diagnostic] = []
         self.toks: Sequence[Token] = ()
+        self.words: Sequence[str] = ()
         self.i = 0
 
     # helpers ------------------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Optional[Token]:
+    def peek(self, ahead: int = 0) -> Optional[str]:
         j = self.i + ahead
-        return self.toks[j] if j < len(self.toks) else None
+        return self.words[j] if j < len(self.words) else None
 
     def take(self) -> Token:
         self.i += 1
@@ -546,37 +537,37 @@ class _ClauseParser:
                depth: int = 0) -> PhraseNode:
         if depth > MAX_NESTING:
             raise GrammarError(f"phrases nest more than {MAX_NESTING} deep", self.toks[self.i - 1])
-        head = self.peek()
-        if not _can_head(head):
+        head = self.toks[self.i]  # every caller has seen a token at the cursor
+        if not _can_head(head.surface):
             raise GrammarError("expected a content word to head a phrase", head)
-        if head.kind is TokenKind.PROPER:
+        if head.surface[0].isupper():
             self.note("proper noun used as a phrase head", head)
-        if _is_word(head, "mu"):
+        if head.surface == "mu":
             self.warn("mu used as a content word (dictionary lists it only as a particle)", head)
         node = PhraseNode(self.take())
         while True:
-            tok = self.peek()
-            if _is_word(tok, "pi"):
-                self.i += 1
+            word = self.peek()
+            if word == "pi":
+                pi = self.take()
                 if not _can_head(self.peek()):
-                    raise GrammarError("dangling pi at phrase end", tok)
+                    raise GrammarError("dangling pi at phrase end", pi)
                 inner = self.phrase(allow_conj=False, in_pi=True, verb=verb, depth=depth + 1)
                 if not inner.modifiers and not inner.conj:
-                    self.warn("pi before a single final word is redundant", tok)
-                node.modifiers.append(PiGroup(tok, inner))
-            elif _word_in(tok, ("en", "anu")):
+                    self.warn("pi before a single final word is redundant", pi)
+                node.modifiers.append(PiGroup(pi, inner))
+            elif word in ("en", "anu"):
                 # Canonical slots: anu in any noun slot; en in the subject
                 # or inside a pi group.  Anything else is an extension.
-                canonical = not verb and (tok.surface == "anu" or in_pi or allow_conj)
+                conj = self.take()
+                canonical = not verb and (word == "anu" or in_pi or allow_conj)
                 if not canonical and not self.opts.extended_en_anu:
-                    self.warn(f"{tok.surface} outside its canonical slots", tok)
-                self.i += 1
+                    self.warn(f"{word} outside its canonical slots", conj)
                 if not _can_head(self.peek()):
-                    raise GrammarError(f"{tok.surface} must join two phrases", tok)
-                node.conj.append((tok, self.phrase(allow_conj, in_pi, verb, depth + 1)))
-            elif _word_in(tok, PREPOSITIONS) and not in_pi:
+                    raise GrammarError(f"{word} must join two phrases", conj)
+                node.conj.append((conj, self.phrase(allow_conj, in_pi, verb, depth + 1)))
+            elif word in PREPOSITIONS and not in_pi:
                 break  # post-phrase preposition opens a prepositional phrase
-            elif _can_head(tok) and not _is_word(tok, "mu"):
+            elif _can_head(word) and word != "mu":
                 node.modifiers.append(self.take())
             else:
                 break
@@ -596,7 +587,7 @@ class _ClauseParser:
     def preps(self) -> list[PrepPhrase]:
         """The prepositional phrases that follow a subject or a vocative."""
         out = []
-        while _word_in(self.peek(), PREPOSITIONS):
+        while self.peek() in PREPOSITIONS:
             out.append(self.prep())
         return out
 
@@ -604,9 +595,9 @@ class _ClauseParser:
 
     def predicate(self, marker: Optional[Token], lead_sep: Optional[Token] = None) -> Predicate:
         possessive = None
-        if _is_word(self.peek(), "pi"):
+        if self.peek() == "pi":
             if marker is None or not self.opts.pije_pi_possession:
-                raise GrammarError("pi cannot start a predicate", self.peek())
+                raise GrammarError("pi cannot start a predicate", self.toks[self.i])
             possessive = self.take()
             self.note("pi after li read as possession", possessive)
         if self.peek() is None:
@@ -615,9 +606,9 @@ class _ClauseParser:
         preverbs: list[Token] = []
         while (
             possessive is None
-            and _word_in(self.peek(), PREVERBS)
+            and self.peek() in PREVERBS
             and _can_head(self.peek(1))
-            and not _is_word(self.peek(1), "mu")
+            and self.peek(1) != "mu"
         ):
             pv = self.take()
             preverbs.append(pv)
@@ -634,18 +625,18 @@ class _ClauseParser:
         )
         while True:
             sep = None
-            if _is_comma(self.peek()):
-                if not (_is_word(self.peek(1), "e") or _word_in(self.peek(1), PREPOSITIONS)):
+            if self.peek() == ",":
+                if not (self.peek(1) == "e" or self.peek(1) in PREPOSITIONS):
                     break  # comma closes the predicate (fragment list or tail)
                 sep = self.take()
-            tok = self.peek()
-            if _is_word(tok, "e"):
-                self.i += 1
+            word = self.peek()
+            if word == "e":
+                e = self.take()
                 if not _can_head(self.peek()):
-                    raise GrammarError("e must introduce an object phrase", tok)
+                    raise GrammarError("e must introduce an object phrase", e)
                 obj = self.phrase(allow_conj=False)
-                pred.complements.append(ObjectArg(tok, obj, sep))
-            elif _word_in(tok, PREPOSITIONS):
+                pred.complements.append(ObjectArg(e, obj, sep))
+            elif word in PREPOSITIONS:
                 pred.complements.append(self.prep(sep))
             else:
                 break
@@ -656,24 +647,25 @@ class _ClauseParser:
     def clause_body(self, toks: list[Token], clause: Clause) -> None:
         """Parse one non-empty clause, without its la or terminator, into ``clause``."""
         # The tail: every token of "a!" or "mu mu!", else a trailing "[,] a".
-        cut = len(toks)
-        if all(_word_in(t, _INTERJECTIONS) for t in toks):
+        words = [t.surface for t in toks]
+        cut = len(words)
+        if set(words) <= _INTERJECTIONS:
             cut = 0
-        elif len(toks) >= 2 and _is_word(toks[-1], "a"):
-            cut -= 2 if _is_comma(toks[-2]) else 1
+        elif words[-1] == "a":  # not alone: a lone "a" is cut above
+            cut -= 2 if words[-2] == "," else 1
         toks, clause.tail = toks[:cut], toks[cut:]
         if not toks:
             self.note("interjection-only sentence")
             return
-        self.toks, self.i = toks, 0
+        self.toks, self.words, self.i = toks, words[:cut], 0
 
         # e at clause start (before any predicate head) is impossible.
         first = toks[0]
-        if _is_word(first, "e"):
+        if first.surface == "e":
             raise GrammarError("e before any predicate", first)
 
         # The first o or li tells a vocative from a subject.
-        split = next((k for k, t in enumerate(toks) if _word_in(t, ("o", "li"))), None)
+        split = next((k for k, w in enumerate(self.words) if w in ("o", "li")), None)
         marker: Optional[Token] = None
         if split == 0:
             # Imperative marked by a leading o, or a subjectless leading li.
@@ -685,28 +677,28 @@ class _ClauseParser:
             phrase = self.phrase(allow_conj=True)
             preps = self.preps()
             if self.i != split:
-                raise GrammarError("could not read the phrase before o", self.peek())
+                raise GrammarError("could not read the phrase before o", self.toks[self.i])
             o_tok = self.take()
-            comma = self.take() if _is_comma(self.peek()) else None
+            comma = self.take() if self.peek() == "," else None
             clause.vocative = Vocative(phrase, o_tok, comma, preps)
             if self.peek() is None:
                 self.note("vocative-only sentence", o_tok)
                 return
-            if _is_word(self.peek(), "li"):
+            if self.peek() == "li":
                 marker = self.take()
         elif split is not None:
             # Subject ... li ...
             subject = self.phrase(allow_conj=True)
             clause.subject_complements = self.preps()
             if self.i != split:
-                raise GrammarError("could not read the subject before li", self.peek())
+                raise GrammarError("could not read the subject before li", self.toks[self.i])
             clause.subject = subject
             bare = subject.head.surface in LI_LESS_SUBJECTS and not subject.modifiers \
                 and not subject.conj and not clause.subject_complements
             if bare and not self.opts.lenient_li:
                 self.warn("li after a bare mi or sina is non-canonical", toks[split])
             marker = self.take()
-        elif _word_in(first, LI_LESS_SUBJECTS) and len(toks) > 1:
+        elif first.surface in LI_LESS_SUBJECTS and len(toks) > 1:
             # Elided li after a bare mi / sina.
             clause.subject = PhraseNode(self.take())
             clause.li_elided = True
@@ -718,15 +710,15 @@ class _ClauseParser:
         sep = None
         while True:
             clause.predicates.append(self.predicate(marker, sep))
-            tok = self.peek()
-            if _word_in(tok, ("li", "o")):
+            word = self.peek()
+            if word in ("li", "o"):
                 marker, sep = self.take(), None
-            elif _is_comma(tok) and fragment and _can_head(self.peek(1)):
+            elif word == "," and fragment and _can_head(self.peek(1)):
                 marker, sep = None, self.take()
             else:
                 break
-        if tok is not None:
-            raise GrammarError("unparsed trailing material", tok)
+        if word is not None:
+            raise GrammarError("unparsed trailing material", self.toks[self.i])
 
     # sentence level --------------------------------------------------------
 
@@ -738,7 +730,7 @@ class _ClauseParser:
         contexts: list[Clause] = []
         start = 0
         for k, tok in enumerate(body):
-            if _is_word(tok, "la"):
+            if tok.surface == "la":
                 if k == start:
                     raise GrammarError("empty context clause before la", tok)
                 contexts.append(Clause(la_token=tok))
@@ -752,7 +744,7 @@ class _ClauseParser:
         # ":" standing for "e ni:" straight after a predicate.
         if (
             terminator is not None
-            and terminator.kind is TokenKind.COLON
+            and terminator.surface == ":"
             and clause.predicates
             and not clause.predicates[-1].complements
             and clause.predicates[-1].phrase.head.surface != "ni"
@@ -770,7 +762,7 @@ def parse(
     opts: ParseOptions = ParseOptions(),
     lex: Optional[Lexicon] = None,
 ) -> ParseResult:
-    """Parse a token stream into clauses.
+    """Parse a token stream, as :func:`tokenize` makes it, into clauses.
 
     One clause per sentence terminator; la-chains fold into ``contexts``
     (each earlier clause conditions the rest).  Ambiguities become NOTE
@@ -787,9 +779,7 @@ def parse(
     clauses: list[Clause] = []
     body: list[Token] = []
     for tok in tokens:
-        if tok.kind is TokenKind.COLON or (
-            tok.kind is TokenKind.PUNCT and tok.surface in TERMINATORS
-        ):
+        if tok.surface in TERMINATORS or tok.surface == ":":
             clauses.append(parser.sentence(body, tok))
             body = []
         else:
@@ -921,7 +911,7 @@ def pos_tag(
     for tok, tag in clause.walk():
         if tok.kind is TokenKind.PROPER:
             tag = TagValue.PROPER
-        elif tok.kind is TokenKind.WORD and tok.surface == "seme":
+        elif tok.surface == "seme":
             # Particles keep their particle nature wherever they landed.
             tag = TagValue.PARTICLE
         elif resolve_with_dictionary and isinstance(tag, Hybrid):

@@ -8,6 +8,7 @@ particles.
 import json
 import re
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as hst
@@ -25,6 +26,7 @@ from tokipona.grammar import (
     TERMINATORS,
     Token,
     TokenKind,
+    _can_head,
     detokenize,
     parse,
     parse_text,
@@ -34,7 +36,7 @@ from tokipona.grammar import (
     render_record,
     tokenize,
 )
-from tokipona.lexicon import PREPOSITIONS, load_lexicon
+from tokipona.lexicon import PREPOSITIONS, PURE_PARTICLES, load_lexicon
 from tokipona.phonotactics import validate_proper_noun
 
 HYBRID_NVA = frozenset({TagValue.NOUN, TagValue.VERB, TagValue.ADJECTIVE})
@@ -371,6 +373,64 @@ def test_pure_particles_never_head_phrases(corpus_lines):
                 check_phrase(clause.subject)
 
 
+# --- parser: surfaces ----------------------------------------------------------
+
+DOCUMENT = Path(__file__).parent.parent / "perfbench" / "data" / "document.txt"
+#: Names spelled like particles: the parser must read each as a name.
+PARTICLE_NAMES = ("Li", "E", "Pi", "La", "O", "En", "Anu", "Seme", "Mu", "A")
+
+
+def _ref_is_word(tok, surface):
+    """Reference for the surface rules: a lexicon word told by its token kind."""
+    return tok is not None and tok.kind is TokenKind.WORD and tok.surface == surface
+
+
+def _ref_can_head(tok):
+    if tok is None:
+        return False
+    if tok.kind is TokenKind.PROPER:
+        return True
+    return tok.kind is TokenKind.WORD and (
+        tok.surface in ("seme", "mu") or tok.surface not in PURE_PARTICLES
+    )
+
+
+def test_surfaces_decide_as_token_kinds_did(corpus_lines, lexicon):
+    """Every token that can reach a clause body, from the corpus, the benchmark
+    document and the particle-shaped names, gets the same answer from its
+    surface as from its kind.  Each name tokenizes as a name, not an error."""
+    texts = corpus_lines + [DOCUMENT.read_text("utf-8"), " ".join(PARTICLE_NAMES) + ", Mali."]
+    body = {
+        (t.surface, t.kind): t
+        for text in texts for t in tokenize(text)
+        if t.surface not in TERMINATORS and t.surface != ":"
+    }
+    assert {kind for _, kind in body} == {TokenKind.WORD, TokenKind.PROPER, TokenKind.PUNCT}
+    for tok in body.values():
+        assert _can_head(tok.surface) == _ref_can_head(tok), tok
+        assert (tok.surface == ",") == (tok.kind is TokenKind.PUNCT), tok
+        assert tok.surface[0].isupper() == (tok.kind is TokenKind.PROPER), tok
+        for entry in lexicon:
+            assert (tok.surface == entry.surface) == _ref_is_word(tok, entry.surface), tok
+    assert not _can_head(None) and not _ref_can_head(None)
+
+
+@pytest.mark.parametrize("name", PARTICLE_NAMES)
+@pytest.mark.parametrize("text", ["X li moku.", "jan X li moku e X.", "mi moku lon X."])
+def test_particle_shaped_name_parses_as_a_name(name, text):
+    """A name spelled like a particle parses as "Mali" does, with only the surface swapped."""
+    def parsed(n):
+        result = parse_text(text.replace("X", n))
+        records = json.dumps([c.to_dict() for c in result.clauses])
+        tags = {t.surface: tag for c in result.clauses for t, tag in pos_tag(c).items()}
+        return records, [(d.severity, d.message) for d in result.diagnostics], tags
+    records, diags, tags = parsed(name)
+    mali_records, mali_diags, _ = parsed("Mali")
+    assert records == mali_records.replace('"Mali"', json.dumps(name))
+    assert diags == mali_diags
+    assert tags[name] is TagValue.PROPER
+
+
 # --- round trip ------------------------------------------------------------
 
 def test_corpus_roundtrip(corpus_lines):
@@ -405,9 +465,12 @@ _WORDS = sorted(e.surface for e in load_lexicon())
 _CONTENT = sorted(e.surface for e in load_lexicon().content_words())
 #: The particles, prepositions and punctuation that give a sentence its shape.
 _SHAPERS = ["li", "e", "pi", "la", "o", "en", "anu", *sorted(PREPOSITIONS), ",", ":"]
-#: A shaper as often as any other lexicon word.
-_fuzz_word = hst.one_of(hst.sampled_from(_WORDS), hst.sampled_from(_SHAPERS))
-#: Random text: words and punctuation in any order.
+#: A shaper, or a particle-shaped name or the unknown word "xq", as often as any
+#: other lexicon word.
+_fuzz_word = hst.one_of(
+    hst.sampled_from(_WORDS), hst.sampled_from(_SHAPERS), hst.sampled_from([*PARTICLE_NAMES, "xq"])
+)
+#: Random text: words, names, an unknown word and punctuation in any order.
 _token_soup = hst.lists(
     hst.one_of(_fuzz_word, hst.sampled_from(list(".!?"))), max_size=20
 ).map(" ".join)
