@@ -42,17 +42,37 @@ PUNCTUATION = ".!?,:"
 _TOKEN_RE = re.compile(rf"[A-Za-z]+|[{PUNCTUATION}]|\S")
 
 
-@dataclass(frozen=True, slots=True)
 class Token:
     """One match of the tokenizer with its kind and, for ERROR, a note.
 
-    Slotted: a token takes no attributes beyond its fields."""
+    A plain slotted class, not a frozen dataclass, because a document pass
+    builds one per word: it takes no attributes beyond its fields, equals
+    another token with the same five fields, and is read-only by contract
+    rather than frozen.  The hash reads ``surface``, ``start`` and ``end``
+    only (equal tokens still hash equal), which spares hashing the enum."""
 
-    surface: str
-    kind: TokenKind
-    start: int
-    end: int
-    note: Optional[str] = None
+    __slots__ = ("surface", "kind", "start", "end", "note")
+
+    def __init__(self, surface: str, kind: TokenKind, start: int, end: int,
+                 note: Optional[str] = None):
+        self.surface = surface
+        self.kind = kind
+        self.start = start
+        self.end = end
+        self.note = note
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Token):
+            return NotImplemented
+        return (self.surface, self.kind, self.start, self.end, self.note) == (
+            other.surface, other.kind, other.start, other.end, other.note)
+
+    def __hash__(self) -> int:
+        return hash((self.surface, self.start, self.end))
+
+    def __repr__(self) -> str:
+        return (f"Token(surface={self.surface!r}, kind={self.kind!r}, start={self.start!r}, "
+                f"end={self.end!r}, note={self.note!r})")
 
     def __str__(self) -> str:
         return self.surface
@@ -508,14 +528,14 @@ class _ClauseParser:
         self.opts = opts
         self.diags: list[Diagnostic] = []
         self.toks: Sequence[Token] = ()
-        self.words: Sequence[str] = ()
+        self.words: Sequence[Optional[str]] = ()
         self.i = 0
 
     # helpers ------------------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Optional[str]:
-        j = self.i + ahead
-        return self.words[j] if j < len(self.words) else None
+        # clause_body ends the surfaces with two None: peek looks one ahead at most.
+        return self.words[self.i + ahead]
 
     def take(self) -> Token:
         self.i += 1
@@ -657,7 +677,7 @@ class _ClauseParser:
         if not toks:
             self.note("interjection-only sentence")
             return
-        self.toks, self.words, self.i = toks, words[:cut], 0
+        self.toks, self.words, self.i = toks, words[:cut] + [None, None], 0
 
         # e at clause start (before any predicate head) is impossible.
         first = toks[0]

@@ -57,6 +57,8 @@ _SGR = {
     256: {name: f"38;5;{index}" for name, (_, _, _, index) in _STYLES.items()},
 }
 _KIND_GROUPS = {TokenKind.PROPER: "tpPROPER", TokenKind.ERROR: "tpERROR"}
+#: The tokenizer's pattern as one capturing group: ``split`` keeps the tokens.
+_PIECE_RE = re.compile(f"({_TOKEN_RE.pattern})")
 
 
 @dataclass(frozen=True)
@@ -164,27 +166,23 @@ def _render(
     paint: Callable[[str, str], str],
 ) -> str:
     """Replace each token of ``text`` by its escaped text, passed to ``paint``
-    with its group; punctuation is only escaped.  Each distinct surface is
-    classified, escaped and painted once per call.  The text between tokens
-    is whitespace, which ``escape`` leaves alone, so it passes through as it
-    is."""
+    with its group; punctuation is only escaped.  The text is split once into
+    gaps and tokens, and each distinct surface is classified, escaped and
+    painted once per call.  The gaps are whitespace, which ``escape`` leaves
+    alone, so they pass through as they are."""
     lex = lex or default_lexicon()
     scheme = scheme if scheme is not None else build_scheme(lex)
     # Reversed, so that the first group listing a word wins.
     group_of = {w: g.name for g in reversed(scheme) for w in g.members}
+    parts = _PIECE_RE.split(text)  # gap, token, gap, ..., gap
     chunks: dict[str, str] = {}
-
-    def chunk(m: re.Match) -> str:
-        s = m.group()
-        out = chunks.get(s)
-        if out is None:
-            kind, _ = classify(s, lex)
-            # Punctuation keeps the default color.
-            group = group_of.get(s, "") if kind is TokenKind.WORD else _KIND_GROUPS.get(kind, "")
-            out = chunks[s] = paint(group, escape(s)) if group else escape(s)
-        return out
-
-    return _TOKEN_RE.sub(chunk, text)
+    for s in set(parts[1::2]):
+        kind, _ = classify(s, lex)
+        # Punctuation keeps the default color.
+        group = group_of.get(s, "") if kind is TokenKind.WORD else _KIND_GROUPS.get(kind, "")
+        chunks[s] = paint(group, escape(s)) if group else escape(s)
+    parts[1::2] = map(chunks.__getitem__, parts[1::2])
+    return "".join(parts)
 
 
 def render_html(

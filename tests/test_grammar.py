@@ -7,8 +7,10 @@ particles.
 
 import json
 import re
+from dataclasses import dataclass
 from math import comb
 from pathlib import Path
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as hst
@@ -126,6 +128,52 @@ def _fields(tokens):
 @settings(max_examples=500, deadline=None)
 def test_tokenize_matches_the_old_tokenizer(text):
     assert _fields(tokenize(text, _LEX)) == _fields(_old_tokenize(text, _LEX))
+
+
+@dataclass(frozen=True, slots=True)
+class _OldToken:
+    """The frozen dataclass that ``Token`` was, kept to compare ``repr``."""
+
+    surface: str
+    kind: TokenKind
+    start: int
+    end: int
+    note: Optional[str] = None
+
+
+_OldToken.__qualname__ = "Token"  # the name its repr printed
+
+
+@given(_mixed_text)
+@settings(max_examples=300, deadline=None)
+def test_tokens_are_equal_and_hashed_by_value(text):
+    first, second = tokenize(text, _LEX), tokenize(text, _LEX)
+    assert first == second
+    for a, b in zip(first, second):
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert repr(a) == repr(_OldToken(*_fields([a])[0]))
+        assert str(a) == a.surface
+
+
+def test_token_fields_each_decide_equality():
+    tok = Token("moku", TokenKind.WORD, 3, 7)
+    assert tok == Token("moku", TokenKind.WORD, 3, 7, None)
+    for other in (
+        Token("soweli", TokenKind.WORD, 3, 7),
+        Token("moku", TokenKind.ERROR, 3, 7),
+        Token("moku", TokenKind.WORD, 4, 7),
+        Token("moku", TokenKind.WORD, 3, 8),
+        Token("moku", TokenKind.WORD, 3, 7, "unknown word"),
+    ):
+        assert tok != other and not tok == other
+    assert (tok == tok.surface) is False
+    assert tok != ("moku", TokenKind.WORD, 3, 7, None)
+    assert repr(tok) == "Token(surface='moku', kind=<TokenKind.WORD: 'word'>, start=3, end=7, note=None)"
+    assert str(tok) == "moku"
+    with pytest.raises(AttributeError):
+        tok.foo = 1
 
 
 def _bundled_lexicon_text():

@@ -1,6 +1,7 @@
 """Highlight schemes: partition laws, merge modes, and the emitters."""
 
 import html
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as hst
@@ -245,3 +246,36 @@ def test_render_matches_the_token_by_token_loop(text, mode):
     assert render_html(text, scheme, _LEX) == _old_render_html(text, ref, _LEX)
     for depth in (16, 256):
         assert render_ansi(text, scheme, _LEX, depth) == _old_render_ansi(text, ref, _LEX, depth)
+
+
+_SGR_RE = re.compile(r"\x1b\[[0-9;]*m")
+_HTML_TAG_RE = re.compile(r"<[^>]*>")
+_HTML_BODY = re.compile(r"<pre>(.*)</pre>", re.S)
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "   ",
+    "\n",
+    "\t\n ",
+    "  mi moku.",
+    "mi moku.\n\n",
+    " \tjan Mali li toki. \n",
+    "moku.moku,Mali:",
+    "mi&moku<li>pona",
+    "&<>",
+    " <mi> & <sina> ",
+])
+def test_render_gaps_pass_through(text):
+    """Edge cases of the split into gaps and tokens: no tokens, whitespace
+    at either end, tokens with no gap between them, and escaped characters
+    next to words.  The uncolored output gives back the text."""
+    html_out = render_html(text, lex=_LEX)
+    assert html_out == _old_render_html(text, _SCHEMES[MergeMode.FULL], _LEX)
+    body = _HTML_BODY.search(html_out).group(1)
+    assert html.unescape(_HTML_TAG_RE.sub("", body)) == text
+    for depth in (16, 256):
+        ansi_out = render_ansi(text, lex=_LEX, color_depth=depth)
+        assert ansi_out == _old_render_ansi(text, _SCHEMES[MergeMode.FULL], _LEX, depth)
+        assert _SGR_RE.sub("", ansi_out) == text
+
