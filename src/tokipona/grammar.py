@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from math import comb
 from typing import Iterator, Optional, Sequence, Union
 
 from .lexicon import (
@@ -836,22 +837,11 @@ def _as_tokens(phrase: Sequence[Union[Token, str]]) -> list[Token]:
     return toks
 
 
-def pi_readings(phrase: Sequence[Union[Token, str]]) -> list[PhraseNode]:
-    """All structurally consistent groupings of a phrase with pi particles.
+_PiGroups = list[tuple[Token, list[Token]]]  # each pi with the words of its group
 
-    A pi group always extends to the next pi (or the end); each later
-    group may qualify the phrase at any nesting level that is still
-    open, so k groups admit a Catalan number of readings.  Readings are
-    ordered deterministically, attaching to the outermost (leftmost)
-    phrase first.
 
-    Readings share the phrase objects of closed pi groups (path copying:
-    each group copies only the open phrases it attaches through), so the
-    returned trees are read-only: mutating one may change others.
-
-    Each item must be one word: a WORD or PROPER token, or an
-    alphanumeric string; anything else raises ``GrammarError``.
-    """
+def _pi_segments(phrase: Sequence[Union[Token, str]]) -> tuple[list[Token], _PiGroups]:
+    """The words before the first pi, and each pi group."""
     toks = _as_tokens(phrase)
     if not toks:
         raise GrammarError("empty phrase")
@@ -871,25 +861,80 @@ def pi_readings(phrase: Sequence[Union[Token, str]]) -> list[PhraseNode]:
             message = ("dangling pi at phrase end" if k == len(groups) - 1
                        else "pi group has no words before the next pi")
             raise GrammarError(message, pi_tokens[k])
+    return base, list(zip(pi_tokens, groups))
 
-    # Each partial reading is its open spine, root first; the last group
-    # attached to spine[i] holds spine[i + 1].  Extending the spines in
-    # order, outermost level first, keeps the readings in that order.
-    spines = [[PhraseNode(base[0], base[1:])]]
-    for pi, g in zip(pi_tokens, groups):
-        extended = []
-        for spine in spines:
-            for level in range(len(spine)):
-                leaf = PhraseNode(g[0], g[1:])
-                node = spine[level]
-                path = [leaf, PhraseNode(node.head, node.modifiers + [PiGroup(pi, leaf)])]
-                for node in reversed(spine[:level]):
-                    group = PiGroup(node.modifiers[-1].pi_token, path[-1])
-                    path.append(PhraseNode(node.head, node.modifiers[:-1] + [group]))
-                path.reverse()
-                extended.append(path)
-        spines = extended
-    return [spine[0] for spine in spines]
+
+def iter_pi_readings(phrase: Sequence[Union[Token, str]]) -> Iterator[PhraseNode]:
+    """All structurally consistent groupings of a phrase with pi particles.
+
+    A pi group always extends to the next pi (or the end); each later
+    group may qualify the phrase at any nesting level that is still
+    open, so k groups admit a Catalan number of readings
+    (``pi_reading_count``).  Readings are ordered deterministically,
+    attaching to the outermost (leftmost) phrase first.
+
+    The phrase is checked at the call; the readings are then made one at
+    a time, depth first, holding O(k^2) nodes however many are taken.
+    One call's readings share nodes (path copying: each group copies only
+    the open phrases it attaches through), each pi group's own phrase, and
+    one empty ``conj`` list, so they are read-only: mutating one may
+    change others.  Two calls share nothing.
+
+    Each item must be one word: a WORD or PROPER token, or an
+    alphanumeric string; anything else raises ``GrammarError``.
+    """
+    base, groups = _pi_segments(phrase)
+    return _pi_readings(base, groups)
+
+
+def _pi_readings(base: list[Token], groups: _PiGroups) -> Iterator[PhraseNode]:
+    no_conj: list = []
+    attached = [PiGroup(pi, PhraseNode(g[0], g[1:], no_conj)) for pi, g in groups]
+    root = PhraseNode(base[0], base[1:], no_conj)
+    if not attached:
+        yield root
+        return
+    last = len(attached) - 1
+    # Each frame holds a partial reading's open spine, root first (the last
+    # group attached to spine[i] holds spine[i + 1]), the group to attach
+    # and the level to attach it at next.  Trying the levels outermost
+    # first keeps the readings in that order.
+    stack = [[[root], 0, 0]]
+    while stack:
+        frame = stack[-1]
+        spine, k, level = frame
+        if level == len(spine):
+            stack.pop()
+            continue
+        frame[2] = level + 1
+        group = attached[k]
+        node = spine[level]
+        node = PhraseNode(node.head, [*node.modifiers, group], no_conj)
+        if k == last:
+            for up in reversed(spine[:level]):
+                group = PiGroup(up.modifiers[-1].pi_token, node)
+                node = PhraseNode(up.head, [*up.modifiers[:-1], group], no_conj)
+            yield node
+        else:
+            path = [group.inner, node]
+            for up in reversed(spine[:level]):
+                group = PiGroup(up.modifiers[-1].pi_token, node)
+                node = PhraseNode(up.head, [*up.modifiers[:-1], group], no_conj)
+                path.append(node)
+            path.reverse()
+            stack.append([path, k + 1, 0])
+
+
+def pi_readings(phrase: Sequence[Union[Token, str]]) -> list[PhraseNode]:
+    """``iter_pi_readings`` as a list."""
+    return list(iter_pi_readings(phrase))
+
+
+def pi_reading_count(phrase: Sequence[Union[Token, str]]) -> int:
+    """How many readings ``pi_readings`` gives, without making them: the
+    Catalan number of the phrase's k pi groups.  Checks like ``pi_readings``."""
+    k = len(_pi_segments(phrase)[1])
+    return comb(2 * k, k) // (k + 1)
 
 
 def render_grouping(phrase: PhraseNode) -> str:

@@ -321,7 +321,8 @@ class Synthesizer:
         within the bounds.  Each sentence is drawn exactly conditioned on
         fitting what is left of them after keeping room for the shortest
         sentence in each one still to come."""
-        least_words, least_letters = self._tables.shortest_sentence
+        tables = self._tables
+        least_words, least_letters = tables.shortest_sentence
         need_words = spec.sentences * least_words
         need_letters = spec.sentences * least_letters
         # What is left of each bound beyond the shortest sentences.
@@ -335,7 +336,7 @@ class Synthesizer:
         sentences: list[str] = []
         for _ in range(spec.sentences):
             bounds = words + least_words, letters + least_letters
-            text = self._drawn(self._sentence, *bounds, at_most=True) + "."
+            text = self._drawn(tables.sentence, *bounds, at_most=True) + "."
             words -= len(text.split()) - least_words
             letters -= letter_count(text) - least_letters
             sentences.append(text)
@@ -353,7 +354,7 @@ class Synthesizer:
         tables, letters = self._tables, spec.phonemes_per_verse
         if letters not in tables.verse_support:
             raise SynthError(f"verses have {spans(tables.verse_support)} letters, not {letters}")
-        verses = [[self._drawn(self._verse, math.inf, letters, at_most=False)
+        verses = [[self._drawn(tables.verse, math.inf, letters, at_most=False)
                    for _ in range(spec.verses_per_stanza)] for _ in range(spec.stanzas)]
         return "\n\n".join("\n".join(stanza) for stanza in verses)
 

@@ -7,7 +7,9 @@ particles.
 
 import json
 import re
+import tracemalloc
 from dataclasses import dataclass
+from itertools import islice
 from math import comb
 from pathlib import Path
 from typing import Optional
@@ -30,8 +32,10 @@ from tokipona.grammar import (
     TokenKind,
     _can_head,
     detokenize,
+    iter_pi_readings,
     parse,
     parse_text,
+    pi_reading_count,
     pi_readings,
     pos_tag,
     render_grouping,
@@ -783,6 +787,95 @@ def test_pi_readings_offsets_continue_after_tokens():
     ]
 
 
+#: Every phrase ``pi_readings`` refuses, with the message it gives.
+PI_ERRORS = [
+    (["pi", "toki", "pona"], "pi in initial position"),
+    (["jan", "pi"], "dangling pi at phrase end"),
+    (["jan", "pi", "toki", "pi"], "dangling pi at phrase end"),
+    ([], "empty phrase"),
+    (["jan", "pi", "pi", "x"], "pi group has no words before the next pi"),
+    (tokenize("jan pi toki pi pi"), "pi group has no words before the next pi"),
+    (tokenize("jan pi toki. xq"), r"not a word: punct token \(at '\.', 11\.\.12\)"),
+    (tokenize("jan pi toki xq"), r"not a word: error token \(at 'xq'"),
+    (["jan", "pi", "toki pona", ""], r"not a single word: 'toki pona'"),
+    (["jan", "pi", "toki", ""], r"not a single word: ''"),
+]
+
+
+@pytest.mark.parametrize("items, message", PI_ERRORS)
+def test_pi_errors_raise_at_the_call(items, message):
+    # The generator checks the phrase before it is returned, and the count
+    # checks it like the list.
+    for call in (pi_readings, iter_pi_readings, pi_reading_count):
+        with pytest.raises(GrammarError, match=message):
+            call(items)
+
+
+def _phrase(k):
+    words = ["w0", "w1"]
+    for i in range(k):
+        words += ["pi", f"a{i}", f"b{i}"]
+    return words
+
+
+def test_pi_reading_count_is_the_catalan_number():
+    # The Catalan numbers by their own recurrence, C(n + 1) = sum C(i) C(n - i).
+    catalan = [1]
+    for n in range(200):
+        catalan.append(sum(catalan[i] * catalan[n - i] for i in range(n + 1)))
+    for k in range(201):
+        assert pi_reading_count(_phrase(k)) == catalan[k]
+    assert pi_reading_count(["jan"]) == 1
+
+
+def test_pi_readings_of_a_long_phrase_are_made_one_at_a_time():
+    first, second, *rest = islice(iter_pi_readings(_phrase(3000)), 5)
+    assert len(rest) == 3
+    # the first reading attaches every group to the root
+    assert first.head.surface == "w0" and first.modifiers[0].surface == "w1"
+    groups = first.modifiers[1:]
+    assert [g.inner.head.surface for g in groups] == [f"a{i}" for i in range(3000)]
+    assert all([m.surface for m in g.inner.modifiers] == [f"b{i}"] for i, g in enumerate(groups))
+    # the next one moves the last group into the one before
+    assert second.modifiers[:-1] == first.modifiers[:-2]
+    inner = second.modifiers[-1].inner
+    assert render_grouping(inner) == "a2998 b2998 [a2999 b2999]"
+
+
+def test_pi_readings_memory_does_not_grow_with_the_reading_count():
+    # Catalan(200) readings could never all be held; the first 100 take
+    # about 0.6 MB on CPython 3.11.
+    phrase = _phrase(200)
+    tracemalloc.start()
+    try:
+        readings = list(islice(iter_pi_readings(phrase), 100))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(readings) == 100
+    assert peak < 2_000_000
+
+
+def _nodes(phrase, out):
+    out.append(phrase)
+    out.append(phrase.conj)
+    for m in phrase.modifiers:
+        if isinstance(m, PiGroup):
+            out.append(m)
+            _nodes(m.inner, out)
+    for _, ph in phrase.conj:
+        _nodes(ph, out)
+    return out
+
+
+def test_pi_readings_of_two_calls_share_nothing():
+    words = _phrase(5)
+    first, second = pi_readings(words), pi_readings(words)
+    assert first == second
+    ids = [{id(x) for r in readings for x in _nodes(r, [])} for readings in (first, second)]
+    assert not ids[0] & ids[1]
+
+
 def _level_vector_readings(toks):
     """The readings as the level-vector builder made them: every reading
     built from scratch, in lexicographic order of its attachment levels."""
@@ -824,8 +917,9 @@ def _check_against_level_vectors(items):
     toks = list(readings[0].tokens())
     want = _level_vector_readings(toks)
     assert [render_grouping(r) for r in readings] == [render_grouping(r) for r in want]
+    assert readings == want
     k = sum(t.surface == "pi" for t in toks)
-    assert len(readings) == comb(2 * k, k) // (k + 1)
+    assert len(readings) == comb(2 * k, k) // (k + 1) == pi_reading_count(items)
     for r in readings:
         got = list(r.tokens())
         assert len(got) == len(toks) and all(a is b for a, b in zip(got, toks))
@@ -834,10 +928,7 @@ def _check_against_level_vectors(items):
 
 def test_pi_readings_match_level_vector_builder():
     for k in range(10):
-        words = ["w0", "w1"]
-        for i in range(k):
-            words += ["pi", f"a{i}", f"b{i}"]
-        _check_against_level_vectors(words)
+        _check_against_level_vectors(_phrase(k))
 
 
 @given(

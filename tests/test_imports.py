@@ -112,8 +112,8 @@ PUBLIC = {
     "phonotactics": ["CountingMode", "PhonotacticsError", "Syllable", "count_possible_words",
                      "syllabify", "validate_proper_noun", "validate_word"],
     "grammar": ["Clause", "Diagnostic", "GrammarError", "ParseOptions", "ParseResult",
-                "PhraseNode", "PiGroup", "Token", "parse", "parse_text", "pi_readings",
-                "pos_tag", "tokenize"],
+                "PhraseNode", "PiGroup", "Token", "iter_pi_readings", "parse", "parse_text",
+                "pi_reading_count", "pi_readings", "pos_tag", "tokenize"],
     "synth": ["ComposeUnit", "ContextTracker", "ParagraphSpec", "PoemSpec", "SynthConfig",
               "SynthError", "Synthesizer"],
     "highlight": ["HighlightGroup", "MergeMode", "build_scheme", "emit_filetype_detect",
