@@ -158,6 +158,12 @@ def emit_filetype_detect() -> str:
 
 # --- rendering -------------------------------------------------------------
 
+@cache
+def _default_scheme() -> list[HighlightGroup]:
+    """The scheme of the bundled lexicon, built once, as it is loaded once."""
+    return build_scheme(default_lexicon())
+
+
 def _render(
     text: str,
     scheme: Optional[list[HighlightGroup]],
@@ -170,8 +176,9 @@ def _render(
     gaps and tokens, and each distinct surface is classified, escaped and
     painted once per call.  The gaps are whitespace, which ``escape`` leaves
     alone, so they pass through as they are."""
+    if scheme is None:
+        scheme = _default_scheme() if lex is None else build_scheme(lex)
     lex = lex or default_lexicon()
-    scheme = scheme if scheme is not None else build_scheme(lex)
     # Reversed, so that the first group listing a word wins.
     group_of = {w: g.name for g in reversed(scheme) for w in g.members}
     parts = _PIECE_RE.split(text)  # gap, token, gap, ..., gap

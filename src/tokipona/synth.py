@@ -72,9 +72,15 @@ class SynthConfig:
 class ContextTracker:
     """Multiset of content words already emitted, optionally windowed.
 
-    It also keeps the draw weights ``1 + bias * count`` of the word pool a
-    Synthesizer last drew from, so that a draw need not rebuild them;
-    ``observe`` is the only way to change the counts, and keeps both in step.
+    For the word pool a Synthesizer last drew from, it also keeps the draw
+    weights ``1 + bias * count`` as a list, and the counts in a Fenwick tree
+    (Fenwick 1994, "A new data structure for cumulative frequency tables"),
+    so that a draw need not rebuild them; ``observe`` is the only way to
+    change the counts, and keeps all of them in step.  The tree holds integer
+    counts only, so a change of bias needs no new tree.  It is padded with
+    empty slots to the power of two above the pool's size, so ``find``
+    descends it in log2 steps with no bound check, and one use changes the
+    nodes on one path.
     """
 
     def __init__(self, capacity: Optional[int] = None):
@@ -86,10 +92,12 @@ class ContextTracker:
         self._index: dict[str, int] = {}
         self._bias = 0.0
         self._weights: list[float] = []
+        self._tree: list[int] = [0]  # node i sums the counts of (i - (i & -i), i]
+        self._uses = 0  # the counts of the pool's words, summed
 
     def observe(self, word: str):
         self.counts[word] += 1
-        self._reweigh(word)
+        self._reweigh(word, 1)
         if self.capacity is not None:
             self._order.append(word)
             while len(self._order) > self.capacity:
@@ -97,12 +105,17 @@ class ContextTracker:
                 self.counts[old] -= 1
                 if self.counts[old] <= 0:
                     del self.counts[old]
-                self._reweigh(old)
+                self._reweigh(old, -1)
 
-    def _reweigh(self, word: str):
+    def _reweigh(self, word: str, change: int):
         i = self._index.get(word)
         if i is not None:
             self._weights[i] = 1.0 + self._bias * self.counts.get(word, 0)
+            self._uses += change
+            tree, i = self._tree, i + 1
+            while i < len(tree):
+                tree[i] += change
+                i += i & -i
 
     def weights(self, index: dict[str, int], bias: float) -> list[float]:
         """``1 + bias * count`` for each word of ``index``, in its order.
@@ -112,9 +125,48 @@ class ContextTracker:
         integer count, so it equals a rebuilt one exactly.
         """
         if index is not self._index or bias != self._bias:
+            counts = [self.counts.get(w, 0) for w in index]
+            if index is not self._index:
+                tree = [0] * (1 << len(index).bit_length())
+                tree[1:len(index) + 1] = counts
+                for i in range(1, len(tree)):
+                    parent = i + (i & -i)
+                    if parent < len(tree):
+                        tree[parent] += tree[i]
+                self._tree, self._uses = tree, sum(counts)
             self._index, self._bias = index, bias
-            self._weights = [1.0 + bias * self.counts.get(w, 0) for w in index]
+            self._weights = [1.0 + bias * c for c in counts]
         return self._weights
+
+    def find(self, index: dict[str, int], bias: float, u: float) -> Optional[int]:
+        """The position of the word whose running sum of ``weights(index,
+        bias)`` first exceeds ``u`` times their total, or None near an edge.
+
+        The descent compares the roll with each node's running sum, ``size +
+        bias * count_sum``, computed from integers.  Each of these sums, and
+        each running sum of the weights added left to right, lies within
+        about ``n * 2**-52`` of the total from its real value.  So a roll
+        more than ``1e-9`` of the total from both edges of a word picks that
+        word in both; nearer an edge, or past the pool, the answer is None,
+        and the caller adds the weights left to right to decide.
+        """
+        weights = self.weights(index, bias)
+        tree = self._tree
+        total = len(weights) + bias * self._uses
+        roll = u * total
+        pos = uses = 0
+        step = len(tree) >> 1
+        while step:
+            node = pos + step
+            count = uses + tree[node]
+            if node + bias * count <= roll:
+                pos, uses = node, count
+            step >>= 1
+        if pos < len(weights):
+            low, band = pos + bias * uses, 1e-9 * total
+            if low + band < roll < low + weights[pos] - band:
+                return pos
+        return None
 
     def count(self, word: str) -> int:
         return self.counts.get(word, 0)
@@ -128,6 +180,7 @@ class ContextTracker:
         clone._order = deque(self._order)
         clone._index, clone._bias = self._index, self._bias
         clone._weights = list(self._weights)
+        clone._tree, clone._uses = list(self._tree), self._uses
         return clone
 
 
@@ -228,11 +281,22 @@ class Synthesizer:
     # sampling -----------------------------------------------------------
 
     def sample_word(self, tracker: Optional[ContextTracker] = None) -> str:
-        """Draw a content word; each candidate weighs 1 + reuse_bias * uses."""
+        """Draw a content word; each candidate weighs 1 + reuse_bias * uses.
+
+        One roll ``u`` picks the first word whose running sum of weights,
+        added left to right, exceeds ``u`` times their total.  The tracker's
+        tree finds it in log n steps; when the roll lies too near an edge for
+        the tree to be sure, the running sums are added left to right, with
+        the same ``u``.  So every pick is the left-to-right draw's.
+        """
         tracker = tracker if tracker is not None else self.tracker
-        weights = tracker.weights(self._pool_index, self.cfg.reuse_bias)
-        cumulative = list(accumulate(weights))
-        word = _pick(self._pool, cumulative, self.rng.random() * cumulative[-1])
+        u = self.rng.random()
+        i = tracker.find(self._pool_index, self.cfg.reuse_bias, u)
+        if i is None:
+            cumulative = list(accumulate(tracker.weights(self._pool_index, self.cfg.reuse_bias)))
+            word = _pick(self._pool, cumulative, u * cumulative[-1])
+        else:
+            word = self._pool[i]
         tracker.observe(word)
         return word
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from conftest import classify_syntax_lines
+from tokipona import highlight
 from tokipona.grammar import TokenKind, tokenize
 from tokipona.highlight import (
     _HTML_COLORS,
@@ -18,7 +19,7 @@ from tokipona.highlight import (
     render_ansi,
     render_html,
 )
-from tokipona.lexicon import load_lexicon
+from tokipona.lexicon import default_lexicon, load_lexicon
 
 
 def _keyword_groups(scheme):
@@ -165,6 +166,25 @@ def test_render_ansi_proper_nouns(lexicon):
     out = render_ansi("jan Pije", lex=lexicon)
     assert "Pije" in out
     assert "\x1b[92mPije" in out  # proper-noun palette entry
+
+
+def test_render_without_a_scheme_builds_the_default_one_once(monkeypatch):
+    built = []
+
+    def counted_build_scheme(lex, *args):
+        built.append(lex)
+        return build_scheme(lex, *args)
+
+    highlight._default_scheme.cache_clear()
+    monkeypatch.setattr(highlight, "build_scheme", counted_build_scheme)
+    text = "mi moku e kili. jan Pije li <3 & xyzzy"
+    lex = default_lexicon()
+    scheme = build_scheme(lex)
+    for _ in range(2):
+        assert render_html(text) == render_html(text, scheme, lex)
+        for depth in (16, 256):
+            assert render_ansi(text, color_depth=depth) == render_ansi(text, scheme, lex, depth)
+    assert built == [lex]
 
 
 # --- rendering against the token-by-token loop ------------------------------

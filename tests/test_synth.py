@@ -5,6 +5,7 @@ import math
 import random
 from collections import Counter
 from importlib import resources
+from itertools import accumulate
 from types import SimpleNamespace
 
 import pytest
@@ -12,7 +13,15 @@ from hypothesis import given, settings, strategies as hst
 
 from tokipona.grammar import PiGroup, parse_text, pi_readings
 from tokipona.counting import Letters
-from tokipona.lexicon import PURE_PARTICLES, SOLE_PREPOSITIONS, load_lexicon
+from tokipona import synth
+from tokipona.lexicon import (
+    PREPOSITIONS,
+    PREVERBS,
+    PURE_PARTICLES,
+    SOLE_PREPOSITIONS,
+    Lexicon,
+    load_lexicon,
+)
 from tokipona.stats import SentenceSpaceQuery, sentence_space
 from tokipona.synth import (
     ComposeUnit,
@@ -117,11 +126,17 @@ def test_tracker_weighting_statistics():
 
 
 def _linear_scan_draw(pool, tracker, bias, rng):
-    """The draw as a rebuild of every weight and a linear scan."""
+    """The draw as a rebuild of every weight and a linear scan.  The total is
+    a running sum too, as the draw's is: from Python 3.12 on, ``sum`` of
+    floats is compensated, so it can differ from the running sum in the last
+    bit."""
     if bias == 0.0 or not tracker.counts:
         return pool[int(rng.random() * len(pool)) % len(pool)]
     weights = [1.0 + bias * tracker.count(w) for w in pool]
-    roll = rng.random() * sum(weights)
+    total = 0.0
+    for weight in weights:
+        total += weight
+    roll = rng.random() * total
     acc = 0.0
     for word, weight in zip(pool, weights):
         acc += weight
@@ -131,47 +146,108 @@ def _linear_scan_draw(pool, tracker, bias, rng):
 
 
 _POOL = sorted(e.surface for e in load_lexicon().content_words())
+#: A lexicon of the closed classes alone: its pool is the 8 content words
+#: among the pre-verbs and prepositions, a power of two.
+_SMALL_LEX = Lexicon(
+    e for e in load_lexicon()
+    if e.surface in PURE_PARTICLES | SOLE_PREPOSITIONS | PREPOSITIONS | PREVERBS
+)
 _observed = hst.one_of(
     hst.sampled_from(["moku", "telo", "kili", "pi", "li", "xyz"]), hst.sampled_from(_POOL)
 )
-# (action, tracker slot, word): observe a word, copy a tracker, or draw from one
+# (action, tracker slot, word): observe a word, copy a tracker, or draw from
+# one with the synthesizer over the whole pool or over the small one
 _actions = hst.lists(
-    hst.tuples(hst.sampled_from(["observe", "copy", "draw"]), hst.integers(0, 7), _observed),
+    hst.tuples(
+        hst.sampled_from(["observe", "copy", "draw", "draw small"]), hst.integers(0, 7), _observed
+    ),
     max_size=60,
 )
 
 
+def _assert_in_step(t):
+    """The weights, tree and pool total a tracker keeps for the pool it last
+    drew from equal their definitions from its counts."""
+    counts = [t.count(w) for w in t._index]
+    assert t._weights == [1.0 + t._bias * c for c in counts]
+    assert t._uses == sum(counts)
+    size = len(t._tree)
+    assert size > len(counts) and size & (size - 1) == 0  # a power of two above the pool
+    prefix = [0, *accumulate(counts + [0] * (size - len(counts)))]
+    assert t._tree[1:] == [prefix[i] - prefix[i - (i & -i)] for i in range(1, size)]
+
+
 @given(
     actions=_actions,
-    capacity=hst.sampled_from([None, 1, 3]),
-    bias=hst.sampled_from([0.3, 0.5, 1.0]),
+    capacity=hst.sampled_from([None, 1, 3, 40]),
+    bias=hst.sampled_from([0.0, 0.1, 0.3, 0.5, 0.7, 1.0, 0.123456789]),
     seed=hst.integers(0, 2**16),
 )
 @settings(max_examples=300, deadline=None)
 def test_kept_weights_equal_a_rebuild(actions, capacity, bias, seed):
-    s = Synthesizer(SynthConfig(seed=seed, reuse_bias=bias), tracker=ContextTracker(capacity))
+    """Every draw takes the linear scan's pick and leaves the generator in
+    its state, and every tracker stays in step with its counts.  Two
+    synthesizers with pools of 107 and 8 words share the trackers, so a draw
+    from the other pool rebuilds a tracker's tree."""
+    cfg = SynthConfig(seed=seed, reuse_bias=bias)
+    s = Synthesizer(cfg, tracker=ContextTracker(capacity))
+    small = Synthesizer(cfg, _SMALL_LEX)
     trackers = [s.tracker]
-
-    def rebuilt(t):
-        return [1.0 + bias * t.count(w) for w in _POOL]
 
     for action, slot, word in actions:
         t = trackers[slot % len(trackers)]
         if action == "observe":
-            others = [(o, list(o.weights(s._pool_index, bias))) for o in trackers if o is not t]
+            kept = [(o, list(o._weights), list(o._tree), o._uses) for o in trackers]
             t.observe(word)
-            for o, before in others:
-                assert o.weights(s._pool_index, bias) == before
+            for o, weights, tree, uses in kept:
+                # A word outside the pool moves nothing, unless it evicts one.
+                if o is not t or (word not in o._index and capacity is None):
+                    assert (o._weights, o._tree, o._uses) == (weights, tree, uses)
         elif action == "copy":
             trackers.append(t.copy())
         else:
+            synth = small if action == "draw small" else s
             reference = random.Random()
-            reference.setstate(s.rng.getstate())
-            expected = _linear_scan_draw(_POOL, t, bias, reference)
-            assert s.sample_word(t) == expected
-            assert s.rng.getstate() == reference.getstate()
+            reference.setstate(synth.rng.getstate())
+            expected = _linear_scan_draw(synth._pool, t, bias, reference)
+            assert synth.sample_word(t) == expected
+            assert synth.rng.getstate() == reference.getstate()
         for o in trackers:
-            assert o.weights(s._pool_index, bias) == rebuilt(o)
+            _assert_in_step(o)
+    for o in trackers:
+        for synth in (s, small):
+            assert o.weights(synth._pool_index, bias) == [1.0 + bias * o.count(w) for w in synth._pool]
+            _assert_in_step(o)
+
+
+@pytest.mark.parametrize("bias, uses, u", [
+    (0.3, ["moku", "moku", "telo"], 1 - 2**-53),  # the largest roll
+    # The last 21 words used once weigh 2 and make the total 128, so the
+    # roll 64 lands on the running sum of the first 64 words.
+    (1.0, _POOL[-21:], 0.5),
+])
+def test_a_roll_at_an_edge_is_decided_left_to_right(monkeypatch, bias, uses, u):
+    picks = []
+
+    def pick(*args):
+        picks.append(args)
+        return synth_pick(*args)
+
+    synth_pick = synth._pick
+    monkeypatch.setattr(synth, "_pick", pick)
+    s = Synthesizer(SynthConfig(reuse_bias=bias))
+    for word in uses:
+        s.tracker.observe(word)
+    rolls = iter([u, 0.25])
+    s.rng = SimpleNamespace(random=rolls.__next__)
+    expected = _linear_scan_draw(_POOL, s.tracker, bias, SimpleNamespace(random=lambda: u))
+    assert s.sample_word() == expected
+    assert len(picks) == 1  # the left-to-right sums decided
+    reference = s.tracker.copy()
+    expected = _linear_scan_draw(_POOL, reference, bias, SimpleNamespace(random=lambda: 0.25))
+    assert s.sample_word() == expected
+    assert len(picks) == 1  # a roll inside a word is the tree's alone
+    assert next(rolls, None) is None  # one roll per draw
 
 
 def test_sampling_unbiased_when_bias_zero():
