@@ -23,7 +23,7 @@ from .lexicon import (
     PURE_PARTICLES,
     default_lexicon,
 )
-from .phonotactics import validate_proper_noun
+from .phonotactics import TOKEN_PATTERN, validate_proper_noun
 
 
 # --- tokens ---------------------------------------------------------------
@@ -37,43 +37,26 @@ class TokenKind(Enum):
 
 
 TERMINATORS = {".", "!", "?"}
-#: Every punctuation mark the tokenizer reads: the terminators, comma and colon.
-PUNCTUATION = ".!?,:"
-
-_TOKEN_RE = re.compile(rf"[A-Za-z]+|[{PUNCTUATION}]|\S")
+_TOKEN_RE = re.compile(TOKEN_PATTERN)
 
 
+@dataclass(slots=True)
 class Token:
     """One match of the tokenizer with its kind and, for ERROR, a note.
 
-    A plain slotted class, not a frozen dataclass, because a document pass
-    builds one per word: it takes no attributes beyond its fields, equals
-    another token with the same five fields, and is read-only by contract
-    rather than frozen.  The hash reads ``surface``, ``start`` and ``end``
-    only (equal tokens still hash equal), which spares hashing the enum."""
+    Slotted and not frozen, because a document pass builds one per word: it
+    takes no attributes beyond its fields and is read-only by contract.  The
+    hash reads ``surface``, ``start`` and ``end`` only (equal tokens still
+    hash equal), which spares hashing the enum."""
 
-    __slots__ = ("surface", "kind", "start", "end", "note")
-
-    def __init__(self, surface: str, kind: TokenKind, start: int, end: int,
-                 note: Optional[str] = None):
-        self.surface = surface
-        self.kind = kind
-        self.start = start
-        self.end = end
-        self.note = note
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Token):
-            return NotImplemented
-        return (self.surface, self.kind, self.start, self.end, self.note) == (
-            other.surface, other.kind, other.start, other.end, other.note)
+    surface: str
+    kind: TokenKind
+    start: int
+    end: int
+    note: Optional[str] = None
 
     def __hash__(self) -> int:
         return hash((self.surface, self.start, self.end))
-
-    def __repr__(self) -> str:
-        return (f"Token(surface={self.surface!r}, kind={self.kind!r}, start={self.start!r}, "
-                f"end={self.end!r}, note={self.note!r})")
 
     def __str__(self) -> str:
         return self.surface

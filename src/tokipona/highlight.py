@@ -15,12 +15,14 @@ from functools import cache
 from itertools import groupby
 from typing import Callable, Optional
 
-from .grammar import _TOKEN_RE, PUNCTUATION, TokenKind, classify
 from .lexicon import Lexicon, PosTag, default_lexicon
-from .phonotactics import CONSONANTS, CountingMode, _boundary_fault, _syllable_inventory
+from .phonotactics import (
+    CONSONANTS, PUNCTUATION, TOKEN_PATTERN, CountingMode, _boundary_fault, _syllable_inventory,
+    validate_proper_noun,
+)
 
-#: :func:`classify`'s ERROR in Vim: a run of letters that no keyword or name
-#: claims, or a character that is not a letter, punctuation or space.
+#: An error in Vim: a run of letters that no keyword or name claims, or a
+#: character that is not a letter, punctuation or space.
 _ERROR_PATTERN = rf"/\v\a+|[^A-Za-z{PUNCTUATION}[:space:]]/"
 
 FILETYPE_NAME = "tokipona"
@@ -56,9 +58,8 @@ _SGR = {
     16: {name: sgr for name, (_, _, sgr, _) in _STYLES.items()},
     256: {name: f"38;5;{index}" for name, (_, _, _, index) in _STYLES.items()},
 }
-_KIND_GROUPS = {TokenKind.PROPER: "tpPROPER", TokenKind.ERROR: "tpERROR"}
 #: The tokenizer's pattern as one capturing group: ``split`` keeps the tokens.
-_PIECE_RE = re.compile(f"({_TOKEN_RE.pattern})")
+_PIECE_RE = re.compile(f"({TOKEN_PATTERN})")
 
 
 @dataclass(frozen=True)
@@ -172,21 +173,20 @@ def _render(
     paint: Callable[[str, str], str],
 ) -> str:
     """Replace each token of ``text`` by its escaped text, passed to ``paint``
-    with its group; punctuation is only escaped.  The text is split once into
-    gaps and tokens, and each distinct surface is classified, escaped and
-    painted once per call.  The gaps are whitespace, which ``escape`` leaves
-    alone, so they pass through as they are."""
+    with its group (see :func:`render_html`); punctuation is only escaped.
+    The text is split once into gaps and tokens, and each distinct surface
+    is grouped, escaped and painted once per call.  The gaps are whitespace,
+    which ``escape`` leaves alone, so they pass through as they are."""
     if scheme is None:
         scheme = _default_scheme() if lex is None else build_scheme(lex)
-    lex = lex or default_lexicon()
     # Reversed, so that the first group listing a word wins.
     group_of = {w: g.name for g in reversed(scheme) for w in g.members}
     parts = _PIECE_RE.split(text)  # gap, token, gap, ..., gap
     chunks: dict[str, str] = {}
     for s in set(parts[1::2]):
-        kind, _ = classify(s, lex)
-        # Punctuation keeps the default color.
-        group = group_of.get(s, "") if kind is TokenKind.WORD else _KIND_GROUPS.get(kind, "")
+        group = group_of.get(s)
+        if group is None:  # the patterns; a token is one punctuation mark or has none
+            group = "" if s in PUNCTUATION else "tpPROPER" if validate_proper_noun(s) else "tpERROR"
         chunks[s] = paint(group, escape(s)) if group else escape(s)
     parts[1::2] = map(chunks.__getitem__, parts[1::2])
     return "".join(parts)
@@ -197,7 +197,12 @@ def render_html(
     scheme: Optional[list[HighlightGroup]] = None,
     lex: Optional[Lexicon] = None,
 ) -> str:
-    """A standalone HTML document with one colored span per token."""
+    """A standalone HTML document with one colored span per token.
+
+    A token's group is the one the scheme's Vim file gives it: a word of the
+    scheme has its keyword group, a punctuation mark none, a valid name
+    tpPROPER and anything else tpERROR.  ``lex`` is read only to build a
+    scheme when none is given; with neither, the bundled lexicon's is used."""
     def paint(group: str, chunk: str) -> str:
         color = _HTML_COLORS.get(group, "#d8d8d8")
         return f'<span class="{group}" style="color:{color}">{chunk}</span>'
@@ -217,7 +222,8 @@ def render_ansi(
     lex: Optional[Lexicon] = None,
     color_depth: int = 16,
 ) -> str:
-    """The same coloring as terminal SGR escapes (16- or 256-color)."""
+    """The coloring of :func:`render_html` as terminal SGR escapes (16- or
+    256-color); ``lex`` only builds a scheme when none is given."""
     sgr = _SGR.get(color_depth)
     if sgr is None:
         raise ValueError("color_depth must be 16 or 256")

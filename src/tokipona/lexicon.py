@@ -12,7 +12,6 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -297,10 +296,8 @@ def load_lexicon(path: Optional[str | Path] = None) -> Lexicon:
     """Load and verify the lexicon, from ``path`` or the bundled data file.
 
     Only the bundled file is held to the paper's figures."""
-    if path is None:
-        text = resources.files(__package__).joinpath("data/lexicon.tsv").read_text("utf-8-sig")
-    else:
-        text = Path(path).read_text("utf-8-sig")
+    bundled = Path(__file__).parent / "data" / "lexicon.tsv"
+    text = Path(bundled if path is None else path).read_text("utf-8-sig")
 
     lines = [
         (i + 1, ln) for i, ln in enumerate(text.splitlines())

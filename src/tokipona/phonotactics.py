@@ -25,6 +25,12 @@ FORBIDDEN_PAIRS = frozenset({("j", "i"), ("w", "u"), ("w", "o"), ("t", "i")})
 
 MAX_SYLLABLES = 6
 
+#: Every punctuation mark the tokenizer reads: the terminators, comma and colon.
+PUNCTUATION = ".!?,:"
+#: The tokenizer's pattern: a run of letters, a punctuation mark, or any
+#: other character that is not a space.
+TOKEN_PATTERN = rf"[A-Za-z]+|[{PUNCTUATION}]|\S"
+
 
 class CountingMode(Enum):
     """How the forbidden-sequence list is applied.

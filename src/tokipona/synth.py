@@ -77,10 +77,9 @@ class ContextTracker:
     (Fenwick 1994, "A new data structure for cumulative frequency tables"),
     so that a draw need not rebuild them; ``observe`` is the only way to
     change the counts, and keeps all of them in step.  The tree holds integer
-    counts only, so a change of bias needs no new tree.  It is padded with
-    empty slots to the power of two above the pool's size, so ``find``
-    descends it in log2 steps with no bound check, and one use changes the
-    nodes on one path.
+    counts only.  It is padded with empty slots to the power of two above the
+    pool's size, so ``find`` descends it in log2 steps with no bound check,
+    and one use changes the nodes on one path.
     """
 
     def __init__(self, capacity: Optional[int] = None):
@@ -126,14 +125,13 @@ class ContextTracker:
         """
         if index is not self._index or bias != self._bias:
             counts = [self.counts.get(w, 0) for w in index]
-            if index is not self._index:
-                tree = [0] * (1 << len(index).bit_length())
-                tree[1:len(index) + 1] = counts
-                for i in range(1, len(tree)):
-                    parent = i + (i & -i)
-                    if parent < len(tree):
-                        tree[parent] += tree[i]
-                self._tree, self._uses = tree, sum(counts)
+            tree = [0] * (1 << len(index).bit_length())
+            tree[1:len(index) + 1] = counts
+            for i in range(1, len(tree)):
+                parent = i + (i & -i)
+                if parent < len(tree):
+                    tree[parent] += tree[i]
+            self._tree, self._uses = tree, sum(counts)
             self._index, self._bias = index, bias
             self._weights = [1.0 + bias * c for c in counts]
         return self._weights

@@ -19,7 +19,14 @@ from tokipona.highlight import (
     render_ansi,
     render_html,
 )
-from tokipona.lexicon import default_lexicon, load_lexicon
+from tokipona.lexicon import (
+    PREPOSITIONS,
+    PREVERBS,
+    PURE_PARTICLES,
+    Lexicon,
+    default_lexicon,
+    load_lexicon,
+)
 
 
 def _keyword_groups(scheme):
@@ -185,6 +192,24 @@ def test_render_without_a_scheme_builds_the_default_one_once(monkeypatch):
         for depth in (16, 256):
             assert render_ansi(text, color_depth=depth) == render_ansi(text, scheme, lex, depth)
     assert built == [lex]
+
+
+def test_render_takes_its_words_from_the_scheme(lexicon):
+    """A word the scheme lacks is an error, whatever lexicon the renderers
+    are given, as in the scheme's Vim file."""
+    kept = PURE_PARTICLES | PREPOSITIONS | PREVERBS | {"mi", "pona"}
+    small = Lexicon(e for e in lexicon if e.surface in kept)
+    scheme = build_scheme(small)
+    text = "mi moku e kili. Mali li pona, xyz!"
+    html_out = render_html(text, scheme)
+    assert re.findall(r'<span class="(\w+)"[^>]*>(\w+)</span>', html_out) == [
+        ("tpNOUN", "mi"), ("tpERROR", "moku"), ("tpPARTICLE", "e"), ("tpERROR", "kili"),
+        ("tpPROPER", "Mali"), ("tpPARTICLE", "li"), ("tpADJECTIVE", "pona"), ("tpERROR", "xyz"),
+    ]
+    assert render_html(text, scheme, lexicon) == html_out
+    for depth in (16, 256):
+        assert render_ansi(text, scheme, lexicon, depth) == render_ansi(text, scheme, None, depth)
+    assert render_html(text, lex=small) == html_out
 
 
 # --- rendering against the token-by-token loop ------------------------------

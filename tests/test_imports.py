@@ -63,6 +63,7 @@ def test_relative_imports_form_no_cycle():
     assert graph["cli"] >= {"grammar", "synth"}  # the walk finds imports at all
     assert "synth" not in graph["counting"]
     assert "grammar" not in graph["synth"]  # synthesis returns text, not trees
+    assert "grammar" not in graph["highlight"]  # the scheme alone groups words
     assert _cycle(graph) == []
 
 
@@ -97,6 +98,8 @@ _CLI = ["cli", "lexicon", "phonotactics"]
     (["synth", "--kind", "poem"], _CLI + ["counting", "synth"]),
     (["synth", "--kind", "paragraph"], _CLI + ["counting", "synth"]),
     (["compose"], _CLI + ["synth"]),
+    (["stats"], _CLI + ["stats"]),
+    (["highlight", "render", "mi moku"], _CLI + ["highlight"]),
 ])
 def test_modules_loaded(argv, modules):
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))

@@ -22,6 +22,7 @@ from tokipona.highlight import (
     emit_vim_syntax,
     render_html,
 )
+from tokipona.lexicon import PREPOSITIONS, PREVERBS, PURE_PARTICLES, Lexicon
 from tokipona.phonotactics import ALPHABET
 
 pytestmark = pytest.mark.skipif(shutil.which("vim") is None, reason="no vim on PATH")
@@ -63,8 +64,9 @@ def _token_starts(lines):
             yield l, len(line[: m.start()].encode()) + 1, m.group()
 
 
-def _vim_and_renderer_groups(tmp_path: Path, mode: MergeMode, lexicon, lines):
-    """The group Vim gives each token and the one ``render_html`` gives it
+def _vim_and_renderer_groups(tmp_path: Path, mode: MergeMode, lexicon, lines, render_lex=None):
+    """The group Vim gives each token of the scheme built from ``lexicon``,
+    and the one ``render_html`` gives it under that scheme and ``render_lex``
     (its span's class, or "" when it has no span)."""
     root = tmp_path / mode.value
     (root / "syntax").mkdir(parents=True)
@@ -94,7 +96,7 @@ def _vim_and_renderer_groups(tmp_path: Path, mode: MergeMode, lexicon, lines):
     rendered = {}
     for surface in surfaces:
         if surface not in rendered:
-            span = re.search(r'<span class="(\w+)"', render_html(surface, scheme, lexicon))
+            span = re.search(r'<span class="(\w+)"', render_html(surface, scheme, render_lex))
             rendered[surface] = span.group(1) if span else ""
     return list(zip(surfaces, vim)), [(s, rendered[s]) for s in surfaces]
 
@@ -130,3 +132,21 @@ def test_vim_agrees_with_the_renderers_on_random_strings(tmp_path, lexicon):
     assert len(vim) > 5000
     assert groups.count("tpPROPER") > 300 and groups.count("tpERROR") > 3000
     assert vim == rendered
+
+
+def test_vim_agrees_with_the_renderers_under_a_scheme_of_another_lexicon(
+    tmp_path, lexicon, corpus_lines
+):
+    """The scheme comes from the closed classes and a few content words; the
+    renderers are given the bundled lexicon, or none.  A word of the bundled
+    lexicon that the scheme lacks is an error, as in Vim."""
+    kept = PURE_PARTICLES | PREPOSITIONS | PREVERBS | {"jan", "pona", "ale", "ali"}
+    small = Lexicon(e for e in lexicon if e.surface in kept)
+    for mode in MergeMode:
+        for render_lex in (lexicon, None):
+            vim, rendered = _vim_and_renderer_groups(
+                tmp_path / str(render_lex is None), mode, small,
+                corpus_lines + INVALID_WORDS, render_lex,
+            )
+            assert vim == rendered
+    assert ("moku", "tpERROR") in rendered and ("jan", "tpCONTENT") in rendered
