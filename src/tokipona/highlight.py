@@ -11,7 +11,7 @@ import html as _html
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, lru_cache
 from itertools import groupby
 from typing import Callable, Optional
 
@@ -165,6 +165,14 @@ def _default_scheme() -> list[HighlightGroup]:
     return build_scheme(default_lexicon())
 
 
+@lru_cache(maxsize=1)
+def _scheme_of(lex: Lexicon) -> list[HighlightGroup]:
+    """The scheme of the last lexicon given without one.  A lexicon is
+    immutable and hashed by identity, so one slot builds a caller's scheme
+    once however many texts it renders."""
+    return build_scheme(lex)
+
+
 def _render(
     text: str,
     scheme: Optional[list[HighlightGroup]],
@@ -178,7 +186,7 @@ def _render(
     is grouped, escaped and painted once per call.  The gaps are whitespace,
     which ``escape`` leaves alone, so they pass through as they are."""
     if scheme is None:
-        scheme = _default_scheme() if lex is None else build_scheme(lex)
+        scheme = _default_scheme() if lex is None else _scheme_of(lex)
     # Reversed, so that the first group listing a word wins.
     group_of = {w: g.name for g in reversed(scheme) for w in g.members}
     parts = _PIECE_RE.split(text)  # gap, token, gap, ..., gap

@@ -2,16 +2,22 @@
 
 Consumes a Princeton WordNet 3.x database directory in the standard WNDB
 layout (index.noun/verb/adj/adv and data.* files, space-delimited fields,
-8-digit decimal synset offsets).  Loading checks every data line and every
-index offset (its count, and that its data file defines it) and names the
-file and line of a failure.  Three mappings are built from the lexicon's
-English glosses: every reachable synset, the same without
-preposition-tagged words, and only synsets whose part of speech matches a
-dictionary tag.
+8-digit decimal synset offsets).  A load reads the eight files whole and
+checks every data line and every index offset (its count, and that its data
+file defines it), naming the file and line of a failure.  The check runs
+once per content: a database that passed leaves a stamp named by the
+SHA-256 of its files under ``$XDG_CACHE_HOME/tokipona`` (by default
+``~/.cache/tokipona``), and a load that finds its stamp takes the version,
+warnings and synset counts from it.  A failed check leaves no stamp.
+Lookups binary-search the index files by lemma, as Princeton's
+``bin_search`` does.  Three mappings are built from the lexicon's English
+glosses: every reachable synset, the same without preposition-tagged words,
+and only synsets whose part of speech matches a dictionary tag.
 """
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -29,6 +35,11 @@ class WNPos(str, Enum):
 
 
 _VERSION_RE = re.compile(r"Word[nN]et (\d+\.\d+|\d+) Copyright")
+_DATA = {pos: f"data.{pos.name.lower()}" for pos in WNPos}
+_INDEX = {pos: f"index.{pos.name.lower()}" for pos in WNPos}
+#: Part of every stamp's digest: change it whenever the checks or the
+#: stamp's fields change, so that no stamp vouches for other checks.
+_CHECKS = b"tokipona wndb checks 1\n"
 
 
 class WordNetError(ValueError):
@@ -48,31 +59,69 @@ class SynsetRef:
 
 
 class WordNetDatabase:
-    """In-memory index over a WNDB directory: per POS, a lemma -> offsets map."""
+    """A checked WNDB directory: per POS, its synset count and its index
+    file's text with the lines in lemma order, binary-searched by lemma."""
 
     def __init__(self, root: Path):
         self.root = Path(root)
-        self._index: dict[WNPos, dict[str, tuple[int, ...]]] = {pos: {} for pos in WNPos}
-        self._synsets: dict[WNPos, set[int]] = {pos: set() for pos in WNPos}
         self.version: Optional[str] = None
         self.warnings: list[str] = []
+        self._synsets: dict[WNPos, int] = {}
+        self._index: dict[WNPos, tuple[str, int]] = {}
         self._load()
 
     def _load(self):
         if not self.root.is_dir():
             raise WordNetError(f"{self.root} is not a directory")
+        import hashlib
+
+        files: dict[str, bytes] = {}
+        sha = hashlib.sha256(_CHECKS)
+        for name in [*_DATA.values(), *_INDEX.values()]:
+            try:
+                files[name] = data = _read(self.root / name)
+            except (WordNetError, OSError):
+                break  # read again, and so reported, when the checks reach it
+            sha.update(b"%s %d\n" % (name.encode(), len(data)))
+            sha.update(data)
+        digest = sha.hexdigest()
+        stamp_path = _stamp_path(digest) if len(files) == len(WNPos) * 2 else None
+        stamp = _read_stamp(stamp_path, digest) if stamp_path else None
+        if stamp is None:
+            stamp = self._check(files)
+            if stamp_path:
+                _write_stamp(stamp_path, {"digest": digest, **stamp})
+        self.version, self.warnings = stamp["version"], list(stamp["warnings"])
         for pos in WNPos:
-            self._load_data(pos, self.root / f"data.{pos.name.lower()}")
-        for pos in WNPos:
-            self._load_index(pos, self.root / f"index.{pos.name.lower()}")
+            self._synsets[pos] = stamp["synsets"][pos.value]
+            self._index[pos] = _sorted_index(
+                _text(files.pop(_INDEX[pos])), stamp["in_order"][pos.value])
+
+    def _check(self, files: dict[str, bytes]) -> dict:
+        """Check every line of ``files``, reading any file missing from them;
+        the stamp fields of a database that passes."""
+        def lines(name: str) -> list[str]:
+            if name not in files:
+                files[name] = _read(self.root / name)
+            # A data file's bytes go as soon as they are decoded; an index
+            # file's stay, to be searched.
+            return _split(_text(files[name] if name.startswith("index.") else files.pop(name)))
+
+        synsets = {pos: self._check_data(pos, lines(_DATA[pos])) for pos in WNPos}
+        in_order = {pos.value: self._check_index(pos, lines(_INDEX[pos]), synsets[pos])
+                    for pos in WNPos}
         if self.version is None:
             self.warnings.append("no version line found in the data files")
         elif self.version != "3.0":
             self.warnings.append(f"database reports version {self.version}, not 3.0")
+        return {"version": self.version, "warnings": self.warnings,
+                "synsets": {pos.value: len(seen) for pos, seen in synsets.items()},
+                "in_order": in_order}
 
-    def _load_data(self, pos: WNPos, path: Path):
-        seen = self._synsets[pos]
-        for lineno, line in enumerate(_read_lines(path), 1):
+    def _check_data(self, pos: WNPos, lines: list[str]) -> set[int]:
+        """The synset offsets of a data file."""
+        name, seen = _DATA[pos], set()
+        for lineno, line in enumerate(lines, 1):
             if line.startswith("  "):  # license header
                 m = self.version is None and _VERSION_RE.search(line)
                 if m:
@@ -80,58 +129,164 @@ class WordNetDatabase:
                 continue
             fields = line.split(None, 3)
             if len(fields) < 3:
-                raise WordNetError(f"{path.name}:{lineno}: truncated synset line")
+                raise WordNetError(f"{name}:{lineno}: truncated synset line")
             try:
                 seen.add(int(fields[0]))
             except ValueError:
                 raise WordNetError(
-                    f"{path.name}:{lineno}: bad synset offset {fields[0]!r}"
+                    f"{name}:{lineno}: bad synset offset {fields[0]!r}"
                 ) from None
+        return seen
 
-    def _load_index(self, pos: WNPos, path: Path):
-        synsets, index = self._synsets[pos], self._index[pos]
-        for lineno, line in enumerate(_read_lines(path), 1):
+    @staticmethod
+    def _check_index(pos: WNPos, lines: list[str], synsets: set[int]) -> bool:
+        """Check an index file against its data file's offsets; whether its
+        header lines all come first and its lemmas never fall."""
+        name, in_order, last = _INDEX[pos], True, None
+        for lineno, line in enumerate(lines, 1):
             if line.startswith(" "):
+                in_order = in_order and last is None
                 continue
             fields = line.split()
             try:  # a line without a lemma fails at fields[2] alike
                 n_synsets = int(fields[2])
                 offsets = tuple(map(int, fields[6 + int(fields[3]):]))
             except (IndexError, ValueError) as exc:
-                raise WordNetError(f"{path.name}:{lineno}: {exc}") from None
+                raise WordNetError(f"{name}:{lineno}: {exc}") from None
             if len(offsets) != n_synsets:
                 raise WordNetError(
-                    f"{path.name}:{lineno}: expected {n_synsets} offsets, got {len(offsets)}"
+                    f"{name}:{lineno}: expected {n_synsets} offsets, got {len(offsets)}"
                 )
             if not synsets.issuperset(offsets):
                 bad = next(o for o in offsets if o not in synsets)
                 raise WordNetError(
-                    f"{path.name}:{lineno}: offset {bad:08d} not in data.{pos.name.lower()}"
+                    f"{name}:{lineno}: offset {bad:08d} not in {_DATA[pos]}"
                 )
-            index[fields[0]] = offsets
+            in_order = in_order and (last is None or last <= fields[0])
+            last = fields[0]
+        return in_order
 
     @property
     def total_synsets(self) -> int:
-        return sum(len(s) for s in self._synsets.values())
+        return sum(self._synsets.values())
+
+    def _line(self, key: str, pos: WNPos) -> Optional[str]:
+        """The last index line of ``key``: Princeton's ``bin_search`` over the
+        lines past the header, which are in lemma order."""
+        text, start = self._index[pos]
+        lo, hi = start, len(text)
+        while lo < hi:  # lines starting before lo have lemmas <= key, from hi on > key
+            begin = text.rfind("\n", lo, (lo + hi) // 2) + 1 or lo
+            end = text.find("\n", begin)
+            end = len(text) if end < 0 else end
+            if _lemma(text[begin:end]) <= key:
+                lo = end + 1
+            else:
+                hi = begin
+        if lo == start:
+            return None
+        line = text[text.rfind("\n", start, lo - 1) + 1 or start:lo - 1]
+        return line if _lemma(line) == key else None
 
     def lookup(self, lemma: str, pos: WNPos) -> tuple[int, ...]:
         """Synset offsets for an English lemma; multiword keys use underscores."""
-        return self._index[pos].get(lemma.replace(" ", "_"), ())
+        line = self._line(lemma.replace(" ", "_"), pos)
+        if line is None:
+            return ()
+        fields = line.split()
+        return tuple(map(int, fields[6 + int(fields[3]):]))
 
     def has_lemma(self, lemma: str) -> bool:
         key = lemma.replace(" ", "_")
-        return any(key in index for index in self._index.values())
+        return any(self._line(key, pos) is not None for pos in WNPos)
 
 
-def _read_lines(path: Path) -> list[str]:
-    """A file's lines, split only where iterating over it would (not ``splitlines``)."""
+def _lemma(line: str) -> str:
+    return line.split(None, 1)[0]
+
+
+def _sorted_index(text: str, in_order: bool) -> tuple[str, int]:
+    """An index file's text with its lines in lemma order, and where they
+    start: past the header, or a sorted copy without it.  The sort is stable,
+    so a lemma listed twice keeps its later line last."""
+    if in_order:
+        start = 0
+        while text.startswith(" ", start):
+            start = text.find("\n", start) + 1 or len(text)
+        return text, start
+    lines = [line for line in _split(text) if not line.startswith(" ")]
+    return "\n".join(sorted(lines, key=_lemma)), 0
+
+
+def _read(path: Path) -> bytes:
     if not path.is_file():
         raise WordNetError(f"missing database file {path.name}")
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        lines = fh.read().split("\n")
+    return path.read_bytes()
+
+
+def _text(data: bytes) -> str:
+    """A file's text as ``open(path, encoding="utf-8", errors="replace")``
+    reads it: ``\\r\\n`` and ``\\r`` read as ``\\n``."""
+    text = data.decode("utf-8", "replace")
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def _split(text: str) -> list[str]:
+    """A text's lines, split only where iterating over its file would (not
+    ``splitlines``)."""
+    lines = text.split("\n")
     if not lines[-1]:
         lines.pop()
     return lines
+
+
+# --- stamps of checked databases ---------------------------------------------
+
+def _stamp_path(digest: str) -> Optional[Path]:
+    """Where the stamp of a database with this digest lives, by the XDG base
+    directory rules; None if no absolute cache directory can be found."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.expanduser("~/.cache")
+    return Path(base, "tokipona", f"wordnet-{digest}.json") if os.path.isabs(base) else None
+
+
+def _read_stamp(path: Path, digest: str) -> Optional[dict]:
+    """The stamp at ``path`` if it is whole and for ``digest``, else None."""
+    import json
+
+    try:
+        stamp = json.loads(path.read_bytes())
+        valid = (stamp["digest"] == digest
+                 and (stamp["version"] is None or type(stamp["version"]) is str)
+                 and type(stamp["warnings"]) is list
+                 and all(type(w) is str for w in stamp["warnings"])
+                 and all(type(stamp["synsets"][pos.value]) is int
+                         and type(stamp["in_order"][pos.value]) is bool for pos in WNPos))
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    return stamp if valid else None
+
+
+def _write_stamp(path: Path, stamp: dict) -> None:
+    """Write ``stamp`` whole, by renaming a finished temporary file, or not
+    at all: a cache that cannot be written only costs the next load its check."""
+    import contextlib
+    import json
+    import tempfile
+
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=".wordnet-", suffix=".tmp", dir=path.parent)
+    except OSError:
+        return
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            json.dump(stamp, fh)
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
 
 
 def load_wordnet_db(path: str | Path) -> WordNetDatabase:

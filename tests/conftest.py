@@ -1,6 +1,7 @@
 """Shared fixtures: the bundled lexicon, corpus lines, a small WordNet
-database directory written in the standard WNDB file format, and a
-classifier for the lines of an emitted Vim syntax file."""
+database directory written in the standard WNDB file format, a cache
+directory of the session's own, and a classifier for the lines of an
+emitted Vim syntax file."""
 
 import os
 from importlib import resources
@@ -142,6 +143,15 @@ def classify_syntax_lines(content: str) -> list[tuple[str, str]]:
         else:
             out.append(("unknown", line))
     return out
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _cache_home(tmp_path_factory):
+    """Stamps of checked WordNet databases go to a directory of this session,
+    also from the CLI calls it starts, never to the user's own cache."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+        yield
 
 
 @pytest.fixture(scope="session")

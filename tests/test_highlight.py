@@ -194,6 +194,27 @@ def test_render_without_a_scheme_builds_the_default_one_once(monkeypatch):
     assert built == [lex]
 
 
+def test_render_with_a_lexicon_builds_its_scheme_once(monkeypatch, lexicon):
+    built = []
+
+    def counted_build_scheme(lex, *args):
+        built.append(lex)
+        return build_scheme(lex, *args)
+
+    lex = load_lexicon()
+    scheme = build_scheme(lex)
+    highlight._scheme_of.cache_clear()
+    monkeypatch.setattr(highlight, "build_scheme", counted_build_scheme)
+    text = "mi moku e kili. jan Pije li <3 & xyzzy"
+    for _ in range(2):
+        assert render_html(text, lex=lex) == render_html(text, scheme, lex)
+        assert render_ansi(text, lex=lex, color_depth=256) == render_ansi(text, scheme, lex, 256)
+    assert built == [lex]
+    render_ansi(text, lex=lexicon)
+    render_ansi(text, lex=lex)  # one slot: the other lexicon took it
+    assert built == [lex, lexicon, lex]
+
+
 def test_render_takes_its_words_from_the_scheme(lexicon):
     """A word the scheme lacks is an error, whatever lexicon the renderers
     are given, as in the scheme's Vim file."""

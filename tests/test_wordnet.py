@@ -1,8 +1,12 @@
-"""WNDB parsing and the three mapping modes, against a small database
-written in the genuine index/data file format."""
+"""WNDB parsing, the stamps of checked databases and the three mapping
+modes, against a small database written in the genuine index/data file
+format."""
 
+import json
+import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as hst
@@ -12,6 +16,7 @@ from tokipona.wordnet import (
     SynsetRef,
     TPWordnet,
     WNPos,
+    WordNetDatabase,
     WordNetError,
     build_mapping,
     coverage_report,
@@ -227,22 +232,38 @@ def _naive_parse(files):
     return index, total
 
 
+def _stamps(cache: Path) -> list[Path]:
+    return sorted((cache / "tokipona").glob("*.json")) if (cache / "tokipona").is_dir() else []
+
+
+def _load_hit(root) -> WordNetDatabase:
+    """Load a database whose stamp is in the cache: no line is checked."""
+    with mock.patch.object(WordNetDatabase, "_check", side_effect=AssertionError("checked")):
+        return load_wordnet_db(root)
+
+
 @given(db_files=_wndb_files())
 @settings(max_examples=100, deadline=None)
 def test_loader_matches_a_naive_parse(db_files):
+    """Loaded twice, first checked and stamped, then from its stamp."""
     files, newline, final = db_files
     index, total = _naive_parse(files)
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ, {"XDG_CACHE_HOME": f"{tmp}/cache"}):
         _write(Path(tmp) / "dict", files, newline, final)
-        db = load_wordnet_db(Path(tmp) / "dict")
-    assert db.total_synsets == total
-    for (lemma, pos), offsets in index.items():
-        assert db.lookup(lemma.replace("_", " "), pos) == offsets
-        assert db.has_lemma(lemma)
-    for lemma in ("zzzzz", "q", "q q"):  # outside the drawn alphabet or length
-        assert not db.has_lemma(lemma)
-    for pos in WNPos:
-        assert db.lookup("zzzzz", pos) == ()
+        miss = load_wordnet_db(Path(tmp) / "dict")
+        assert len(_stamps(Path(tmp) / "cache")) == 1
+        hit = _load_hit(Path(tmp) / "dict")
+    for db in (miss, hit):
+        assert db.total_synsets == total
+        for (lemma, pos), offsets in index.items():
+            assert db.lookup(lemma.replace("_", " "), pos) == offsets
+            assert db.has_lemma(lemma)
+        for lemma in ("zzzzz", "q", "q q", "", "a a"):  # outside the drawn alphabet or length
+            assert not db.has_lemma(lemma)
+        for pos in WNPos:
+            assert db.lookup("zzzzz", pos) == ()
+    assert (hit.version, hit.warnings) == (miss.version, miss.warnings)
 
 
 @given(db_files=_wndb_files(), data=hst.data())
@@ -264,12 +285,133 @@ def test_one_corrupted_line_is_reported_at_its_file_and_line(db_files, data):
     if at + 1 < len(lines) or final:
         bad.append("")  # a blank last line is a line only if a line end follows it
     bad = data.draw(hst.sampled_from(bad))
-    files = {**files, name: lines[:at] + [bad] + lines[at + 1:]}
-    with tempfile.TemporaryDirectory() as tmp:
-        _write(Path(tmp) / "dict", files, newline, final)
+    corrupt = {**files, name: lines[:at] + [bad] + lines[at + 1:]}
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ, {"XDG_CACHE_HOME": f"{tmp}/cache"}):
+        _write(Path(tmp) / "clean", files, newline, final)
+        load_wordnet_db(Path(tmp) / "clean")  # stamps the clean database
+        _write(Path(tmp) / "dict", corrupt, newline, final)
         with pytest.raises(WordNetError) as info:
             load_wordnet_db(Path(tmp) / "dict")
+        assert len(_stamps(Path(tmp) / "cache")) == 1  # an error is never stamped
     assert str(info.value).startswith(f"{name}:{at + 1}: ")
+
+
+# --- stamps -------------------------------------------------------------------
+
+@pytest.fixture
+def cache(tmp_path, monkeypatch) -> Path:
+    """An empty cache directory of this test's own."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    return tmp_path / "cache"
+
+
+def _lookups(db) -> dict:
+    return {(lemma, pos): db.lookup(lemma, WNPos(pos)) for lemma, pos in FIXTURE_INDEX}
+
+
+def test_a_stamp_skips_the_checks_and_changes_no_answer(tmp_path, cache):
+    root = write_wndb(tmp_path / "dict")
+    miss = load_wordnet_db(root)
+    assert len(_stamps(cache)) == 1
+    hit = _load_hit(root)
+    assert _lookups(hit) == _lookups(miss)
+    assert (hit.version, hit.warnings, hit.total_synsets) == ("3.0", [], miss.total_synsets)
+
+
+def test_the_stamp_is_found_by_content_not_by_path(tmp_path, cache):
+    write_wndb(tmp_path / "one")
+    load_wordnet_db(tmp_path / "one")
+    assert _lookups(_load_hit(write_wndb(tmp_path / "two"))) == _lookups(load_wordnet_db(tmp_path / "one"))
+
+
+def test_a_changed_file_is_checked_again(tmp_path, cache):
+    root = write_wndb(tmp_path / "dict")
+    load_wordnet_db(root)
+    (root / "index.adv").write_bytes((root / "index.adv").read_bytes() + b"zzz r 1 0 1 0 40000001\n")
+    with pytest.raises(AssertionError, match="checked"):
+        _load_hit(root)
+
+
+def _truncated(text: str) -> str:
+    return text[: len(text) // 2]
+
+
+def _foreign(text: str) -> str:
+    return text.replace('"digest": "', '"digest": "0')
+
+
+def _wrong_type(text: str) -> str:
+    stamp = json.loads(text)
+    stamp["synsets"] = {pos: str(n) for pos, n in stamp["synsets"].items()}
+    return json.dumps(stamp)
+
+
+def _not_an_object(text: str) -> str:
+    return "[]"
+
+
+def _empty(text: str) -> str:
+    return ""
+
+
+@pytest.mark.parametrize("spoil", [_truncated, _foreign, _wrong_type, _not_an_object, _empty])
+def test_a_spoilt_stamp_is_a_miss_and_is_written_again(tmp_path, cache, spoil):
+    root = write_wndb(tmp_path / "dict")
+    load_wordnet_db(root)
+    [stamp] = _stamps(cache)
+    good = stamp.read_text("utf-8")
+    stamp.write_text(spoil(good), "utf-8")
+    with pytest.raises(AssertionError, match="checked"):
+        _load_hit(root)
+    assert _lookups(load_wordnet_db(root)) == _lookups(_load_hit(root))
+    assert json.loads(stamp.read_text("utf-8")) == json.loads(good)
+
+
+def test_a_cache_that_cannot_be_written_is_skipped(tmp_path, monkeypatch):
+    root = write_wndb(tmp_path / "dict")
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("", "utf-8")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    assert load_wordnet_db(root).lookup("eat", WNPos.VERB) == (20000001, 20000002)
+    with pytest.raises(AssertionError, match="checked"):
+        _load_hit(root)
+    assert blocker.read_text("utf-8") == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dict", "not-a-directory"]
+
+
+def test_a_relative_cache_home_falls_back_to_the_home_directory(tmp_path, monkeypatch):
+    root = write_wndb(tmp_path / "dict")
+    monkeypatch.setenv("XDG_CACHE_HOME", "relative")
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    load_wordnet_db(root)
+    assert len(_stamps(tmp_path / "home" / ".cache")) == 1
+
+
+def test_a_header_line_among_the_lemmas_is_skipped(tmp_path, cache):
+    root = write_wndb(tmp_path / "dict")
+    lines = (root / "index.noun").read_text("utf-8").splitlines(keepends=True)
+    for at in (len(lines) // 2, len(lines)):
+        lines.insert(at, "  4 a header line after the first lemma\n")
+    (root / "index.noun").write_text("".join(lines), "utf-8")
+    expected = _lookups(load_wordnet_db(write_wndb(tmp_path / "clean")))
+    assert _lookups(load_wordnet_db(root)) == _lookups(_load_hit(root)) == expected
+
+
+@pytest.mark.parametrize("at", ["in order", "out of order"])
+def test_a_lemma_listed_twice_resolves_to_its_later_line(tmp_path, cache, at):
+    root = write_wndb(tmp_path / "dict")
+    lines = (root / "index.noun").read_text("utf-8").splitlines(keepends=True)
+    later = "person n 1 0 1 0 10000003\n"
+    if at == "in order":
+        lines.insert(next(i for i, l in enumerate(lines) if l.startswith("person ")) + 1, later)
+    else:
+        lines.append(later)
+    (root / "index.noun").write_text("".join(lines), "utf-8")
+    for db in (load_wordnet_db(root), _load_hit(root)):
+        assert db.lookup("person", WNPos.NOUN) == (10000003,)
+        assert db.lookup("people", WNPos.NOUN) == (10000003,)
+        assert db.lookup("sea creature", WNPos.NOUN) == (10000190,)
 
 
 # --- mappings ------------------------------------------------------------
