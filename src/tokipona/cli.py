@@ -336,11 +336,12 @@ def _cmd_wordnet(args, lex, out) -> int:
     db = wn.load_wordnet_db(args.db)
     for warning in db.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    mapping = wn.build_mapping(lex, db, wn.MappingMode(args.mode))
     if args.action == "lookup":
+        mapping = wn.build_mapping([lex.lookup(args.word)], db, wn.MappingMode(args.mode))
         for ref in sorted(mapping.synsets_of(args.word)):
             print(ref.key(), file=out)
         return 0
+    mapping = wn.build_mapping(lex, db, wn.MappingMode(args.mode))
     print(f"database synsets: {db.total_synsets}", file=out)
     print(f"mapping mode: {mapping.mode.value}", file=out)
     print(f"mapped lemmas: {len(mapping.map)}", file=out)

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import html as _html
 import re
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache, lru_cache
 from itertools import groupby
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .lexicon import Lexicon, PosTag, default_lexicon
 from .phonotactics import (
@@ -62,8 +61,7 @@ _SGR = {
 _PIECE_RE = re.compile(f"({TOKEN_PATTERN})")
 
 
-@dataclass(frozen=True)
-class HighlightGroup:
+class HighlightGroup(NamedTuple):
     name: str
     members: frozenset[str]
     pattern: Optional[str] = None

@@ -9,11 +9,10 @@ well; it fails loudly on any mismatch.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .phonotactics import CountingMode, validate_word
 
@@ -93,22 +92,21 @@ class LexiconError(ValueError):
     """Raised when the lexicon file is malformed or violates an invariant."""
 
 
-@dataclass(frozen=True)
-class Sense:
+class Sense(NamedTuple("Sense", [("english_lemmas", tuple[str, ...])])):
     """One dictionary sense: the English glosses it groups together."""
 
-    english_lemmas: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.english_lemmas:
+    def __new__(cls, english_lemmas: tuple[str, ...]):
+        if not english_lemmas:
             raise LexiconError("empty sense")
-        for g in self.english_lemmas:
+        for g in english_lemmas:
             if not g or g != g.lower().strip():
                 raise LexiconError(f"bad gloss {g!r}")
+        return super().__new__(cls, english_lemmas)
 
 
-@dataclass(frozen=True)
-class Lemma:
+class Lemma(NamedTuple):
     surface: str
     tags: tuple[PosTag, ...]
     senses: tuple[Sense, ...]

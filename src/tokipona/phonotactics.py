@@ -9,10 +9,9 @@ interpret that list differently (see :class:`CountingMode`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 VOWELS = frozenset("aeiou")
 CONSONANTS = frozenset("jklmnpstw")
@@ -49,8 +48,7 @@ class PhonotacticsError(ValueError):
     """Raised when a word cannot be parsed as (C)V(n) syllables."""
 
 
-@dataclass(frozen=True)
-class Syllable:
+class Syllable(NamedTuple):
     onset: Optional[str]
     nucleus: str
     coda_n: bool = False
@@ -63,8 +61,7 @@ class Syllable:
         return self.text
 
 
-@dataclass(frozen=True)
-class ValidationResult:
+class ValidationResult(NamedTuple):
     ok: bool
     reason: Optional[str] = None
 

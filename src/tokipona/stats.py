@@ -9,9 +9,9 @@ count with alphabetical tie-breaks.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .lexicon import PREPOSITIONS, Lexicon, PosTag
 from .phonotactics import VOWELS, syllabify
@@ -47,16 +47,14 @@ def round_half_up(x: Fraction, digits: int = 2) -> float:
     return float((x * scale + Fraction(1, 2)).__floor__()) / scale
 
 
-@dataclass(frozen=True)
-class FrequencyRow:
+class FrequencyRow(NamedTuple):
     item: str
     count: int
     percent: float        # display value, round-half-up at 2 decimals
     exact: Fraction       # exact percentage; rows of a scope sum to 100
 
 
-@dataclass(frozen=True)
-class PositionalFrequencyTable:
+class PositionalFrequencyTable(NamedTuple):
     scope: Scope
     total: int
     rows: tuple[FrequencyRow, ...]
@@ -138,20 +136,22 @@ def word_length_report(lex: Lexicon) -> dict[int, tuple[int, float]]:
     }
 
 
-@dataclass(frozen=True)
-class SentenceSpaceQuery:
-    n: int  # words in the subject phrase
-    v: int  # words in the predicate phrase
-    o: int  # words in the object phrase
-    p: int  # words in the prepositional phrase
-    with_particles: bool = True
+class SentenceSpaceQuery(NamedTuple("SentenceSpaceQuery", [
+    ("n", int),  # words in the subject phrase
+    ("v", int),  # words in the predicate phrase
+    ("o", int),  # words in the object phrase
+    ("p", int),  # words in the prepositional phrase
+    ("with_particles", bool),
+])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in "nvop":
-            if getattr(self, name) < 0:
+    def __new__(cls, n: int, v: int, o: int, p: int, with_particles: bool = True):
+        for name, size in zip("nvop", (n, v, o, p)):
+            if size < 0:
                 raise ValueError(f"phrase size {name} must be >= 0")
-        if self.n == self.v == self.o == self.p == 0:
+        if n == v == o == p == 0:
             raise ValueError("at least one phrase must be non-empty")
+        return super().__new__(cls, n, v, o, p, with_particles)
 
 
 def sentence_space(lex: Lexicon, q: SentenceSpaceQuery) -> int:

@@ -19,11 +19,10 @@ import random
 import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .lexicon import LI_LESS_SUBJECTS, Lexicon, PREPOSITIONS, default_lexicon
 
@@ -43,30 +42,39 @@ def _check_distribution(weights: dict[int, float], name: str):
         raise ValueError(f"{name} must sum to 1, got {total}")
 
 
-@dataclass(frozen=True)
-class SynthConfig:
-    seed: int = 0
-    phrase_len_weights: dict[int, float] = field(
-        default_factory=lambda: {1: 0.5, 2: 0.3, 3: 0.15, 4: 0.05}
-    )
-    object_count_weights: dict[int, float] = field(
-        default_factory=lambda: {0: 0.4, 1: 0.45, 2: 0.15}
-    )
-    prep_probability: float = 0.2
-    pi_probability: float = 0.1
-    reuse_bias: float = 0.5
+_PHRASE_LEN_WEIGHTS = {1: 0.5, 2: 0.3, 3: 0.15, 4: 0.05}
+_OBJECT_COUNT_WEIGHTS = {0: 0.4, 1: 0.45, 2: 0.15}
 
-    def __post_init__(self):
-        _check_distribution(self.phrase_len_weights, "phrase_len_weights")
-        if set(self.phrase_len_weights) - {1, 2, 3, 4}:
+
+class SynthConfig(NamedTuple("SynthConfig", [
+    ("seed", int), ("phrase_len_weights", dict[int, float]),
+    ("object_count_weights", dict[int, float]), ("prep_probability", float),
+    ("pi_probability", float), ("reuse_bias", float),
+])):
+    __slots__ = ()
+
+    def __new__(cls, seed: int = 0,
+                phrase_len_weights: dict[int, float] = _PHRASE_LEN_WEIGHTS,
+                object_count_weights: dict[int, float] = _OBJECT_COUNT_WEIGHTS,
+                prep_probability: float = 0.2, pi_probability: float = 0.1,
+                reuse_bias: float = 0.5):
+        # A weight table left at its default is a copy, so no two configs share one.
+        if phrase_len_weights is _PHRASE_LEN_WEIGHTS:
+            phrase_len_weights = dict(phrase_len_weights)
+        if object_count_weights is _OBJECT_COUNT_WEIGHTS:
+            object_count_weights = dict(object_count_weights)
+        _check_distribution(phrase_len_weights, "phrase_len_weights")
+        if set(phrase_len_weights) - {1, 2, 3, 4}:
             raise ValueError("phrase lengths must lie in 1..4")
-        _check_distribution(self.object_count_weights, "object_count_weights")
-        if set(self.object_count_weights) - {0, 1, 2}:
+        _check_distribution(object_count_weights, "object_count_weights")
+        if set(object_count_weights) - {0, 1, 2}:
             raise ValueError("object counts must lie in 0..2")
-        for name in ("prep_probability", "pi_probability", "reuse_bias"):
-            v = getattr(self, name)
+        for name, v in (("prep_probability", prep_probability),
+                        ("pi_probability", pi_probability), ("reuse_bias", reuse_bias)):
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
+        return super().__new__(cls, seed, phrase_len_weights, object_count_weights,
+                               prep_probability, pi_probability, reuse_bias)
 
 
 class ContextTracker:
@@ -182,29 +190,30 @@ class ContextTracker:
         return clone
 
 
-@dataclass(frozen=True)
-class ParagraphSpec:
-    sentences: int
-    max_words: Optional[int] = None
-    max_letters: Optional[int] = None
+class ParagraphSpec(NamedTuple("ParagraphSpec", [
+    ("sentences", int), ("max_words", Optional[int]), ("max_letters", Optional[int]),
+])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.sentences < 1:
+    def __new__(cls, sentences: int, max_words: Optional[int] = None,
+                max_letters: Optional[int] = None):
+        if sentences < 1:
             raise ValueError("a paragraph needs at least one sentence")
-        for bound in (self.max_words, self.max_letters):
+        for bound in (max_words, max_letters):
             if bound is not None and bound < 1:
                 raise ValueError("bounds must be positive")
+        return super().__new__(cls, sentences, max_words, max_letters)
 
 
-@dataclass(frozen=True)
-class PoemSpec:
-    stanzas: int
-    verses_per_stanza: int
-    phonemes_per_verse: int
+class PoemSpec(NamedTuple("PoemSpec", [
+    ("stanzas", int), ("verses_per_stanza", int), ("phonemes_per_verse", int),
+])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if min(self.stanzas, self.verses_per_stanza, self.phonemes_per_verse) < 1:
+    def __new__(cls, stanzas: int, verses_per_stanza: int, phonemes_per_verse: int):
+        if min(stanzas, verses_per_stanza, phonemes_per_verse) < 1:
             raise ValueError("poem dimensions must be positive")
+        return super().__new__(cls, stanzas, verses_per_stanza, phonemes_per_verse)
 
 
 class ComposeUnit(Enum):
@@ -269,6 +278,7 @@ class Synthesizer:
         tracker: Optional[ContextTracker] = None,
     ):
         self.cfg = cfg
+        self._reuse_bias = cfg.reuse_bias  # sample_word reads it on every draw
         self.rng = random.Random(cfg.seed)
         self.tracker = tracker if tracker is not None else ContextTracker()
         self._pool = tuple(sorted(e.surface for e in (lex or default_lexicon()).content_words()))
@@ -289,9 +299,9 @@ class Synthesizer:
         """
         tracker = tracker if tracker is not None else self.tracker
         u = self.rng.random()
-        i = tracker.find(self._pool_index, self.cfg.reuse_bias, u)
+        i = tracker.find(self._pool_index, self._reuse_bias, u)
         if i is None:
-            cumulative = list(accumulate(tracker.weights(self._pool_index, self.cfg.reuse_bias)))
+            cumulative = list(accumulate(tracker.weights(self._pool_index, self._reuse_bias)))
             word = _pick(self._pool, cumulative, u * cumulative[-1])
         else:
             word = self._pool[i]
@@ -360,7 +370,7 @@ class Synthesizer:
         return count_tables(self._sentence, self._verse, self._pool)
 
     def _weights(self) -> list[float]:
-        return self.tracker.weights(self._pool_index, self.cfg.reuse_bias)
+        return self.tracker.weights(self._pool_index, self._reuse_bias)
 
     def _drawn(self, unit: tuple, words: float, letters: float, at_most: bool) -> str:
         """A counted draw of ``unit``; its content words are observed after."""

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, NamedTuple, Optional
 
-from .lexicon import PURE_PARTICLES, Lexicon, PosTag
+from .lexicon import PURE_PARTICLES, Lemma, PosTag
 
 
 class WNPos(str, Enum):
@@ -46,8 +45,7 @@ class WordNetError(ValueError):
     """Missing or corrupt database files."""
 
 
-@dataclass(frozen=True, order=True)
-class SynsetRef:
+class SynsetRef(NamedTuple):
     pos: WNPos
     offset: int
 
@@ -320,14 +318,12 @@ EXPANSION: dict[PosTag, frozenset[WNPos]] = {
 MATCHED: dict[PosTag, frozenset[WNPos]] = {**EXPANSION, PosTag.ADJECTIVE: frozenset({WNPos.ADJ})}
 
 
-@dataclass(frozen=True)
-class CoverageGap:
+class CoverageGap(NamedTuple):
     lemma: str
     gloss: str
 
 
-@dataclass
-class TPWordnet:
+class TPWordnet(NamedTuple):
     mode: MappingMode
     map: dict[str, frozenset[SynsetRef]]
     coverage_gaps: tuple[CoverageGap, ...]
@@ -344,8 +340,9 @@ class TPWordnet:
         return self.map.get(word, frozenset())
 
 
-def build_mapping(lex: Lexicon, db: WordNetDatabase, mode: MappingMode) -> TPWordnet:
-    """Relate every non-particle lemma to synsets through its English glosses.
+def build_mapping(lex: Iterable[Lemma], db: WordNetDatabase, mode: MappingMode) -> TPWordnet:
+    """Relate each non-particle lemma of ``lex``, a lexicon or some of its
+    lemmas, to synsets through its English glosses.
 
     ALL collects everything reachable under the expanded classes;
     NO_PREPOSITIONS additionally drops preposition-tagged lemmas;
@@ -426,8 +423,7 @@ ANTONYM_PAIRS: tuple[tuple[str, str], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class RelationTable:
+class RelationTable(NamedTuple):
     hyponym_pairs: tuple[tuple[str, str], ...] = HYPONYM_PAIRS
     antonym_pairs: tuple[tuple[str, str], ...] = ANTONYM_PAIRS
 

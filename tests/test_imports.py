@@ -67,13 +67,15 @@ def test_relative_imports_form_no_cycle():
     assert _cycle(graph) == []
 
 
-#: Run in a fresh interpreter: import the package, or run one CLI call, and
-#: print the modules that are then loaded.
+#: Run in a fresh interpreter: import the package (and, given "load_lexicon",
+#: load the lexicon), or run one CLI call, and print the modules then loaded.
 _PROBE = """
 import contextlib, io, json, sys
 argv = json.loads(sys.argv[1])
-if argv is None:
+if argv is None or argv == "load_lexicon":
     import tokipona
+    if argv:
+        tokipona.load_lexicon()
 else:
     from tokipona.cli import main
     with contextlib.redirect_stdout(io.StringIO()):
@@ -93,7 +95,7 @@ def _loaded(argv) -> list[str]:
 _CLI = ["cli", "lexicon", "phonotactics"]
 
 
-@pytest.mark.parametrize("argv, modules", [
+_CALLS = [
     (None, []),
     (["syllabify", "toki"], _CLI),
     (["validate", "toki"], _CLI),
@@ -108,7 +110,10 @@ _CLI = ["cli", "lexicon", "phonotactics"]
     (["compose"], _CLI + ["synth"]),
     (["stats"], _CLI + ["stats"]),
     (["highlight", "render", "mi moku"], _CLI + ["highlight"]),
-])
+]
+
+
+@pytest.mark.parametrize("argv, modules", _CALLS)
 def test_modules_loaded(argv, modules):
     loaded = [m.removeprefix("tokipona.") for m in _loaded(argv) if m.startswith("tokipona.")]
     assert loaded == sorted(modules)
@@ -117,6 +122,16 @@ def test_modules_loaded(argv, modules):
 def test_wordnet_relations_loads_no_hashlib():
     """Only a database load digests files; the static relations need none."""
     assert "hashlib" not in _loaded(["wordnet", "relations"])
+
+
+@pytest.mark.parametrize("argv", ["load_lexicon"] + [
+    argv for argv, modules in _CALLS if "grammar" not in modules
+], ids=lambda argv: " ".join(argv) if isinstance(argv, list) else str(argv))
+def test_light_calls_load_no_dataclasses(argv):
+    """Only the parser's nodes are dataclasses, and ``dataclasses`` brings
+    ``inspect`` (with ``ast``, ``dis`` and ``tokenize``) along."""
+    loaded = _loaded(argv)
+    assert "dataclasses" not in loaded and "inspect" not in loaded
 
 
 #: Every name the package exports, by the module that defines it.

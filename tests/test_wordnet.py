@@ -259,7 +259,8 @@ def test_loader_matches_a_naive_parse(db_files):
         for (lemma, pos), offsets in index.items():
             assert db.lookup(lemma.replace("_", " "), pos) == offsets
             assert db.has_lemma(lemma)
-        for lemma in ("zzzzz", "q", "q q", "", "a a"):  # outside the drawn alphabet or length
+        # Outside the drawn alphabet or length: "a a a" is the 5-character key a_a_a.
+        for lemma in ("zzzzz", "q", "q q", "", "a a a"):
             assert not db.has_lemma(lemma)
         for pos in WNPos:
             assert db.lookup("zzzzz", pos) == ()
@@ -486,6 +487,14 @@ def test_subset_laws_every_lemma(mappings):
         assert refs <= all_map.map[word]
     assert noprep.total_synsets <= all_map.total_synsets
     assert matched.total_synsets <= all_map.total_synsets
+
+
+def test_one_lemma_maps_as_in_the_whole_mapping(mappings, lexicon, db):
+    """``wordnet lookup`` maps only the word it prints."""
+    for mode, whole in mappings.items():
+        for entry in lexicon:
+            one = build_mapping([entry], db, mode)
+            assert one.synsets_of(entry.surface) == whole.synsets_of(entry.surface)
 
 
 def test_mapping_deterministic(lexicon, db):
