@@ -9,10 +9,9 @@ structural impossibilities and raise :class:`GrammarError`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from math import comb
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .lexicon import (
     Lexicon,
@@ -40,20 +39,38 @@ TERMINATORS = {".", "!", "?"}
 _TOKEN_RE = re.compile(TOKEN_PATTERN)
 
 
-@dataclass(slots=True)
-class Token:
-    """One match of the tokenizer with its kind and, for ERROR, a note.
+class _Node:
+    """The dataclass methods over the fields ``__slots__`` names: ``==`` by class and
+    fields (so, defining ``__eq__``, no hash) and a ``Name(field=value, ...)`` repr."""
 
-    Slotted and not frozen, because a document pass builds one per word: it
-    takes no attributes beyond its fields and is read-only by contract.  The
-    hash reads ``surface``, ``start`` and ``end`` only (equal tokens still
-    hash equal), which spares hashing the enum."""
+    __slots__ = ()
 
-    surface: str
-    kind: TokenKind
-    start: int
-    end: int
-    note: Optional[str] = None
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = self.__slots__
+        return [getattr(self, n) for n in names] == [getattr(other, n) for n in names]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Token(_Node):
+    """One match of the tokenizer with its kind and, for ERROR, a note: read-only
+    by contract, and not frozen because a document pass builds one per word.  The
+    hash reads ``surface``, ``start`` and ``end`` only (equal tokens still hash
+    equal), which spares hashing the enum."""
+
+    __slots__ = ("surface", "kind", "start", "end", "note")
+
+    def __init__(self, surface: str, kind: TokenKind, start: int, end: int,
+                 note: Optional[str] = None):
+        self.surface = surface
+        self.kind = kind
+        self.start = start
+        self.end = end
+        self.note = note
 
     def __hash__(self) -> int:
         return hash((self.surface, self.start, self.end))
@@ -120,8 +137,7 @@ class Severity(Enum):
     ERROR = "error"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: Severity
     message: str
     start: int = -1
@@ -142,8 +158,7 @@ class GrammarError(ValueError):
         self.token = token
 
 
-@dataclass(frozen=True)
-class ParseOptions:
+class ParseOptions(NamedTuple):
     """Leniency switches; everything defaults to strict canon."""
 
     lenient_li: bool = False          # accept li after bare mi / sina
@@ -171,8 +186,7 @@ class TagValue(Enum):
     PUNCT = "PUNCT"
 
 
-@dataclass(frozen=True)
-class Hybrid:
+class Hybrid(NamedTuple):
     candidates: frozenset[TagValue]
 
     def __str__(self) -> str:
@@ -187,17 +201,22 @@ HYBRID_NVA = Hybrid(frozenset({TagValue.NOUN, TagValue.VERB, TagValue.ADJECTIVE}
 TaggedToken = tuple[Token, Assignment]
 
 
-@dataclass(slots=True)
-class PiGroup:
-    pi_token: Token
-    inner: "PhraseNode"
+class PiGroup(_Node):
+    __slots__ = ("pi_token", "inner")
+
+    def __init__(self, pi_token: Token, inner: PhraseNode):
+        self.pi_token = pi_token
+        self.inner = inner
 
 
-@dataclass(slots=True)
-class PhraseNode:
-    head: Token
-    modifiers: list[Union[Token, PiGroup]] = field(default_factory=list)
-    conj: list[tuple[Token, "PhraseNode"]] = field(default_factory=list)
+class PhraseNode(_Node):
+    __slots__ = ("head", "modifiers", "conj")
+
+    def __init__(self, head: Token, modifiers: Optional[list[Union[Token, PiGroup]]] = None,
+                 conj: Optional[list[tuple[Token, PhraseNode]]] = None):
+        self.head = head
+        self.modifiers = [] if modifiers is None else modifiers
+        self.conj = [] if conj is None else conj
 
     def walk(self, head: Assignment, mod: TagValue) -> Iterator[TaggedToken]:
         """Each token with its slot's tag: ``head`` for the head, ``mod`` for
@@ -224,18 +243,23 @@ class PhraseNode:
         return " ".join(self.words())
 
 
-@dataclass
-class ObjectArg:
-    marker: Token  # the introducing "e"
-    phrase: PhraseNode
-    lead_sep: Optional[Token] = None
+class ObjectArg(_Node):
+    __slots__ = ("marker", "phrase", "lead_sep")
+
+    def __init__(self, marker: Token, phrase: PhraseNode, lead_sep: Optional[Token] = None):
+        self.marker = marker  # the introducing "e"
+        self.phrase = phrase
+        self.lead_sep = lead_sep
 
 
-@dataclass
-class PrepPhrase:
-    prep: Token
-    complement: Optional[PhraseNode] = None
-    lead_sep: Optional[Token] = None
+class PrepPhrase(_Node):
+    __slots__ = ("prep", "complement", "lead_sep")
+
+    def __init__(self, prep: Token, complement: Optional[PhraseNode] = None,
+                 lead_sep: Optional[Token] = None):
+        self.prep = prep
+        self.complement = complement
+        self.lead_sep = lead_sep
 
 
 Complement = Union[ObjectArg, PrepPhrase]
@@ -254,15 +278,22 @@ def _walk_complements(complements: Sequence[Complement]) -> Iterator[TaggedToken
                 yield from c.complement.walk(HYBRID_NVA, TagValue.ADJECTIVE)
 
 
-@dataclass
-class Predicate:
-    marker: Optional[Token]  # li or o; None when elided or in a fragment
-    phrase: PhraseNode
-    preverbs: list[Token] = field(default_factory=list)
-    complements: list[Complement] = field(default_factory=list)
-    possessive_pi: Optional[Token] = None  # "li pi X" possession
-    lead_sep: Optional[Token] = None       # comma before a fragment continuation
-    colon_object: bool = False             # trailing ":" standing for "e ni"
+class Predicate(_Node):
+    __slots__ = ("marker", "phrase", "preverbs", "complements", "possessive_pi", "lead_sep",
+                 "colon_object")
+
+    def __init__(self, marker: Optional[Token], phrase: PhraseNode,
+                 preverbs: Optional[list[Token]] = None,
+                 complements: Optional[list[Complement]] = None,
+                 possessive_pi: Optional[Token] = None, lead_sep: Optional[Token] = None,
+                 colon_object: bool = False):
+        self.marker = marker  # li or o; None when elided or in a fragment
+        self.phrase = phrase
+        self.preverbs = [] if preverbs is None else preverbs
+        self.complements = [] if complements is None else complements
+        self.possessive_pi = possessive_pi  # "li pi X" possession
+        self.lead_sep = lead_sep            # comma before a fragment continuation
+        self.colon_object = colon_object    # trailing ":" standing for "e ni"
 
     @property
     def objects(self) -> list[PhraseNode]:
@@ -273,25 +304,35 @@ class Predicate:
         return [c for c in self.complements if isinstance(c, PrepPhrase)]
 
 
-@dataclass
-class Vocative:
-    phrase: PhraseNode
-    o_token: Token
-    comma: Optional[Token] = None
-    complements: list[PrepPhrase] = field(default_factory=list)
+class Vocative(_Node):
+    __slots__ = ("phrase", "o_token", "comma", "complements")
+
+    def __init__(self, phrase: PhraseNode, o_token: Token, comma: Optional[Token] = None,
+                 complements: Optional[list[PrepPhrase]] = None):
+        self.phrase = phrase
+        self.o_token = o_token
+        self.comma = comma
+        self.complements = [] if complements is None else complements
 
 
-@dataclass
-class Clause:
-    contexts: list["Clause"] = field(default_factory=list)
-    la_token: Optional[Token] = None  # set when this clause conditions another
-    vocative: Optional[Vocative] = None
-    subject: Optional[PhraseNode] = None
-    subject_complements: list[PrepPhrase] = field(default_factory=list)
-    predicates: list[Predicate] = field(default_factory=list)
-    tail: list[Token] = field(default_factory=list)  # trailing interjections
-    terminator: Optional[Token] = None
-    li_elided: bool = False
+class Clause(_Node):
+    __slots__ = ("contexts", "la_token", "vocative", "subject", "subject_complements",
+                 "predicates", "tail", "terminator", "li_elided")
+
+    def __init__(self, contexts: Optional[list[Clause]] = None, la_token: Optional[Token] = None,
+                 vocative: Optional[Vocative] = None, subject: Optional[PhraseNode] = None,
+                 subject_complements: Optional[list[PrepPhrase]] = None,
+                 predicates: Optional[list[Predicate]] = None, tail: Optional[list[Token]] = None,
+                 terminator: Optional[Token] = None, li_elided: bool = False):
+        self.contexts = [] if contexts is None else contexts
+        self.la_token = la_token  # set when this clause conditions another
+        self.vocative = vocative
+        self.subject = subject
+        self.subject_complements = [] if subject_complements is None else subject_complements
+        self.predicates = [] if predicates is None else predicates
+        self.tail = [] if tail is None else tail  # trailing interjections
+        self.terminator = terminator
+        self.li_elided = li_elided
 
     @property
     def prepositional(self) -> list[tuple[Token, Optional[PhraseNode]]]:
@@ -466,10 +507,12 @@ def render_record(record: dict) -> str:
     return "\n".join(lines)
 
 
-@dataclass
-class ParseResult:
-    clauses: list[Clause]
-    diagnostics: list[Diagnostic]
+class ParseResult(_Node):
+    __slots__ = ("clauses", "diagnostics")
+
+    def __init__(self, clauses: list[Clause], diagnostics: list[Diagnostic]):
+        self.clauses = clauses
+        self.diagnostics = diagnostics
 
     def problems(self) -> list[Diagnostic]:
         """Diagnostics at warning level or above (notes record ambiguities)."""

@@ -92,7 +92,14 @@ class LexiconError(ValueError):
     """Raised when the lexicon file is malformed or violates an invariant."""
 
 
-class Sense(NamedTuple("Sense", [("english_lemmas", tuple[str, ...])])):
+class CheckedRecord:
+    """A named tuple base: ``_make``, and so ``_replace``, runs the constructor's checks."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))
+
+
+class Sense(CheckedRecord, NamedTuple("Sense", [("english_lemmas", tuple[str, ...])])):
     """One dictionary sense: the English glosses it groups together."""
 
     __slots__ = ()

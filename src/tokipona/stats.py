@@ -13,7 +13,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
-from .lexicon import PREPOSITIONS, Lexicon, PosTag
+from .lexicon import PREPOSITIONS, CheckedRecord, Lexicon, PosTag
 from .phonotactics import VOWELS, syllabify
 
 PARTICLE_SLOT_CHOICES = 9 ** 4   # one of 8 particles or none, in each of 4 phrase slots
@@ -136,7 +136,7 @@ def word_length_report(lex: Lexicon) -> dict[int, tuple[int, float]]:
     }
 
 
-class SentenceSpaceQuery(NamedTuple("SentenceSpaceQuery", [
+class SentenceSpaceQuery(CheckedRecord, NamedTuple("SentenceSpaceQuery", [
     ("n", int),  # words in the subject phrase
     ("v", int),  # words in the predicate phrase
     ("o", int),  # words in the object phrase

@@ -24,7 +24,7 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .lexicon import LI_LESS_SUBJECTS, Lexicon, PREPOSITIONS, default_lexicon
+from .lexicon import LI_LESS_SUBJECTS, CheckedRecord, Lexicon, PREPOSITIONS, default_lexicon
 
 
 class SynthError(ValueError):
@@ -46,7 +46,7 @@ _PHRASE_LEN_WEIGHTS = {1: 0.5, 2: 0.3, 3: 0.15, 4: 0.05}
 _OBJECT_COUNT_WEIGHTS = {0: 0.4, 1: 0.45, 2: 0.15}
 
 
-class SynthConfig(NamedTuple("SynthConfig", [
+class SynthConfig(CheckedRecord, NamedTuple("SynthConfig", [
     ("seed", int), ("phrase_len_weights", dict[int, float]),
     ("object_count_weights", dict[int, float]), ("prep_probability", float),
     ("pi_probability", float), ("reuse_bias", float),
@@ -190,7 +190,7 @@ class ContextTracker:
         return clone
 
 
-class ParagraphSpec(NamedTuple("ParagraphSpec", [
+class ParagraphSpec(CheckedRecord, NamedTuple("ParagraphSpec", [
     ("sentences", int), ("max_words", Optional[int]), ("max_letters", Optional[int]),
 ])):
     __slots__ = ()
@@ -205,7 +205,7 @@ class ParagraphSpec(NamedTuple("ParagraphSpec", [
         return super().__new__(cls, sentences, max_words, max_letters)
 
 
-class PoemSpec(NamedTuple("PoemSpec", [
+class PoemSpec(CheckedRecord, NamedTuple("PoemSpec", [
     ("stanzas", int), ("verses_per_stanza", int), ("phonemes_per_verse", int),
 ])):
     __slots__ = ()

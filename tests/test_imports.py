@@ -68,7 +68,8 @@ def test_relative_imports_form_no_cycle():
 
 
 #: Run in a fresh interpreter: import the package (and, given "load_lexicon",
-#: load the lexicon), or run one CLI call, and print the modules then loaded.
+#: load the lexicon), import one module by its dotted name, or run one CLI
+#: call, and print the modules then loaded.
 _PROBE = """
 import contextlib, io, json, sys
 argv = json.loads(sys.argv[1])
@@ -76,6 +77,8 @@ if argv is None or argv == "load_lexicon":
     import tokipona
     if argv:
         tokipona.load_lexicon()
+elif isinstance(argv, str):
+    __import__(argv)
 else:
     from tokipona.cli import main
     with contextlib.redirect_stdout(io.StringIO()):
@@ -124,14 +127,27 @@ def test_wordnet_relations_loads_no_hashlib():
     assert "hashlib" not in _loaded(["wordnet", "relations"])
 
 
-@pytest.mark.parametrize("argv", ["load_lexicon"] + [
-    argv for argv, modules in _CALLS if "grammar" not in modules
+@pytest.mark.parametrize("argv", ["load_lexicon", "tokipona.grammar"] + [
+    argv for argv, _ in _CALLS
 ], ids=lambda argv: " ".join(argv) if isinstance(argv, list) else str(argv))
 def test_light_calls_load_no_dataclasses(argv):
-    """Only the parser's nodes are dataclasses, and ``dataclasses`` brings
-    ``inspect`` (with ``ast``, ``dis`` and ``tokenize``) along."""
+    """No call loads ``dataclasses``, ``parse`` and ``tag`` included: it
+    brings ``inspect`` (with ``ast``, ``dis`` and ``tokenize``) along."""
     loaded = _loaded(argv)
     assert "dataclasses" not in loaded and "inspect" not in loaded
+
+
+def test_no_module_imports_dataclasses():
+    """The records are named tuples and slotted classes, in every module."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            assert "dataclasses" not in [name.split(".")[0] for name in names], path.name
 
 
 #: Every name the package exports, by the module that defines it.

@@ -1,6 +1,7 @@
 """The records outside the parser are named tuples.  Each keeps the repr,
 equality, hash and order of the frozen dataclass it was, is read-only, and
-runs the checks that dataclass ran, with the same messages."""
+runs the checks that dataclass ran, with the same messages, also when
+``_make`` or ``_replace`` builds it."""
 
 import re
 from dataclasses import make_dataclass
@@ -16,6 +17,7 @@ from tokipona.stats import (
     FrequencyRow, LetterRestrict, PositionalFrequencyTable, Scope, SentenceSpaceQuery,
     letter_frequency, syllable_frequency,
 )
+from tokipona import synth
 from tokipona.synth import ParagraphSpec, PoemSpec, SynthConfig
 from tokipona.wordnet import (
     CoverageGap, MappingMode, RelationTable, SynsetRef, TPWordnet, WNPos, build_mapping,
@@ -157,6 +159,53 @@ def test_each_config_has_its_own_weights():
 def test_checks_run_in_order_with_their_messages(make, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         make()
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: SentenceSpaceQuery(1, 1, 1, 1)._replace(n=-1), ValueError,
+     "phrase size n must be >= 0"),
+    (lambda: SentenceSpaceQuery._make((0, 0, 0, 0, True)), ValueError,
+     "at least one phrase must be non-empty"),
+    (lambda: ParagraphSpec(1)._replace(max_words=0), ValueError, "bounds must be positive"),
+    (lambda: ParagraphSpec._make((0, None, None)), ValueError,
+     "a paragraph needs at least one sentence"),
+    (lambda: PoemSpec(1, 2, 3)._replace(stanzas=0), ValueError, "poem dimensions must be positive"),
+    (lambda: PoemSpec._make((0, 0, 0)), ValueError, "poem dimensions must be positive"),
+    (lambda: SynthConfig()._replace(reuse_bias=2.0), ValueError, "reuse_bias must be in [0, 1]"),
+    (lambda: SynthConfig._make((0, {1: 0.5}, {0: 1.0}, 0.2, 0.1, 0.5)), ValueError,
+     "phrase_len_weights must sum to 1, got 0.5"),
+    (lambda: Sense(("talk",))._replace(english_lemmas=("Good",)), LexiconError,
+     "bad gloss 'Good'"),
+    (lambda: Sense._make([()]), LexiconError, "empty sense"),
+])
+def test_replace_and_make_run_the_checks(make, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        make()
+
+
+@pytest.mark.parametrize("record", _OLD_FIELDS, ids=lambda r: r.__name__)
+def test_replace_and_make_remake_the_record(record, samples):
+    for value in samples[record]:
+        for remade in (value._replace(), record._make(value)):
+            assert type(remade) is record and remade == value
+
+
+def test_a_remade_config_has_its_own_weights():
+    """Remade from the constructor's defaults, a config copies the module's
+    weight tables as ``SynthConfig()`` does; ``_replace`` keeps a table it is
+    given, as ``dataclasses.replace`` did."""
+    defaults = SynthConfig.__new__.__defaults__
+    assert defaults[1] is synth._PHRASE_LEN_WEIGHTS
+    assert defaults[2] is synth._OBJECT_COUNT_WEIGHTS
+    for remade in (SynthConfig._make(defaults),
+                   SynthConfig(seed=1)._replace(phrase_len_weights=defaults[1],
+                                                object_count_weights=defaults[2])):
+        assert remade.phrase_len_weights == defaults[1]
+        assert remade.object_count_weights == defaults[2]
+        assert remade.phrase_len_weights is not defaults[1]
+        assert remade.object_count_weights is not defaults[2]
+    weights = {1: 1.0}
+    assert SynthConfig()._replace(phrase_len_weights=weights).phrase_len_weights is weights
 
 
 def test_records_are_tuples():
