@@ -142,9 +142,6 @@ class CountTables:
         #: Pool indices by word length, shortest first.
         self.by_length = sorted(by_length.items())
         self._points: dict[tuple, tuple] = {(): (0, 0, (), None)}  # the end
-        #: ``_point((unit,))`` of the sentence and the verse, by ``id``: a
-        #: draw would otherwise hash the whole nested grammar to find it.
-        self._starts: dict[int, tuple] = {}
 
     def _point(self, nodes: tuple) -> tuple:
         """The fixed words that open ``nodes``, as (words, letters, emits),
@@ -164,15 +161,6 @@ class CountTables:
                                  if isinstance(o[0], tuple) and o[0][0] > 0)
                 point = 0, 0, (), (static, subjects, None if subjects else _joined(static))
             self._points[nodes] = point
-        return point
-
-    def _start(self, unit: tuple) -> tuple:
-        """``_point((unit,))``."""
-        point = self._starts.get(id(unit))
-        if point is None:
-            point = self._point((unit,))
-            if unit is self.sentence or unit is self.verse:  # held, so its id is its own
-                self._starts[id(unit)] = point
         return point
 
     def _option(self, weight, n: int, w: int, l: int, emit: tuple, rest: tuple) -> tuple:
@@ -228,7 +216,7 @@ class CountTables:
     def _whole(self, unit: tuple, weights: list[float]) -> tuple[list, _Draw]:
         """The options of ``unit``'s first choice under ``weights``, with the
         fixed words before it, and a draw with the weights."""
-        w, l, _, choice = self._start(unit)
+        w, l, _, choice = self._point((unit,))
         draw = _Draw(self, None, weights, inf, 0, at_most=False)
         return [(p, n, w + w1, l + l1, rest, None, None)
                 for p, n, w1, l1, rest, _, _ in draw.options(choice)], draw
@@ -238,7 +226,7 @@ class CountTables:
         """A draw of ``unit`` of at most ``words`` words and at most (or,
         unless ``at_most``, exactly) ``letters`` letters: its words, and its
         content words."""
-        w, l, emit, choice = self._start(unit)
+        w, l, emit, choice = self._point((unit,))
         draw = _Draw(self, rng, weights, words - w, letters - l, at_most)
         parts: list = []
         while True:

@@ -157,17 +157,12 @@ def emit_filetype_detect() -> str:
 
 # --- rendering -------------------------------------------------------------
 
-@cache
-def _default_scheme() -> list[HighlightGroup]:
-    """The scheme of the bundled lexicon, built once, as it is loaded once."""
-    return build_scheme(default_lexicon())
-
-
 @lru_cache(maxsize=1)
 def _scheme_of(lex: Lexicon) -> list[HighlightGroup]:
-    """The scheme of the last lexicon given without one.  A lexicon is
-    immutable and hashed by identity, so one slot builds a caller's scheme
-    once however many texts it renders."""
+    """The scheme of the last lexicon given without one, or of the bundled
+    lexicon when neither was given.  A lexicon is immutable and hashed by
+    identity, so one slot builds a caller's scheme once however many texts
+    it renders."""
     return build_scheme(lex)
 
 
@@ -184,7 +179,7 @@ def _render(
     is grouped, escaped and painted once per call.  The gaps are whitespace,
     which ``escape`` leaves alone, so they pass through as they are."""
     if scheme is None:
-        scheme = _default_scheme() if lex is None else _scheme_of(lex)
+        scheme = _scheme_of(default_lexicon() if lex is None else lex)
     # Reversed, so that the first group listing a word wins.
     group_of = {w: g.name for g in reversed(scheme) for w in g.members}
     parts = _PIECE_RE.split(text)  # gap, token, gap, ..., gap

@@ -144,17 +144,17 @@ class ContextTracker:
             self._weights = [1.0 + bias * c for c in counts]
         return self._weights
 
-    def find(self, index: dict[str, int], bias: float, u: float) -> Optional[int]:
+    def find(self, index: dict[str, int], bias: float, u: float) -> int:
         """The position of the word whose running sum of ``weights(index,
-        bias)`` first exceeds ``u`` times their total, or None near an edge.
+        bias)``, added left to right, first exceeds ``u`` times their total.
 
         The descent compares the roll with each node's running sum, ``size +
         bias * count_sum``, computed from integers.  Each of these sums, and
         each running sum of the weights added left to right, lies within
         about ``n * 2**-52`` of the total from its real value.  So a roll
         more than ``1e-9`` of the total from both edges of a word picks that
-        word in both; nearer an edge, or past the pool, the answer is None,
-        and the caller adds the weights left to right to decide.
+        word in both; nearer an edge, or past the pool, the weights are
+        added left to right to decide, with the same ``u``.
         """
         weights = self.weights(index, bias)
         tree = self._tree
@@ -172,7 +172,8 @@ class ContextTracker:
             low, band = pos + bias * uses, 1e-9 * total
             if low + band < roll < low + weights[pos] - band:
                 return pos
-        return None
+        cumulative = list(accumulate(weights))
+        return _pick(range(len(weights)), cumulative, u * cumulative[-1])
 
     def count(self, word: str) -> int:
         return self.counts.get(word, 0)
@@ -181,12 +182,10 @@ class ContextTracker:
         return sum(self.counts.values())
 
     def copy(self) -> "ContextTracker":
+        """The counts and the window; the copy builds its weights on its first draw."""
         clone = ContextTracker(self.capacity)
         clone.counts = Counter(self.counts)
         clone._order = deque(self._order)
-        clone._index, clone._bias = self._index, self._bias
-        clone._weights = list(self._weights)
-        clone._tree, clone._uses = list(self._tree), self._uses
         return clone
 
 
@@ -292,19 +291,11 @@ class Synthesizer:
         """Draw a content word; each candidate weighs 1 + reuse_bias * uses.
 
         One roll ``u`` picks the first word whose running sum of weights,
-        added left to right, exceeds ``u`` times their total.  The tracker's
-        tree finds it in log n steps; when the roll lies too near an edge for
-        the tree to be sure, the running sums are added left to right, with
-        the same ``u``.  So every pick is the left-to-right draw's.
+        added left to right, exceeds ``u`` times their total
+        (``ContextTracker.find``).
         """
         tracker = tracker if tracker is not None else self.tracker
-        u = self.rng.random()
-        i = tracker.find(self._pool_index, self._reuse_bias, u)
-        if i is None:
-            cumulative = list(accumulate(tracker.weights(self._pool_index, self._reuse_bias)))
-            word = _pick(self._pool, cumulative, u * cumulative[-1])
-        else:
-            word = self._pool[i]
+        word = self._pool[tracker.find(self._pool_index, self._reuse_bias, self.rng.random())]
         tracker.observe(word)
         return word
 

@@ -323,6 +323,43 @@ def test_interjection_after_a_lone_comma():
     assert str(err.value) == "unparsed trailing material (at 'mu', 3..5)"
 
 
+# The next three tests pin today's reading of cases the paper's rules leave
+# open (ROADMAP item 8); if the parser decides them otherwise, they change too.
+
+def test_both_interjections_make_an_interjection_only_sentence():
+    result = parse_text("a mu!")
+    (clause,) = result.clauses
+    assert clause.predicates == []
+    assert [t.surface for t in clause.tail] == ["a", "mu"]
+    assert [d.message for d in result.diagnostics] == ["interjection-only sentence"]
+    assert list(pos_tag(clause).values()) == [TagValue.PARTICLE, TagValue.PARTICLE, TagValue.PUNCT]
+
+
+@pytest.mark.parametrize("text", ["mi.", "sina."])
+def test_a_lone_li_less_subject_is_a_fragment(text):
+    """A lone ``mi`` or ``sina`` is a predicate with no subject, not a
+    subject whose li is elided."""
+    word = text[:-1]
+    result = parse_text(text)
+    (clause,) = result.clauses
+    record = clause.to_dict()
+    assert record["subject"] is None and record["li_elided"] is False
+    (predicate,) = record["predicates"]
+    assert (predicate["phrase"]["head"], predicate["phrase"]["role"]) == (word, "verb")
+    assert [(d.severity, d.message, d.start, d.end) for d in result.diagnostics] == [
+        (Severity.NOTE, "incomplete sentence (no subject/predicate structure)", 0, len(word))
+    ]
+    assert list(pos_tag(clause).values()) == [TagValue.NOUN, TagValue.PUNCT]
+
+
+def test_anu_in_a_predicate_is_warned_unless_extended():
+    text = "mi moku anu pali."
+    assert [(d.severity, d.message, d.start, d.end) for d in parse_text(text).diagnostics] == [
+        (Severity.WARNING, "anu outside its canonical slots", 8, 11)
+    ]
+    assert parse_text(text, ParseOptions(extended_en_anu=True)).diagnostics == []
+
+
 def test_parse_en_subject_coordination():
     clause = parse_text("mi en sina li moku.").clauses[0]
     assert clause.subject.head.surface == "mi"

@@ -182,7 +182,7 @@ def test_render_without_a_scheme_builds_the_default_one_once(monkeypatch):
         built.append(lex)
         return build_scheme(lex, *args)
 
-    highlight._default_scheme.cache_clear()
+    highlight._scheme_of.cache_clear()
     monkeypatch.setattr(highlight, "build_scheme", counted_build_scheme)
     text = "mi moku e kili. jan Pije li <3 & xyzzy"
     lex = default_lexicon()

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from tokipona.grammar import PiGroup, parse_text, pi_readings
-from tokipona.counting import Letters
+from tokipona.counting import Letters, _Draw
 from tokipona import synth
 from tokipona.lexicon import (
     PREPOSITIONS,
@@ -526,6 +526,20 @@ def test_sentence_support_is_the_sentence_space(sizes, tmp_path):
         expected = sentence_space(lex, SentenceSpaceQuery(*sizes, with_particles=False))
         assert _skeleton_support(s, *sizes) == expected
     assert expected == 106 ** sum(sizes) * 5
+
+
+def test_a_budget_that_every_word_fits_counts_all_the_weight():
+    """Up to ``hi * n`` letters, n words all fit: the count is exactly 1.0,
+    not the row's float total, which under a reuse bias is off in the last
+    bits."""
+    s = Synthesizer(SynthConfig(seed=0, reuse_bias=0.7))
+    for _ in range(5):
+        s.sample_word()
+    shares = _Draw(s._tables, None, s._weights(), math.inf, 0, at_most=False).shares
+    hi = shares[-1][0]
+    count = Letters(shares, hi * 19, at_most=True)
+    assert [count(n, hi * n) for n in range(1, 20)] == [1.0] * 19
+    assert any(count.row(n)[hi * n] != 1.0 for n in range(1, 20))
 
 
 def test_verse_range_follows_the_lexicon(tmp_path):

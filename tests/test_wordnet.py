@@ -348,6 +348,12 @@ def _wrong_type(text: str) -> str:
     return json.dumps(stamp)
 
 
+def _numeric_version(text: str) -> str:
+    stamp = json.loads(text)
+    stamp["version"] = 3.0
+    return json.dumps(stamp)
+
+
 def _not_an_object(text: str) -> str:
     return "[]"
 
@@ -356,7 +362,9 @@ def _empty(text: str) -> str:
     return ""
 
 
-@pytest.mark.parametrize("spoil", [_truncated, _foreign, _wrong_type, _not_an_object, _empty])
+@pytest.mark.parametrize("spoil", [
+    _truncated, _foreign, _wrong_type, _numeric_version, _not_an_object, _empty,
+])
 def test_a_spoilt_stamp_is_a_miss_and_is_written_again(tmp_path, cache, spoil):
     root = write_wndb(tmp_path / "dict")
     load_wordnet_db(root)
