@@ -719,32 +719,28 @@ class _ClauseParser:
             if first.surface == "li":
                 self.note("subject omitted before li", first)
             marker = self.take()
-        elif split is not None and toks[split].surface == "o":
-            # Vocative: phrase [prep phrases] o [,] ...
+        elif split is not None:
+            # Vocative "phrase [prep phrases] o [,] ..." or subject "... li ...".
             phrase = self.phrase(allow_conj=True)
             preps = self.preps()
             if self.i != split:
-                raise GrammarError("could not read the phrase before o", self.toks[self.i])
-            o_tok = self.take()
-            comma = self.take() if self.peek() == "," else None
-            clause.vocative = Vocative(phrase, o_tok, comma, preps)
-            if self.peek() is None:
-                self.note("vocative-only sentence", o_tok)
-                return
-            if self.peek() == "li":
-                marker = self.take()
-        elif split is not None:
-            # Subject ... li ...
-            subject = self.phrase(allow_conj=True)
-            clause.subject_complements = self.preps()
-            if self.i != split:
+                if toks[split].surface == "o":
+                    raise GrammarError("could not read the phrase before o", self.toks[self.i])
                 raise GrammarError("could not read the subject before li", self.toks[self.i])
-            clause.subject = subject
-            bare = subject.head.surface in LI_LESS_SUBJECTS and not subject.modifiers \
-                and not subject.conj and not clause.subject_complements
-            if bare and not self.opts.lenient_li:
-                self.warn("li after a bare mi or sina is non-canonical", toks[split])
             marker = self.take()
+            if marker.surface == "li":
+                clause.subject, clause.subject_complements = phrase, preps
+                bare = phrase.head.surface in LI_LESS_SUBJECTS and not phrase.modifiers \
+                    and not phrase.conj and not preps
+                if bare and not self.opts.lenient_li:
+                    self.warn("li after a bare mi or sina is non-canonical", marker)
+            else:
+                comma = self.take() if self.peek() == "," else None
+                clause.vocative = Vocative(phrase, marker, comma, preps)
+                if self.peek() is None:
+                    self.note("vocative-only sentence", marker)
+                    return
+                marker = self.take() if self.peek() == "li" else None
         elif first.surface in LI_LESS_SUBJECTS and len(toks) > 1:
             # Elided li after a bare mi / sina.
             clause.subject = PhraseNode(self.take())

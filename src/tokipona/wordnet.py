@@ -2,13 +2,13 @@
 
 Consumes a Princeton WordNet 3.x database directory in the standard WNDB
 layout (index.noun/verb/adj/adv and data.* files, space-delimited fields,
-8-digit decimal synset offsets).  A load reads the eight files whole and
+8-digit decimal synset offsets).  A load reads the eight files whole, then
 checks every data line and every index offset (its count, and that its data
 file defines it), naming the file and line of a failure.  The check runs
 once per content: a database that passed leaves a stamp named by the
 SHA-256 of its files under ``$XDG_CACHE_HOME/tokipona`` (by default
-``~/.cache/tokipona``), and a load that finds its stamp takes the version,
-warnings and synset counts from it.  A failed check leaves no stamp.
+``~/.cache/tokipona``); a load that finds its stamp takes the version, the
+synset counts and the index order from it.  A failed check leaves no stamp.
 Lookups binary-search the index files by lemma, as Princeton's
 ``bin_search`` does.  Three mappings are built from the lexicon's English
 glosses: every reachable synset, the same without preposition-tagged words,
@@ -36,8 +36,9 @@ class WNPos(str, Enum):
 _VERSION_RE = re.compile(r"Word[nN]et (\d+\.\d+|\d+) Copyright")
 _DATA = {pos: f"data.{pos.name.lower()}" for pos in WNPos}
 _INDEX = {pos: f"index.{pos.name.lower()}" for pos in WNPos}
-#: Part of every stamp's digest: change it whenever the checks or the
-#: stamp's fields change, so that no stamp vouches for other checks.
+#: Part of every stamp's digest, so that no stamp vouches for other checks:
+#: change it when the checks change or the reader needs a new field, not for
+#: a field it ignores (older stamps' ``warnings``), which keeps them hits.
 _CHECKS = b"tokipona wndb checks 1\n"
 
 
@@ -57,73 +58,63 @@ class SynsetRef(NamedTuple):
 
 
 class WordNetDatabase:
-    """A checked WNDB directory: per POS, its synset count and its index
-    file's text with the lines in lemma order, binary-searched by lemma."""
+    """A checked WNDB directory: its version, its synset count and, per POS,
+    its index text in lemma order, binary-searched by lemma.  Every file is
+    read before any line is checked, so a missing file is named first."""
 
     def __init__(self, root: Path):
         self.root = Path(root)
-        self.version: Optional[str] = None
-        self.warnings: list[str] = []
-        self._synsets: dict[WNPos, int] = {}
-        self._index: dict[WNPos, tuple[str, int]] = {}
-        self._load()
-
-    def _load(self):
         if not self.root.is_dir():
             raise WordNetError(f"{self.root} is not a directory")
         import hashlib
 
-        files: dict[str, bytes] = {}
+        files = {name: _read(self.root / name) for name in [*_DATA.values(), *_INDEX.values()]}
         sha = hashlib.sha256(_CHECKS)
-        for name in [*_DATA.values(), *_INDEX.values()]:
-            try:
-                files[name] = data = _read(self.root / name)
-            except (WordNetError, OSError):
-                break  # read again, and so reported, when the checks reach it
+        for name, data in files.items():
             sha.update(b"%s %d\n" % (name.encode(), len(data)))
             sha.update(data)
         digest = sha.hexdigest()
-        stamp_path = _stamp_path(digest) if len(files) == len(WNPos) * 2 else None
+        stamp_path = _stamp_path(digest)
         stamp = _read_stamp(stamp_path, digest) if stamp_path else None
         if stamp is None:
             stamp = self._check(files)
             if stamp_path:
                 _write_stamp(stamp_path, {"digest": digest, **stamp})
-        self.version, self.warnings = stamp["version"], list(stamp["warnings"])
-        for pos in WNPos:
-            self._synsets[pos] = stamp["synsets"][pos.value]
-            self._index[pos] = _sorted_index(
-                _text(files.pop(_INDEX[pos])), stamp["in_order"][pos.value])
+        self.version: Optional[str] = stamp["version"]
+        self.total_synsets: int = sum(stamp["synsets"][pos.value] for pos in WNPos)
+        self._index = {pos: _sorted_index(_text(files.pop(_INDEX[pos])),
+                                          stamp["in_order"][pos.value]) for pos in WNPos}
+
+    @property
+    def warnings(self) -> list[str]:
+        """What the version says against the 3.0 that the mapping expects."""
+        if self.version is None:
+            return ["no version line found in the data files"]
+        return [] if self.version == "3.0" else [f"database reports version {self.version}, not 3.0"]
 
     def _check(self, files: dict[str, bytes]) -> dict:
-        """Check every line of ``files``, reading any file missing from them;
-        the stamp fields of a database that passes."""
+        """Check every line of ``files``; the stamp fields of a database that passes."""
         def lines(name: str) -> list[str]:
-            if name not in files:
-                files[name] = _read(self.root / name)
             # A data file's bytes go as soon as they are decoded; an index
             # file's stay, to be searched.
             return _split(_text(files[name] if name.startswith("index.") else files.pop(name)))
 
-        synsets = {pos: self._check_data(pos, lines(_DATA[pos])) for pos in WNPos}
-        in_order = {pos.value: self._check_index(pos, lines(_INDEX[pos]), synsets[pos])
+        data = {pos: self._check_data(pos, lines(_DATA[pos])) for pos in WNPos}
+        in_order = {pos.value: self._check_index(pos, lines(_INDEX[pos]), data[pos][1])
                     for pos in WNPos}
-        if self.version is None:
-            self.warnings.append("no version line found in the data files")
-        elif self.version != "3.0":
-            self.warnings.append(f"database reports version {self.version}, not 3.0")
-        return {"version": self.version, "warnings": self.warnings,
-                "synsets": {pos.value: len(seen) for pos, seen in synsets.items()},
+        return {"version": next((version for version, _ in data.values() if version), None),
+                "synsets": {pos.value: len(seen) for pos, (_, seen) in data.items()},
                 "in_order": in_order}
 
-    def _check_data(self, pos: WNPos, lines: list[str]) -> set[int]:
-        """The synset offsets of a data file."""
-        name, seen = _DATA[pos], set()
+    @staticmethod
+    def _check_data(pos: WNPos, lines: list[str]) -> tuple[Optional[str], set[int]]:
+        """A data file's license-header version, if any, and synset offsets."""
+        name, version, seen = _DATA[pos], None, set()
         for lineno, line in enumerate(lines, 1):
             if line.startswith("  "):  # license header
-                m = self.version is None and _VERSION_RE.search(line)
+                m = version is None and _VERSION_RE.search(line)
                 if m:
-                    self.version = m.group(1)
+                    version = m.group(1)
                 continue
             fields = line.split(None, 3)
             if len(fields) < 3:
@@ -131,10 +122,8 @@ class WordNetDatabase:
             try:
                 seen.add(int(fields[0]))
             except ValueError:
-                raise WordNetError(
-                    f"{name}:{lineno}: bad synset offset {fields[0]!r}"
-                ) from None
-        return seen
+                raise WordNetError(f"{name}:{lineno}: bad synset offset {fields[0]!r}") from None
+        return version, seen
 
     @staticmethod
     def _check_index(pos: WNPos, lines: list[str], synsets: set[int]) -> bool:
@@ -163,10 +152,6 @@ class WordNetDatabase:
             in_order = in_order and (last is None or last <= fields[0])
             last = fields[0]
         return in_order
-
-    @property
-    def total_synsets(self) -> int:
-        return sum(self._synsets.values())
 
     def _line(self, key: str, pos: WNPos) -> Optional[str]:
         """The last index line of ``key``: Princeton's ``bin_search`` over the
@@ -257,8 +242,6 @@ def _read_stamp(path: Path, digest: str) -> Optional[dict]:
         stamp = json.loads(path.read_bytes())
         valid = (stamp["digest"] == digest
                  and (stamp["version"] is None or type(stamp["version"]) is str)
-                 and type(stamp["warnings"]) is list
-                 and all(type(w) is str for w in stamp["warnings"])
                  and all(type(stamp["synsets"][pos.value]) is int
                          and type(stamp["in_order"][pos.value]) is bool for pos in WNPos))
     except (OSError, ValueError, KeyError, TypeError):

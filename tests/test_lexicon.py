@@ -99,6 +99,16 @@ def test_chosen_is_deterministic(lexicon):
         assert entry.chosen in entry.tags
 
 
+def test_no_tag_has_no_chosen_tag():
+    """The lexicon refuses a lemma without tags, so only a direct call gets here."""
+    with pytest.raises(LexiconError, match=r"^no chosen tag for set\(\)$"):
+        choose_tag([])
+
+
+def test_a_lemma_prints_as_its_surface(lexicon):
+    assert str(lexicon.lookup("toki")) == "toki"
+
+
 def test_chosen_precedence_examples(lexicon):
     assert lexicon.lookup("lukin").chosen is PosTag.PRE
     assert lexicon.lookup("moku").chosen is PosTag.VERB

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from tokipona.grammar import PiGroup, parse_text, pi_readings
-from tokipona.counting import Letters, _Draw
+from tokipona.counting import CountTables, Letters, _Draw
 from tokipona import synth
 from tokipona.lexicon import (
     PREPOSITIONS,
@@ -540,6 +540,18 @@ def test_a_budget_that_every_word_fits_counts_all_the_weight():
     count = Letters(shares, hi * 19, at_most=True)
     assert [count(n, hi * n) for n in range(1, 20)] == [1.0] * 19
     assert any(count.row(n)[hi * n] != 1.0 for n in range(1, 20))
+
+
+def test_a_malformed_grammar_node_is_refused():
+    s = Synthesizer(SynthConfig(seed=0))
+    with pytest.raises(ValueError, match="^unknown grammar node 'nope'$"):
+        s._read(("nope",), s.tracker, [])
+    with pytest.raises(ValueError, match="^no counted reading of a 'nope' node here$"):
+        CountTables(("nope",), s._verse, s._pool)._point((("nope",),))
+    tables = CountTables(s._sentence, s._verse, s._pool)
+    late_subject = ("seq", (s._phrase, ("subject", ("word",), ("mi", "sina"), "li")))
+    with pytest.raises(ValueError, match="^a one-word subject must open its unit$"):
+        tables.fit(late_subject, random.Random(0), s._weights(), 30, 120, at_most=True)
 
 
 def test_verse_range_follows_the_lexicon(tmp_path):

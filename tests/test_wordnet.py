@@ -138,6 +138,14 @@ def test_first_bad_line_of_the_first_bad_file_is_reported(tmp_path):
     assert _load_error(root) == f"data.verb:{first}: truncated synset line"
 
 
+def test_a_missing_file_is_named_before_a_bad_line_of_another(tmp_path):
+    """Every file is read before any line is checked."""
+    root = write_wndb(tmp_path / "dict", skip_files=("index.adv",))
+    text = (root / "data.noun").read_text("utf-8")
+    (root / "data.noun").write_text(text + "10000999 03\n", "utf-8")
+    assert _load_error(root) == "missing database file index.adv"
+
+
 def test_form_feed_inside_a_line_does_not_move_line_numbers(tmp_path):
     root = write_wndb(tmp_path / "dict")
     text = (root / "data.noun").read_text("utf-8")
@@ -375,6 +383,31 @@ def test_a_spoilt_stamp_is_a_miss_and_is_written_again(tmp_path, cache, spoil):
         _load_hit(root)
     assert _lookups(load_wordnet_db(root)) == _lookups(_load_hit(root))
     assert json.loads(stamp.read_text("utf-8")) == json.loads(good)
+
+
+@pytest.mark.parametrize("version", ["3.0", "3.1"])
+def test_a_stamp_with_the_warnings_of_older_stamps_is_a_hit(tmp_path, cache, version):
+    """Older stamps also hold the warnings, which now follow from the version."""
+    root = write_wndb(tmp_path / "dict")
+    for name in root.iterdir():
+        name.write_text(name.read_text("utf-8").replace("WordNet 3.0", f"WordNet {version}"),
+                        "utf-8")
+    miss = load_wordnet_db(root)
+    [stamp] = _stamps(cache)
+    older = {**json.loads(stamp.read_text("utf-8")), "warnings": miss.warnings}
+    stamp.write_text(json.dumps(older), "utf-8")
+    hit = _load_hit(root)
+    assert (hit.version, hit.warnings, hit.total_synsets) == \
+        (version, miss.warnings, miss.total_synsets)
+    assert (version == "3.0") == (hit.warnings == [])
+    assert _lookups(hit) == _lookups(miss)
+
+
+def test_a_stamp_that_cannot_be_renamed_into_place_leaves_no_file(tmp_path, cache):
+    root = write_wndb(tmp_path / "dict")
+    with mock.patch("tokipona.wordnet.os.replace", side_effect=OSError("refused")):
+        assert load_wordnet_db(root).lookup("eat", WNPos.VERB) == (20000001, 20000002)
+    assert list((cache / "tokipona").iterdir()) == []
 
 
 def test_a_cache_that_cannot_be_written_is_skipped(tmp_path, monkeypatch):
