@@ -81,13 +81,9 @@ class ContextTracker:
     """Multiset of content words already emitted, optionally windowed.
 
     For the word pool a Synthesizer last drew from, it also keeps the draw
-    weights ``1 + bias * count`` as a list, and the counts in a Fenwick tree
-    (Fenwick 1994, "A new data structure for cumulative frequency tables"),
-    so that a draw need not rebuild them; ``observe`` is the only way to
-    change the counts, and keeps all of them in step.  The tree holds integer
-    counts only.  It is padded with empty slots to the power of two above the
-    pool's size, so ``find`` descends it in log2 steps with no bound check,
-    and one use changes the nodes on one path.
+    weights ``1 + bias * count`` as a list, so that a unit need not rebuild
+    them; ``observe`` is the only way to change the counts, and keeps the
+    list in step.
     """
 
     def __init__(self, capacity: Optional[int] = None):
@@ -99,12 +95,10 @@ class ContextTracker:
         self._index: dict[str, int] = {}
         self._bias = 0.0
         self._weights: list[float] = []
-        self._tree: list[int] = [0]  # node i sums the counts of (i - (i & -i), i]
-        self._uses = 0  # the counts of the pool's words, summed
 
     def observe(self, word: str):
         self.counts[word] += 1
-        self._reweigh(word, 1)
+        self._reweigh(word)
         if self.capacity is not None:
             self._order.append(word)
             while len(self._order) > self.capacity:
@@ -112,17 +106,12 @@ class ContextTracker:
                 self.counts[old] -= 1
                 if self.counts[old] <= 0:
                     del self.counts[old]
-                self._reweigh(old, -1)
+                self._reweigh(old)
 
-    def _reweigh(self, word: str, change: int):
+    def _reweigh(self, word: str):
         i = self._index.get(word)
         if i is not None:
             self._weights[i] = 1.0 + self._bias * self.counts.get(word, 0)
-            self._uses += change
-            tree, i = self._tree, i + 1
-            while i < len(tree):
-                tree[i] += change
-                i += i & -i
 
     def weights(self, index: dict[str, int], bias: float) -> list[float]:
         """``1 + bias * count`` for each word of ``index``, in its order.
@@ -132,48 +121,9 @@ class ContextTracker:
         integer count, so it equals a rebuilt one exactly.
         """
         if index is not self._index or bias != self._bias:
-            counts = [self.counts.get(w, 0) for w in index]
-            tree = [0] * (1 << len(index).bit_length())
-            tree[1:len(index) + 1] = counts
-            for i in range(1, len(tree)):
-                parent = i + (i & -i)
-                if parent < len(tree):
-                    tree[parent] += tree[i]
-            self._tree, self._uses = tree, sum(counts)
             self._index, self._bias = index, bias
-            self._weights = [1.0 + bias * c for c in counts]
+            self._weights = [1.0 + bias * self.counts.get(w, 0) for w in index]
         return self._weights
-
-    def find(self, index: dict[str, int], bias: float, u: float) -> int:
-        """The position of the word whose running sum of ``weights(index,
-        bias)``, added left to right, first exceeds ``u`` times their total.
-
-        The descent compares the roll with each node's running sum, ``size +
-        bias * count_sum``, computed from integers.  Each of these sums, and
-        each running sum of the weights added left to right, lies within
-        about ``n * 2**-52`` of the total from its real value.  So a roll
-        more than ``1e-9`` of the total from both edges of a word picks that
-        word in both; nearer an edge, or past the pool, the weights are
-        added left to right to decide, with the same ``u``.
-        """
-        weights = self.weights(index, bias)
-        tree = self._tree
-        total = len(weights) + bias * self._uses
-        roll = u * total
-        pos = uses = 0
-        step = len(tree) >> 1
-        while step:
-            node = pos + step
-            count = uses + tree[node]
-            if node + bias * count <= roll:
-                pos, uses = node, count
-            step >>= 1
-        if pos < len(weights):
-            low, band = pos + bias * uses, 1e-9 * total
-            if low + band < roll < low + weights[pos] - band:
-                return pos
-        cumulative = list(accumulate(weights))
-        return _pick(range(len(weights)), cumulative, u * cumulative[-1])
 
     def count(self, word: str) -> int:
         return self.counts.get(word, 0)
@@ -277,7 +227,6 @@ class Synthesizer:
         tracker: Optional[ContextTracker] = None,
     ):
         self.cfg = cfg
-        self._reuse_bias = cfg.reuse_bias  # sample_word reads it on every draw
         self.rng = random.Random(cfg.seed)
         self.tracker = tracker if tracker is not None else ContextTracker()
         self._pool = tuple(sorted(e.surface for e in (lex or default_lexicon()).content_words()))
@@ -288,58 +237,67 @@ class Synthesizer:
     # sampling -----------------------------------------------------------
 
     def sample_word(self, tracker: Optional[ContextTracker] = None) -> str:
-        """Draw a content word; each candidate weighs 1 + reuse_bias * uses.
-
-        One roll ``u`` picks the first word whose running sum of weights,
-        added left to right, exceeds ``u`` times their total
-        (``ContextTracker.find``).
-        """
-        tracker = tracker if tracker is not None else self.tracker
-        word = self._pool[tracker.find(self._pool_index, self._reuse_bias, self.rng.random())]
-        tracker.observe(word)
-        return word
+        """Draw a content word, a unit of one word: each candidate weighs
+        1 + reuse_bias * uses, and one roll picks the first whose running
+        sum of weights, added left to right, exceeds it times their total."""
+        return self._words(("word",), tracker)[0]
 
     # the forward reader ---------------------------------------------------
 
-    def _read(self, node: tuple, tracker: ContextTracker, words: list[str]) -> None:
-        """Draw ``node`` of the grammar onto the end of ``words``."""
+    def _read(self, node: tuple, cumulative: list[float], words: list[str],
+              content: list[str]) -> None:
+        """Draw ``node`` of the grammar onto the end of ``words``, and its
+        content words, each picked by the running sums ``cumulative`` of the
+        pool's weights, onto the end of ``content`` too."""
         kind, rng = node[0], self.rng
         if kind == "phrase":
             (lengths, _, sums), pi = node[1], node[2]
             length = _pick(lengths, sums, rng.random())
-            phrase = [self.sample_word(tracker) for _ in range(length)]
+            phrase = [_pick(self._pool, cumulative, rng.random() * cumulative[-1])
+                      for _ in range(length)]
+            content += phrase
             if length >= 3 and rng.random() < pi:
                 phrase.insert(length - 2, "pi")
             words += phrase
         elif kind == "seq":
             for item in node[1]:
-                self._read(item, tracker, words)
-        elif kind in ("lit", "word"):
-            words.append(node[1] if kind == "lit" else self.sample_word(tracker))
+                self._read(item, cumulative, words, content)
+        elif kind == "lit":
+            words.append(node[1])
+        elif kind == "word":
+            content.append(_pick(self._pool, cumulative, rng.random() * cumulative[-1]))
+            words.append(content[-1])
         elif kind == "subject":
             start = len(words)
-            self._read(node[1], tracker, words)
+            self._read(node[1], cumulative, words, content)
             if len(words) - start != 1 or words[start] not in node[2]:
                 words.append(node[3])
         elif kind == "repeat":
             counts, _, sums = node[1]
             for _ in range(_pick(counts, sums, rng.random())):
-                self._read(node[2], tracker, words)
+                self._read(node[2], cumulative, words, content)
         elif kind == "maybe":
             if rng.random() < node[1]:
-                self._read(node[2], tracker, words)
+                self._read(node[2], cumulative, words, content)
         elif kind == "one_of":
             options = node[1]
             words.append(options[int(rng.random() * len(options)) % len(options)])
         elif kind == "alt":
             nodes, _, sums = node[1]
-            self._read(_pick(nodes, sums, rng.random()), tracker, words)
+            self._read(_pick(nodes, sums, rng.random()), cumulative, words, content)
         else:
             raise ValueError(f"unknown grammar node {kind!r}")
 
     def _words(self, node: tuple, tracker: Optional[ContextTracker]) -> list[str]:
+        """A unit of the grammar, drawn as the counted draws are: with the
+        word weights frozen at its start, its content words observed after."""
+        tracker = tracker if tracker is not None else self.tracker
+        cumulative = list(accumulate(tracker.weights(self._pool_index, self.cfg.reuse_bias)))
         words: list[str] = []
-        self._read(node, tracker if tracker is not None else self.tracker, words)
+        content: list[str] = []
+        self._read(node, cumulative, words, content)
+        for word in content:
+            tracker.observe(word)
         return words
 
     # phrase and sentence units -----------------------------------------
@@ -361,7 +319,7 @@ class Synthesizer:
         return count_tables(self._sentence, self._verse, self._pool)
 
     def _weights(self) -> list[float]:
-        return self.tracker.weights(self._pool_index, self._reuse_bias)
+        return self.tracker.weights(self._pool_index, self.cfg.reuse_bias)
 
     def _drawn(self, unit: tuple, words: float, letters: float, at_most: bool) -> str:
         """A counted draw of ``unit``; its content words are observed after."""

@@ -5,7 +5,6 @@ import math
 import random
 from collections import Counter
 from importlib import resources
-from itertools import accumulate
 from types import SimpleNamespace
 
 import pytest
@@ -166,15 +165,9 @@ _actions = hst.lists(
 
 
 def _assert_in_step(t):
-    """The weights, tree and pool total a tracker keeps for the pool it last
-    drew from equal their definitions from its counts."""
-    counts = [t.count(w) for w in t._index]
-    assert t._weights == [1.0 + t._bias * c for c in counts]
-    assert t._uses == sum(counts)
-    size = len(t._tree)
-    assert size > len(counts) and size & (size - 1) == 0  # a power of two above the pool
-    prefix = [0, *accumulate(counts + [0] * (size - len(counts)))]
-    assert t._tree[1:] == [prefix[i] - prefix[i - (i & -i)] for i in range(1, size)]
+    """The weights a tracker keeps for the pool it last drew from equal
+    their definition from its counts."""
+    assert t._weights == [1.0 + t._bias * t.count(w) for w in t._index]
 
 
 @given(
@@ -188,7 +181,7 @@ def test_kept_weights_equal_a_rebuild(actions, capacity, bias, seed):
     """Every draw takes the linear scan's pick and leaves the generator in
     its state, and every tracker stays in step with its counts.  Two
     synthesizers with pools of 107 and 8 words share the trackers, so a draw
-    from the other pool rebuilds a tracker's tree."""
+    from the other pool rebuilds a tracker's weights."""
     cfg = SynthConfig(seed=seed, reuse_bias=bias)
     s = Synthesizer(cfg, tracker=ContextTracker(capacity))
     small = Synthesizer(cfg, _SMALL_LEX)
@@ -197,12 +190,12 @@ def test_kept_weights_equal_a_rebuild(actions, capacity, bias, seed):
     for action, slot, word in actions:
         t = trackers[slot % len(trackers)]
         if action == "observe":
-            kept = [(o, list(o._weights), list(o._tree), o._uses) for o in trackers]
+            kept = [(o, list(o._weights)) for o in trackers]
             t.observe(word)
-            for o, weights, tree, uses in kept:
+            for o, weights in kept:
                 # A word outside the pool moves nothing, unless it evicts one.
                 if o is not t or (word not in o._index and capacity is None):
-                    assert (o._weights, o._tree, o._uses) == (weights, tree, uses)
+                    assert o._weights == weights
         elif action == "copy":
             trackers.append(t.copy())
         else:
@@ -226,15 +219,7 @@ def test_kept_weights_equal_a_rebuild(actions, capacity, bias, seed):
     # roll 64 lands on the running sum of the first 64 words.
     (1.0, _POOL[-21:], 0.5),
 ])
-def test_a_roll_at_an_edge_is_decided_left_to_right(monkeypatch, bias, uses, u):
-    picks = []
-
-    def pick(*args):
-        picks.append(args)
-        return synth_pick(*args)
-
-    synth_pick = synth._pick
-    monkeypatch.setattr(synth, "_pick", pick)
+def test_a_roll_at_an_edge_is_decided_left_to_right(bias, uses, u):
     s = Synthesizer(SynthConfig(reuse_bias=bias))
     for word in uses:
         s.tracker.observe(word)
@@ -242,12 +227,76 @@ def test_a_roll_at_an_edge_is_decided_left_to_right(monkeypatch, bias, uses, u):
     s.rng = SimpleNamespace(random=rolls.__next__)
     expected = _linear_scan_draw(_POOL, s.tracker, bias, SimpleNamespace(random=lambda: u))
     assert s.sample_word() == expected
-    assert len(picks) == 1  # the left-to-right sums decided
-    reference = s.tracker.copy()
-    expected = _linear_scan_draw(_POOL, reference, bias, SimpleNamespace(random=lambda: 0.25))
+    expected = _linear_scan_draw(_POOL, s.tracker, bias, SimpleNamespace(random=lambda: 0.25))
     assert s.sample_word() == expected
-    assert len(picks) == 1  # a roll inside a word is the tree's alone
     assert next(rolls, None) is None  # one roll per draw
+
+
+def _log_draws(s: Synthesizer) -> list:
+    """Make ``s`` log each roll of its generator as ("roll", value) and each
+    word its tracker observes as ("observe", word), in order."""
+    log, random_, observe = [], s.rng.random, s.tracker.observe
+
+    def roll():
+        log.append(("roll", random_()))
+        return log[-1][1]
+
+    def observed(word):
+        log.append(("observe", word))
+        observe(word)
+
+    s.rng = SimpleNamespace(random=roll)
+    s.tracker.observe = observed
+    return log
+
+
+def _units(log: list) -> list[tuple[list[float], list[str]]]:
+    """The log cut into units, each (its rolls, then the words it observed):
+    a unit ends where a roll follows an observe."""
+    units: list = []
+    for kind, value in log:
+        if kind == "roll" and (not units or units[-1][1]):
+            units.append(([], []))
+        units[-1][kind == "observe"].append(value)
+    return units
+
+
+@pytest.mark.parametrize("bias", [0.5, 1.0])
+def test_a_unit_draws_from_the_weights_at_its_start(bias):
+    """A phrase, sentence or verse call, and each verse of a poem and each
+    sentence of a paragraph, rolls all it needs before it observes its
+    content words; a call's content words are the linear scan's picks over
+    the weights at its start, in the order of its rolls."""
+    s = Synthesizer(SynthConfig(seed=5, reuse_bias=bias))
+    for word in _POOL[::3] + ["moku"] * 5:
+        s.tracker.observe(word)
+    log = _log_draws(s)
+    for draw in (s.phrase_words, s.sentence_text, s.verse_text) * 10:
+        log.clear()
+        start = s.tracker.copy()
+        text = draw()
+        [(rolls, observed)] = _units(log)
+        if draw != s.sentence_text:  # phrases and verses hold no preposition or e
+            words = text if isinstance(text, list) else text.split()
+            assert observed == [w for w in words if w not in ("li", "pi")]
+        picks = iter(rolls)
+        for word in observed:
+            assert any(_linear_scan_draw(_POOL, start, bias, SimpleNamespace(random=lambda: r))
+                       == word for r in picks), (text, word)
+
+    log.clear()
+    poem = s.synth_poem(PoemSpec(2, 3, 14))
+    verses = poem.replace("\n\n", "\n").split("\n")
+    assert [observed for _, observed in _units(log)] == [
+        [w for w in verse.split() if w not in ("li", "pi")] for verse in verses]
+
+    log.clear()
+    paragraph = s.synth_paragraph(ParagraphSpec(4, 40, 160))
+    units, sentences = _units(log), paragraph.split(". ")
+    assert len(units) == len(sentences) == 4
+    for (_, observed), sentence in zip(units, sentences):
+        words = iter(sentence.rstrip(".").split())
+        assert all(w in words for w in observed)  # in the sentence, in order
 
 
 def test_sampling_unbiased_when_bias_zero():
@@ -545,7 +594,7 @@ def test_a_budget_that_every_word_fits_counts_all_the_weight():
 def test_a_malformed_grammar_node_is_refused():
     s = Synthesizer(SynthConfig(seed=0))
     with pytest.raises(ValueError, match="^unknown grammar node 'nope'$"):
-        s._read(("nope",), s.tracker, [])
+        s._read(("nope",), [1.0], [], [])
     with pytest.raises(ValueError, match="^no counted reading of a 'nope' node here$"):
         CountTables(("nope",), s._verse, s._pool)._point((("nope",),))
     tables = CountTables(s._sentence, s._verse, s._pool)
