@@ -172,17 +172,13 @@ class CountTables:
 
     def _options(self, node: tuple, rest: tuple, scale: float) -> list:
         """The options of the choice ``node`` makes before ``rest``, as
-        (weight, free words, other words, letters, emits, what follows).  A
-        word-level choice weighs ``scale`` in all, and merges into the
-        choice around it."""
+        (weight, free words, other words, letters, emits, what follows).  An
+        ``alt`` that opens a branch, and a one-word subject, weigh ``scale``
+        in all and merge into the choice around them."""
         kind = node[0]
-        if kind == "phrase":  # pi before the last two words, from three words on
-            (lengths, weights, _), pi = node[1], node[2]
-            return [
-                (weight * share, n, with_pi, 2 * with_pi, (("shape", (n, with_pi)),), rest)
-                for n, weight in zip(lengths, weights)
-                for share, with_pi in (((1 - pi, 0), (pi, 1)) if n >= 3 else ((1.0, 0),))
-            ]
+        if kind == "phrase":  # a shape's pi is one more word, of two letters
+            return [(weight, n, pi is not None, 2 * (pi is not None), (("shape", (n, pi)),), rest)
+                    for (n, pi), weight in zip(*node[1][:2])]
         if kind == "subject" and node[1][0] == "phrase":  # one word: the next case
             return [x for o in self._options(node[1], (("lit", node[3]), *rest), scale)
                     for x in ([o] if o[1:3] != (1, 0) else
@@ -194,20 +190,14 @@ class CountTables:
             return [((scale, [i]), 0, 1, len(word), (("word", word),), rest)
                     for i, word in enumerate(pool) if word in li_less] + [
                 ((scale, idx), 0, 1, n, (("pick", idx),), li) for n, idx in takers if idx]
-        if kind == "one_of":
-            return [(scale / len(node[1]), 0, 1, len(w), (("text", w),), rest) for w in node[1]]
-        if kind == "repeat":
-            (counts, weights, _), body = node[1], node[2]
-            return [(p, 0, 0, 0, (), (body,) * k + rest) for k, p in zip(counts, weights)]
-        if kind not in ("alt", "maybe"):
+        if kind != "alt":
             raise ValueError(f"no counted reading of a {kind!r} node here")
-        branches = [(1 - node[1], ()), (node[1], (node[2],))] if kind == "maybe" else [
-            (weight, (branch,)) for branch, weight in zip(*node[1][:2])]
         options: list = []
-        for weight, branch in branches:
+        for branch, weight in zip(*node[1][:2]):
+            branch, weight = (branch,), scale * weight
             while branch and branch[0][0] == "seq":
                 branch = branch[0][1] + branch[1:]
-            if branch and (branch[0][0] == "one_of" or branch[0][:2] == ("subject", ("word",))):
+            if branch and (branch[0][0] == "alt" or branch[0][:2] == ("subject", ("word",))):
                 options += self._options(branch[0], branch[1:] + rest, weight)
             else:
                 options.append((weight, 0, 0, 0, (), branch + rest))
@@ -372,9 +362,9 @@ class _Draw:
             if isinstance(part, str):
                 words.append(part)
                 continue
-            n, with_pi = part
+            n, pi = part
             phrase = [self._free_word() for _ in range(n)]
-            if with_pi:
-                phrase.insert(n - 2, "pi")
+            if pi is not None:
+                phrase.insert(pi, "pi")
             words += phrase
         return words

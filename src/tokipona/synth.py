@@ -186,23 +186,27 @@ def grammar(cfg: SynthConfig) -> tuple[tuple, tuple]:
     """The sentence and the verse grammar of ``cfg`` as nested tuples, which
     ``Synthesizer`` reads forward and ``counting.CountTables`` as count tables.
 
-    A node is led by its kind: ``("phrase", (lengths, weights, sums), pi)``,
-    content words as many as a length drawn by weight, and from three on,
-    with chance ``pi``, a pi before the last two; ``("word",)``; ``("subject",
-    node, words, particle)``, then ``particle`` (li) unless it is one word of
-    ``words`` (``lexicon.LI_LESS_SUBJECTS``); ``("lit", word)``;
-    ``("seq", nodes)``; ``("alt", (nodes, weights, sums))``; ``("maybe", p,
-    node)``; ``("one_of", words)``, each as likely; and ``("repeat", (counts,
-    weights, sums), node)``.
+    A node is led by its kind: ``("phrase", (shapes, weights, sums))``, one
+    shape drawn by weight, each (content words, index of its pi or None), so
+    the pi chance and the pi's place, before the last two of three or more
+    words, are stated here only; ``("word",)``; ``("subject", node, words,
+    particle)``, then ``particle`` (li) unless it is one word of ``words``
+    (``lexicon.LI_LESS_SUBJECTS``); ``("lit", word)``; ``("seq", nodes)``;
+    and ``("alt", (nodes, weights, sums))``, one node drawn by weight, the
+    only other choice.  Each table is built by ``_weighted``.
     """
-    phrase = ("phrase", _weighted(sorted(cfg.phrase_len_weights.items())), cfg.pi_probability)
-    objects = _weighted(sorted(cfg.object_count_weights.items()))
-    prepositions = ("one_of", tuple(sorted(PREPOSITIONS)))
+    pi, p = cfg.pi_probability, cfg.prep_probability
+    phrase = ("phrase", _weighted(
+        ((n, at), weight * share) for n, weight in sorted(cfg.phrase_len_weights.items())
+        for share, at in (((1 - pi, None), (pi, n - 2)) if n >= 3 else ((1.0, None),))))
+    objects = _weighted((("seq", (("lit", "e"), phrase) * k), weight)
+                        for k, weight in sorted(cfg.object_count_weights.items()))
+    prepositions = _weighted((("lit", w), 1 / len(PREPOSITIONS)) for w in sorted(PREPOSITIONS))
     sentence = ("seq", (
         ("subject", phrase, LI_LESS_SUBJECTS, "li"),
         phrase,
-        ("repeat", objects, ("seq", (("lit", "e"), phrase))),
-        ("maybe", cfg.prep_probability, ("seq", (prepositions, phrase))),
+        ("alt", objects),
+        ("alt", _weighted([(("seq", ()), 1 - p), (("seq", (("alt", prepositions), phrase)), p)])),
     ))
     # A poem line: a bare phrase, or a one-word subject and its predicate.
     clause = ("seq", (("subject", ("word",), LI_LESS_SUBJECTS, "li"), phrase))
@@ -248,16 +252,17 @@ class Synthesizer:
               content: list[str]) -> None:
         """Draw ``node`` of the grammar onto the end of ``words``, and its
         content words, each picked by the running sums ``cumulative`` of the
-        pool's weights, onto the end of ``content`` too."""
+        pool's weights, onto the end of ``content`` too.  A phrase draws its
+        shape (its length and pi) and an ``alt`` its node, each in one roll."""
         kind, rng = node[0], self.rng
         if kind == "phrase":
-            (lengths, _, sums), pi = node[1], node[2]
-            length = _pick(lengths, sums, rng.random())
+            shapes, _, sums = node[1]
+            length, pi = _pick(shapes, sums, rng.random())
             phrase = [_pick(self._pool, cumulative, rng.random() * cumulative[-1])
                       for _ in range(length)]
             content += phrase
-            if length >= 3 and rng.random() < pi:
-                phrase.insert(length - 2, "pi")
+            if pi is not None:
+                phrase.insert(pi, "pi")
             words += phrase
         elif kind == "seq":
             for item in node[1]:
@@ -272,16 +277,6 @@ class Synthesizer:
             self._read(node[1], cumulative, words, content)
             if len(words) - start != 1 or words[start] not in node[2]:
                 words.append(node[3])
-        elif kind == "repeat":
-            counts, _, sums = node[1]
-            for _ in range(_pick(counts, sums, rng.random())):
-                self._read(node[2], cumulative, words, content)
-        elif kind == "maybe":
-            if rng.random() < node[1]:
-                self._read(node[2], cumulative, words, content)
-        elif kind == "one_of":
-            options = node[1]
-            words.append(options[int(rng.random() * len(options)) % len(options)])
         elif kind == "alt":
             nodes, _, sums = node[1]
             self._read(_pick(nodes, sums, rng.random()), cumulative, words, content)

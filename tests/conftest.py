@@ -4,10 +4,17 @@ directory of the session's own, and a classifier for the lines of an
 emitted Vim syntax file."""
 
 import os
+import sys
 from importlib import resources
+from importlib.util import find_spec
 from pathlib import Path
 
 import pytest
+
+# A tokipona on the path, as from PYTHONPATH, is the one tested; the
+# checkout's own src only stands in when there is none.
+if find_spec("tokipona") is None:
+    sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
 
 from tokipona.lexicon import load_lexicon
 

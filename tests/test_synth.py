@@ -79,6 +79,14 @@ def test_phrase_pi_forced():
         groups = [m for m in phrase.modifiers if isinstance(m, PiGroup)]
         assert groups, phrase.words()
         assert len(list(groups[0].inner.tokens())) >= 2
+    # Verses of both readers: at chance 1 one pi, before the last two words; at 0 none.
+    for pi in (1.0, 0.0):
+        s = Synthesizer(cfg._replace(pi_probability=pi))
+        letters = s._tables.verse_support[len(s._tables.verse_support) // 2]
+        poem = s.synth_poem(PoemSpec(1, 20, letters))
+        for verse in [s.verse_text() for _ in range(40)] + poem.split("\n"):
+            words = verse.split()
+            assert words.count("pi") == pi and (not pi or words[-3] == "pi"), verse
 
 
 def test_phrase_text_is_its_one_reading():
@@ -551,13 +559,17 @@ def _skeleton_support(s, n, v, o, p):
     preposition and no pi, counted from the grammar that both readers read
     and from the count tables built from it."""
     subject, predicate, objects, preposition = s._sentence[1]
-    e, object_phrase = objects[2][1]
-    prepositions, preposition_phrase = preposition[2][1]
-    assert subject[0] == "subject" and e == ("lit", "e") and 1 in objects[1][0]
-    assert prepositions[0] == "one_of" and preposition[1] > 0
+    ((e, object_phrase),) = [seq[1] for seq in objects[1][0] if len(seq[1]) == 2]
+    (absent, present), (_, chance), _ = preposition[1]
+    prepositions, preposition_phrase = present[1]
+    assert subject[0] == "subject" and e == ("lit", "e") and objects[0] == "alt"
+    assert absent == ("seq", ()) and chance > 0
+    assert prepositions[0] == "alt" and all(lit[0] == "lit" for lit in prepositions[1][0])
     phrases = (n, subject[1]), (v, predicate), (o, object_phrase), (p, preposition_phrase)
     for size, phrase in phrases:
-        assert phrase[0] == "phrase" and size in phrase[1][0] and phrase[2] == 0.0
+        shapes, weights, _ = phrase[1]
+        assert phrase[0] == "phrase" and (size, None) in shapes
+        assert all(w == 0.0 for (_, pi), w in zip(shapes, weights) if pi is not None)
     tables = s._tables
     # A one-word subject is drawn from the pool by the sentence's first choice.
     one_word = tables._point((s._sentence,))[3][1]
@@ -565,7 +577,7 @@ def _skeleton_support(s, n, v, o, p):
     free = n + v + o + p - (n == 1)
     count = Letters([(length, len(idx)) for length, idx in tables.by_length], 15 * free, False)
     sequences = sum(count(free, letters) for letters in range(count.hi * free + 1))
-    return subjects * sequences * len(prepositions[1])
+    return subjects * sequences * len(prepositions[1][0])
 
 
 @pytest.mark.parametrize("sizes", [(1, 1, 1, 1), (2, 1, 1, 1), (1, 2, 3, 1), (3, 1, 2, 2)])
@@ -592,11 +604,15 @@ def test_a_budget_that_every_word_fits_counts_all_the_weight():
 
 
 def test_a_malformed_grammar_node_is_refused():
+    """An unknown kind, or one of the choice kinds ``alt`` replaced, is
+    refused by both readers."""
     s = Synthesizer(SynthConfig(seed=0))
-    with pytest.raises(ValueError, match="^unknown grammar node 'nope'$"):
-        s._read(("nope",), [1.0], [], [])
-    with pytest.raises(ValueError, match="^no counted reading of a 'nope' node here$"):
-        CountTables(("nope",), s._verse, s._pool)._point((("nope",),))
+    for node in (("nope",), ("maybe", 0.5, ("lit", "a")),
+                 ("repeat", ((1,), (1.0,), (1.0,)), ("lit", "a")), ("one_of", ("a",))):
+        with pytest.raises(ValueError, match=f"^unknown grammar node '{node[0]}'$"):
+            s._read(node, [1.0], [], [])
+        with pytest.raises(ValueError, match=f"^no counted reading of a '{node[0]}' node here$"):
+            CountTables(node, s._verse, s._pool)._point((node,))
     tables = CountTables(s._sentence, s._verse, s._pool)
     late_subject = ("seq", (s._phrase, ("subject", ("word",), ("mi", "sina"), "li")))
     with pytest.raises(ValueError, match="^a one-word subject must open its unit$"):
