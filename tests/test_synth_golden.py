@@ -16,6 +16,7 @@ from pathlib import Path
 
 from tokipona.cli import main
 from tokipona.synth import (
+    ComposeUnit,
     ContextTracker,
     ParagraphSpec,
     PoemSpec,
@@ -90,8 +91,34 @@ def render_library() -> str:
     return "".join(parts)
 
 
+# A pick, a reroll, a bad reply, another pick, then finish.
+COMPOSE_REPLIES = ("1\n", "r\n", "x\n", "3\n", "f\n")
+
+
+def compose_session(seed: int, unit: ComposeUnit, capacity) -> str:
+    """One scripted ``interactive_compose`` at k = 3: what it wrote and
+    returned, three sentences drawn after it, and the tracker's counts."""
+    synth = Synthesizer(SynthConfig(seed=seed), tracker=ContextTracker(capacity))
+    replies, out = iter(COMPOSE_REPLIES), []
+    text = synth.interactive_compose(unit, k=3, read=lambda: next(replies), write=out.append)
+    lines = ["".join(out), "--- returned", text, "--- after"]
+    lines += [synth.sentence_text() for _ in range(3)]
+    lines.append(" ".join(f"{w}:{n}" for w, n in sorted(synth.tracker.counts.items())))
+    return "\n".join(lines) + "\n"
+
+
+def render_compose() -> str:
+    parts = []
+    for seed in SEEDS:
+        for unit in ComposeUnit:
+            for capacity in CAPACITIES:
+                parts.append(f"# compose seed={seed} unit={unit.value} capacity={capacity}\n")
+                parts.append(compose_session(seed, unit, capacity))
+    return "".join(parts)
+
+
 def render() -> str:
-    return render_cli() + render_library()
+    return render_cli() + render_library() + render_compose()
 
 
 def test_synth_golden():
