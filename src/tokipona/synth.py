@@ -283,26 +283,32 @@ class Synthesizer:
         else:
             raise ValueError(f"unknown grammar node {kind!r}")
 
-    def _words(self, node: tuple, tracker: Optional[ContextTracker]) -> list[str]:
-        """A unit of the grammar, drawn as the counted draws are: with the
-        word weights frozen at its start, its content words observed after."""
-        tracker = tracker if tracker is not None else self.tracker
+    def _unit(self, node: tuple, tracker: ContextTracker) -> tuple[list[str], list[str]]:
+        """A unit of the grammar and its content words, drawn as the counted
+        draws are, with ``tracker``'s word weights frozen at its start."""
         cumulative = list(accumulate(tracker.weights(self._pool_index, self.cfg.reuse_bias)))
         words: list[str] = []
         content: list[str] = []
         self._read(node, cumulative, words, content)
+        return words, content
+
+    def _words(self, node: tuple, tracker: Optional[ContextTracker] = None) -> list[str]:
+        """A unit of the grammar; ``tracker``, by default the session's,
+        observes its content words after it."""
+        tracker = tracker if tracker is not None else self.tracker
+        words, content = self._unit(node, tracker)
         for word in content:
             tracker.observe(word)
         return words
 
     # phrase and sentence units -----------------------------------------
 
-    def phrase_words(self, tracker: Optional[ContextTracker] = None) -> list[str]:
+    def phrase_words(self) -> list[str]:
         """A phrase as a word list, possibly with an embedded pi group."""
-        return self._words(self._phrase, tracker)
+        return self._words(self._phrase)
 
-    def sentence_text(self, tracker: Optional[ContextTracker] = None) -> str:
-        return " ".join(self._words(self._sentence, tracker)) + "."
+    def sentence_text(self) -> str:
+        return " ".join(self._words(self._sentence)) + "."
 
     # larger units --------------------------------------------------------
 
@@ -316,12 +322,12 @@ class Synthesizer:
     def _weights(self) -> list[float]:
         return self.tracker.weights(self._pool_index, self.cfg.reuse_bias)
 
-    def _drawn(self, unit: tuple, words: float, letters: float, at_most: bool) -> str:
-        """A counted draw of ``unit``; its content words are observed after."""
+    def _drawn(self, unit: tuple, words: float, letters: float, at_most: bool) -> list[str]:
+        """A counted draw of ``unit``'s words; its content words are observed after."""
         drawn, content = self._tables.fit(unit, self.rng, self._weights(), words, letters, at_most)
         for word in content:
             self.tracker.observe(word)
-        return " ".join(drawn)
+        return drawn
 
     def verse_letters(self) -> list[float]:
         """The chance that a verse drawn now has n letters, for n from 0 to
@@ -337,30 +343,25 @@ class Synthesizer:
         within the bounds.  Each sentence is drawn exactly conditioned on
         fitting what is left of them after keeping room for the shortest
         sentence in each one still to come."""
-        tables = self._tables
+        tables, n = self._tables, spec.sentences
         least_words, least_letters = tables.shortest_sentence
-        need_words = spec.sentences * least_words
-        need_letters = spec.sentences * least_letters
-        # What is left of each bound beyond the shortest sentences.
-        words = math.inf if spec.max_words is None else spec.max_words - need_words
-        letters = math.inf if spec.max_letters is None else spec.max_letters - need_letters
-        if words < 0 or letters < 0:
-            raise SynthError(
-                f"{spec.sentences} sentences need at least {need_words} words "
-                f"and {need_letters} letters"
-            )
+        # What is left of each bound.
+        words, letters = spec.max_words or math.inf, spec.max_letters or math.inf
+        if words < n * least_words or letters < n * least_letters:
+            raise SynthError(f"{n} sentences need at least {n * least_words} words "
+                             f"and {n * least_letters} letters")
         sentences: list[str] = []
-        for _ in range(spec.sentences):
-            bounds = words + least_words, letters + least_letters
-            text = self._drawn(tables.sentence, *bounds, at_most=True) + "."
-            words -= len(text.split()) - least_words
-            letters -= letter_count(text) - least_letters
-            sentences.append(text)
+        for to_come in reversed(range(n)):
+            drawn = self._drawn(tables.sentence, words - to_come * least_words,
+                                letters - to_come * least_letters, at_most=True)
+            words -= len(drawn)
+            letters -= sum(map(len, drawn))
+            sentences.append(" ".join(drawn) + ".")
         return " ".join(sentences)
 
-    def verse_text(self, tracker: Optional[ContextTracker] = None) -> str:
+    def verse_text(self) -> str:
         """A poem line: a bare phrase, or a short subject-predicate clause."""
-        return " ".join(self._words(self._verse, tracker))
+        return " ".join(self._words(self._verse))
 
     def synth_poem(self, spec: PoemSpec) -> str:
         """Stanzas of verses of the ``verse_text`` grammar, each drawn exactly
@@ -370,7 +371,7 @@ class Synthesizer:
         tables, letters = self._tables, spec.phonemes_per_verse
         if letters not in tables.verse_support:
             raise SynthError(f"verses have {spans(tables.verse_support)} letters, not {letters}")
-        verses = [[self._drawn(tables.verse, math.inf, letters, at_most=False)
+        verses = [[" ".join(self._drawn(tables.verse, math.inf, letters, at_most=False))
                    for _ in range(spec.verses_per_stanza)] for _ in range(spec.stanzas)]
         return "\n\n".join("\n".join(stanza) for stanza in verses)
 
@@ -385,42 +386,39 @@ class Synthesizer:
     ) -> str:
         """Line-oriented composition loop.
 
-        Each round prints k numbered candidates; the reply is a pick
-        (1..k), "r" to reroll the round, or "f" to finish.  Picked words
-        feed the shared tracker, so later rounds lean toward them.
+        Each round prints k numbered candidates, drawn from the tracker's
+        weights as they stand; the reply is a pick (1..k), "r" to reroll the
+        round, or "f" to finish.  The tracker observes the pick's content
+        words only, so later rounds lean toward them.
         """
         if k < 2:
             raise ValueError("need at least two candidates per round")
         read = read or (lambda: sys.stdin.readline())
         write = write or sys.stdout.write
+        node, end, sep = ((self._sentence, ".", " ") if unit is ComposeUnit.SENTENCE
+                          else (self._verse, "", "\n"))
 
         accepted: list[str] = []
         while True:
-            candidates: list[tuple[str, ContextTracker]] = []
-            for _ in range(k):
-                probe = self.tracker.copy()
-                draw = self.sentence_text if unit is ComposeUnit.SENTENCE else self.verse_text
-                candidates.append((draw(probe), probe))
-            for idx, (text, _) in enumerate(candidates, start=1):
+            candidates = [self._unit(node, self.tracker) for _ in range(k)]
+            texts = [" ".join(words) + end for words, _ in candidates]
+            for idx, text in enumerate(texts, start=1):
                 write(f"{idx}) {text}\n")
             write(f"pick 1..{k}, r to reroll, f to finish> ")
             try:
                 line = read()
             except (EOFError, OSError):
                 line = ""
-            if not line:
-                break
             reply = line.strip().lower()
-            if reply == "f":
+            if not line or reply == "f":
                 break
             if reply == "r":
                 continue
             if reply.isdigit() and 1 <= int(reply) <= k:
-                text, probe = candidates[int(reply) - 1]
-                self.tracker = probe
-                accepted.append(text)
-                write(f"kept: {text}\n")
+                for word in candidates[int(reply) - 1][1]:
+                    self.tracker.observe(word)
+                accepted.append(texts[int(reply) - 1])
+                write(f"kept: {accepted[-1]}\n")
             else:
                 write("unrecognized reply\n")
-        sep = " " if unit is ComposeUnit.SENTENCE else "\n"
         return sep.join(accepted)

@@ -74,16 +74,17 @@ class WordNetDatabase:
             sha.update(b"%s %d\n" % (name.encode(), len(data)))
             sha.update(data)
         digest = sha.hexdigest()
+        index = {pos: _text(files.pop(_INDEX[pos])) for pos in WNPos}
         stamp_path = _stamp_path(digest)
         stamp = _read_stamp(stamp_path, digest) if stamp_path else None
         if stamp is None:
-            stamp = self._check(files)
+            stamp = self._check(files, index)
             if stamp_path:
                 _write_stamp(stamp_path, {"digest": digest, **stamp})
         self.version: Optional[str] = stamp["version"]
         self.total_synsets: int = sum(stamp["synsets"][pos.value] for pos in WNPos)
-        self._index = {pos: _sorted_index(_text(files.pop(_INDEX[pos])),
-                                          stamp["in_order"][pos.value]) for pos in WNPos}
+        self._index = {pos: _sorted_index(index[pos], stamp["in_order"][pos.value])
+                       for pos in WNPos}
 
     @property
     def warnings(self) -> list[str]:
@@ -92,15 +93,11 @@ class WordNetDatabase:
             return ["no version line found in the data files"]
         return [] if self.version == "3.0" else [f"database reports version {self.version}, not 3.0"]
 
-    def _check(self, files: dict[str, bytes]) -> dict:
-        """Check every line of ``files``; the stamp fields of a database that passes."""
-        def lines(name: str) -> list[str]:
-            # A data file's bytes go as soon as they are decoded; an index
-            # file's stay, to be searched.
-            return _split(_text(files[name] if name.startswith("index.") else files.pop(name)))
-
-        data = {pos: self._check_data(pos, lines(_DATA[pos])) for pos in WNPos}
-        in_order = {pos.value: self._check_index(pos, lines(_INDEX[pos]), data[pos][1])
+    def _check(self, files: dict[str, bytes], index: dict[WNPos, str]) -> dict:
+        """Check every line of the data ``files``, each let go once decoded,
+        and of the ``index`` texts; the stamp fields of a database that passes."""
+        data = {pos: self._check_data(pos, _split(_text(files.pop(_DATA[pos])))) for pos in WNPos}
+        in_order = {pos.value: self._check_index(pos, _split(index[pos]), data[pos][1])
                     for pos in WNPos}
         return {"version": next((version for version, _ in data.values() if version), None),
                 "synsets": {pos.value: len(seen) for pos, (_, seen) in data.items()},
@@ -137,7 +134,7 @@ class WordNetDatabase:
             fields = line.split()
             try:  # a line without a lemma fails at fields[2] alike
                 n_synsets = int(fields[2])
-                offsets = tuple(map(int, fields[6 + int(fields[3]):]))
+                offsets = _offsets(fields)
             except (IndexError, ValueError) as exc:
                 raise WordNetError(f"{name}:{lineno}: {exc}") from None
             if len(offsets) != n_synsets:
@@ -176,8 +173,7 @@ class WordNetDatabase:
         line = self._line(lemma.replace(" ", "_"), pos)
         if line is None:
             return ()
-        fields = line.split()
-        return tuple(map(int, fields[6 + int(fields[3]):]))
+        return _offsets(line.split())
 
     def has_lemma(self, lemma: str) -> bool:
         key = lemma.replace(" ", "_")
@@ -186,6 +182,11 @@ class WordNetDatabase:
 
 def _lemma(line: str) -> str:
     return line.split(None, 1)[0]
+
+
+def _offsets(fields: list[str]) -> tuple[int, ...]:
+    """The synset offsets of an index line's fields, past its pointer symbols."""
+    return tuple(map(int, fields[6 + int(fields[3]):]))
 
 
 def _sorted_index(text: str, in_order: bool) -> tuple[str, int]:

@@ -405,17 +405,16 @@ def test_poem_determinism_and_error():
 
 # --- counting draws -------------------------------------------------------------
 
-def _reference_verse_text(synth, tracker=None):
+def _reference_verse_text(synth):
     """``Synthesizer.verse_text`` as it was when poems were drawn by
     rejection: the grammar the verse table must model."""
-    tracker = tracker if tracker is not None else synth.tracker
     if synth.rng.random() < 0.5:
-        return " ".join(synth.phrase_words(tracker))
-    subject = synth.sample_word(tracker)
+        return " ".join(synth.phrase_words())
+    subject = synth.sample_word()
     words = [subject]
     if subject not in ("mi", "sina"):
         words.append("li")
-    words += synth.phrase_words(tracker)
+    words += synth.phrase_words()
     return " ".join(words)
 
 
@@ -711,6 +710,23 @@ def test_compose_picked_words_feed_tracker():
     text = s.interactive_compose(ComposeUnit.SENTENCE, k=2, read=read, write=write)
     content = [w for w in text.replace(".", "").split() if w not in ("li", "e")]
     assert s.tracker.total() >= len([w for w in content if w not in SOLE_PREPOSITIONS])
+
+
+@pytest.mark.parametrize("capacity", [None, 3])
+def test_compose_observes_its_picks_on_the_callers_tracker(capacity):
+    """A pick's content words are observed on the tracker the session was
+    given, and nothing else is: a verse holds no preposition or e."""
+    read, write, _ = _scripted_io(["2\n", "r\n", "1\n", "f\n"])
+    t = ContextTracker(capacity)
+    s = Synthesizer(SynthConfig(seed=3), tracker=t)
+    text = s.interactive_compose(ComposeUnit.VERSE, k=3, read=read, write=write)
+    assert s.tracker is t
+    assert t.total() > 0
+    expected = ContextTracker(capacity)
+    for word in text.split():
+        if word not in ("li", "pi"):
+            expected.observe(word)
+    assert t.counts == expected.counts
 
 
 def test_compose_rejects_small_k():
