@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from math import comb
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .lexicon import (
     Lexicon,
@@ -900,7 +900,8 @@ def iter_pi_readings(phrase: Sequence[Union[Token, str]]) -> Iterator[PhraseNode
     One call's readings share nodes (path copying: each group copies only
     the open phrases it attaches through), each pi group's own phrase, and
     one empty ``conj`` list, so they are read-only: mutating one may
-    change others.  Two calls share nothing.
+    change others.  Two calls share nothing.  ``pi_readings`` gives the
+    same readings in the same order as one list.
 
     Each item must be one word: a WORD or PROPER token, or an
     alphanumeric string; anything else raises ``GrammarError``.
@@ -948,8 +949,46 @@ def _pi_readings(base: list[Token], groups: _PiGroups) -> Iterator[PhraseNode]:
 
 
 def pi_readings(phrase: Sequence[Union[Token, str]]) -> list[PhraseNode]:
-    """``iter_pi_readings`` as a list."""
-    return list(iter_pi_readings(phrase))
+    """The readings of ``iter_pi_readings``, equal and in the same order, as
+    one list that holds each distinct subtree once.
+
+    A reading is a run of group subtrees under the root's words, and a
+    group's subtree is a run of later groups' subtrees under its own words.
+    So the subtrees of each group are made once, from the last group to the
+    first, and every reading and larger subtree that holds one shares it:
+    the list takes about half the memory of the stream's readings, which
+    copy the open phrases of each.  The readings are read-only like the
+    stream's, and two calls share nothing.  Checks like ``iter_pi_readings``.
+    """
+    base, groups = _pi_segments(phrase)
+    no_conj: list = []
+    k = len(groups)
+    # sub[i] lists each subtree of group i, in reading order, with the
+    # index of the group after it; sub[k] is empty.
+    sub: list[list[tuple[PiGroup, int]]] = [[] for _ in range(k + 1)]
+    kids: list[PiGroup] = []
+
+    def walk(p: int, close: bool, emit: Callable[[int], None]) -> None:
+        # emit(end) for each run of subtrees an open phrase can take from
+        # group p on, with the run in kids and end the group after it.
+        # Closing comes first, as it attaches group p further out; the root
+        # (close false) closes only after the last group.
+        if close or p == k:
+            emit(p)
+        for g, end in sub[p]:
+            kids.append(g)
+            walk(end, close, emit)
+            kids.pop()
+
+    for i in range(k - 1, -1, -1):
+        pi, (head, *mods) = groups[i]
+        trees = sub[i]
+        walk(i + 1, True, lambda end: trees.append(
+            (PiGroup(pi, PhraseNode(head, mods + kids, no_conj)), end)))
+    head, *mods = base
+    readings: list[PhraseNode] = []
+    walk(0, False, lambda end: readings.append(PhraseNode(head, mods + kids, no_conj)))
+    return readings
 
 
 def pi_reading_count(phrase: Sequence[Union[Token, str]]) -> int:

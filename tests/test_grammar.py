@@ -913,6 +913,23 @@ def test_pi_readings_of_two_calls_share_nothing():
     assert not ids[0] & ids[1]
 
 
+def test_pi_readings_make_each_distinct_subtree_once():
+    # A group's distinct subtrees are its words over each run of later
+    # subtrees, a forest of d groups in C(d) ways, so k groups have
+    # S(k) = sum over d < k of (k - d) C(d) of them in all.  Each reading
+    # adds only its root; the stream, which copies, holds 35,082 groups at 10.
+    def catalan(n):
+        return comb(2 * n, n) // (n + 1)
+
+    for k in range(11):
+        readings = pi_readings(_phrase(k))
+        distinct = {id(x): x for r in readings for x in _nodes(r, [])}.values()
+        subtrees = sum((k - d) * catalan(d) for d in range(k))
+        assert sum(isinstance(x, PiGroup) for x in distinct) == subtrees
+        assert sum(isinstance(x, PhraseNode) for x in distinct) == catalan(k) + subtrees
+    assert subtrees == 9_901
+
+
 def _level_vector_readings(toks):
     """The readings as the level-vector builder made them: every reading
     built from scratch, in lexicographic order of its attachment levels."""
@@ -955,6 +972,7 @@ def _check_against_level_vectors(items):
     want = _level_vector_readings(toks)
     assert [render_grouping(r) for r in readings] == [render_grouping(r) for r in want]
     assert readings == want
+    assert list(iter_pi_readings(items)) == want
     k = sum(t.surface == "pi" for t in toks)
     assert len(readings) == comb(2 * k, k) // (k + 1) == pi_reading_count(items)
     for r in readings:
