@@ -213,11 +213,6 @@ def grammar(cfg: SynthConfig) -> tuple[tuple, tuple]:
     return sentence, ("alt", _weighted([(phrase, 0.5), (clause, 0.5)]))
 
 
-def letter_count(text: str) -> int:
-    """Letters only; spaces and punctuation do not count."""
-    return sum(ch.isalpha() for ch in text)
-
-
 class Synthesizer:
     """Owns the generator and word tracker for one synthesis session.
 

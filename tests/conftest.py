@@ -1,7 +1,7 @@
 """Shared fixtures: the bundled lexicon, corpus lines, a small WordNet
 database directory written in the standard WNDB file format, a cache
-directory of the session's own, and a classifier for the lines of an
-emitted Vim syntax file."""
+directory of the session's own, a classifier for the lines of an
+emitted Vim syntax file, and the paper's letter count of a text."""
 
 import os
 import sys
@@ -124,6 +124,12 @@ def write_wndb(root: Path, index=None, skip_files=()) -> Path:
                         + "\n"
                     )
     return root
+
+
+def letter_count(text: str) -> int:
+    """Letters only, as the paper counts a verse: spaces and punctuation do not
+    count.  The tests' own count, so that they do not trust the synthesizer's."""
+    return sum(ch.isalpha() for ch in text)
 
 
 #: The kinds of line an emitted Vim syntax file may contain.

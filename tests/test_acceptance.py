@@ -30,10 +30,10 @@ from tokipona.stats import (
     syllable_frequency,
     word_length_report,
 )
-from tokipona.synth import PoemSpec, SynthConfig, Synthesizer, letter_count
+from tokipona.synth import PoemSpec, SynthConfig, Synthesizer
 from tokipona.wordnet import MappingMode, build_mapping, load_wordnet_db
 
-from conftest import classify_syntax_lines, find_real_wordnet
+from conftest import classify_syntax_lines, find_real_wordnet, letter_count
 from test_phonotactics import _brute_force_count
 from test_grammar import brute_force_groupings, _shapes
 

@@ -30,8 +30,9 @@ from tokipona.synth import (
     SynthConfig,
     SynthError,
     Synthesizer,
-    letter_count,
 )
+
+from conftest import letter_count
 
 
 def test_config_validation():
