@@ -106,7 +106,7 @@ def tokenize(text: str, lex: Optional[Lexicon] = None) -> list[Token]:
     tokens carrying a note; tokenization itself never fails.  Each distinct
     surface is classified once per call.
     """
-    lex = lex or default_lexicon()
+    lex = default_lexicon() if lex is None else lex
     kinds: dict[str, tuple[TokenKind, Optional[str]]] = {}
     tokens: list[Token] = []
     for m in _TOKEN_RE.finditer(text):
@@ -201,6 +201,15 @@ HYBRID_NVA = Hybrid(frozenset({TagValue.NOUN, TagValue.VERB, TagValue.ADJECTIVE}
 TaggedToken = tuple[Token, Assignment]
 
 
+# The tag fold and the loops over every token read these names: a global read,
+# where ``TagValue.NOUN`` costs a descriptor call (about ten times as long on
+# Python 3.11).
+_NOUN, _ADJECTIVE, _VERB = TagValue.NOUN, TagValue.ADJECTIVE, TagValue.VERB
+_ADVERB, _PREPOSITION = TagValue.ADVERB, TagValue.PREPOSITION
+_PARTICLE, _PUNCT = TagValue.PARTICLE, TagValue.PUNCT
+_ERROR_KIND, _PROPER_KIND = TokenKind.ERROR, TokenKind.PROPER
+
+
 class PiGroup(_Node):
     __slots__ = ("pi_token", "inner")
 
@@ -222,19 +231,23 @@ class PhraseNode(_Node):
         """Each token with its slot's tag: ``head`` for the head, ``mod`` for
         plain modifiers.  A pi group's phrase is tagged as a noun phrase; a
         conjoined phrase takes the same tags as this one."""
-        yield self.head, head
+        return iter(self._tag(head, mod, []))
+
+    def _tag(self, head: Assignment, mod: TagValue, out: list[TaggedToken]) -> list[TaggedToken]:
+        out.append((self.head, head))
         for m in self.modifiers:
             if isinstance(m, PiGroup):
-                yield m.pi_token, TagValue.PARTICLE
-                yield from m.inner.walk(TagValue.NOUN, TagValue.ADJECTIVE)
+                out.append((m.pi_token, _PARTICLE))
+                m.inner._tag(_NOUN, _ADJECTIVE, out)
             else:
-                yield m, mod
+                out.append((m, mod))
         for conj_tok, phrase in self.conj:
-            yield conj_tok, TagValue.PARTICLE
-            yield from phrase.walk(head, mod)
+            out.append((conj_tok, _PARTICLE))
+            phrase._tag(head, mod, out)
+        return out
 
     def tokens(self) -> Iterator[Token]:
-        return (tok for tok, _ in self.walk(TagValue.NOUN, TagValue.ADJECTIVE))
+        return (tok for tok, _ in self.walk(_NOUN, _ADJECTIVE))
 
     def words(self) -> list[str]:
         return [t.surface for t in self.tokens()]
@@ -265,17 +278,17 @@ class PrepPhrase(_Node):
 Complement = Union[ObjectArg, PrepPhrase]
 
 
-def _walk_complements(complements: Sequence[Complement]) -> Iterator[TaggedToken]:
+def _tag_complements(complements: Sequence[Complement], out: list[TaggedToken]) -> None:
     for c in complements:
         if c.lead_sep:
-            yield c.lead_sep, TagValue.PUNCT
+            out.append((c.lead_sep, _PUNCT))
         if isinstance(c, ObjectArg):
-            yield c.marker, TagValue.PARTICLE
-            yield from c.phrase.walk(TagValue.NOUN, TagValue.ADJECTIVE)
+            out.append((c.marker, _PARTICLE))
+            c.phrase._tag(_NOUN, _ADJECTIVE, out)
         else:
-            yield c.prep, TagValue.PREPOSITION
+            out.append((c.prep, _PREPOSITION))
             if c.complement is not None:
-                yield from c.complement.walk(HYBRID_NVA, TagValue.ADJECTIVE)
+                c.complement._tag(HYBRID_NVA, _ADJECTIVE, out)
 
 
 class Predicate(_Node):
@@ -353,44 +366,47 @@ class Clause(_Node):
     def walk(self) -> Iterator[TaggedToken]:
         """Every token of the clause, in reading order, with the tag its slot
         gives it (before :func:`pos_tag`'s proper-noun, seme and dictionary
-        rules).  A context clause yields its own la last."""
+        rules).  A context clause gives its own la last.  One fold over the
+        tree appends the pairs to a list, and this iterates over it."""
+        return iter(self._tag([]))
+
+    def _tag(self, out: list[TaggedToken]) -> list[TaggedToken]:
         for ctx in self.contexts:
-            yield from ctx.walk()
+            ctx._tag(out)
         if self.vocative:
-            yield from self.vocative.phrase.walk(TagValue.NOUN, TagValue.ADJECTIVE)
-            yield from _walk_complements(self.vocative.complements)
-            yield self.vocative.o_token, TagValue.PARTICLE
+            self.vocative.phrase._tag(_NOUN, _ADJECTIVE, out)
+            _tag_complements(self.vocative.complements, out)
+            out.append((self.vocative.o_token, _PARTICLE))
             if self.vocative.comma:
-                yield self.vocative.comma, TagValue.PUNCT
+                out.append((self.vocative.comma, _PUNCT))
         if self.subject:
-            yield from self.subject.walk(TagValue.NOUN, TagValue.ADJECTIVE)
-        yield from _walk_complements(self.subject_complements)
+            self.subject._tag(_NOUN, _ADJECTIVE, out)
+        _tag_complements(self.subject_complements, out)
         for pred in self.predicates:
             if pred.lead_sep:
-                yield pred.lead_sep, TagValue.PUNCT
+                out.append((pred.lead_sep, _PUNCT))
             if pred.marker:
-                yield pred.marker, TagValue.PARTICLE
+                out.append((pred.marker, _PARTICLE))
             if pred.possessive_pi:
-                yield pred.possessive_pi, TagValue.PARTICLE
-            for pv in pred.preverbs:
-                yield pv, TagValue.VERB
+                out.append((pred.possessive_pi, _PARTICLE))
+            out += [(pv, _VERB) for pv in pred.preverbs]
             head: Assignment
             if pred.marker is not None or pred.objects or pred.colon_object or pred.preverbs:
                 # An explicit marker or an object leaves no doubt; the
                 # noun/verb ambiguity comes from omitting li.
-                head, mod = TagValue.VERB, TagValue.ADVERB
+                head, mod = _VERB, _ADVERB
             elif self.subject is None and self.vocative is None and not self.li_elided:
-                head, mod = TagValue.NOUN, TagValue.ADJECTIVE  # a fragment
+                head, mod = _NOUN, _ADJECTIVE  # a fragment
             else:
-                head, mod = HYBRID_NVA, TagValue.ADVERB
-            yield from pred.phrase.walk(head, mod)
-            yield from _walk_complements(pred.complements)
-        for t in self.tail:
-            yield t, TagValue.PUNCT if t.kind is TokenKind.PUNCT else TagValue.PARTICLE
+                head, mod = HYBRID_NVA, _ADVERB
+            pred.phrase._tag(head, mod, out)
+            _tag_complements(pred.complements, out)
+        out += [(t, _PUNCT if t.kind is TokenKind.PUNCT else _PARTICLE) for t in self.tail]
         if self.terminator:
-            yield self.terminator, TagValue.PUNCT
+            out.append((self.terminator, _PUNCT))
         if self.la_token:
-            yield self.la_token, TagValue.PARTICLE
+            out.append((self.la_token, _PARTICLE))
+        return out
 
     def tokens(self) -> Iterator[Token]:
         return (tok for tok, _ in self.walk())
@@ -539,11 +555,12 @@ MAX_NESTING = 100
 # WORD and PROPER tokens and ",", and their surfaces tell them apart: every
 # lexicon word is lowercase (``Lexicon`` holds strict-valid words only), a
 # name starts with a capital (``validate_proper_noun``), and "," is no letter.
+_NON_HEADS = {None, ","} | (PURE_PARTICLES - {"seme", "mu"})
+
+
 def _can_head(word: Optional[str]) -> bool:
     """True when the surface (``None`` past the end) may head or continue a phrase."""
-    return word is not None and word != "," and (
-        word in ("seme", "mu") or word not in PURE_PARTICLES
-    )
+    return word not in _NON_HEADS
 
 
 class _ClauseParser:
@@ -815,7 +832,7 @@ def parse(
     """
     # Bad tokens are reported before any structural error, wherever they are.
     for tok in tokens:
-        if tok.kind is TokenKind.ERROR:
+        if tok.kind is _ERROR_KIND:
             raise GrammarError(tok.note or "bad token", tok)
 
     parser = _ClauseParser(opts)
@@ -1032,14 +1049,15 @@ def pos_tag(
     With ``resolve_with_dictionary``, hybrids are narrowed by the
     lemma's dictionary tags whenever those decide the question.
     """
-    lex = lex or default_lexicon()
+    if resolve_with_dictionary and lex is None:
+        lex = default_lexicon()
     out: dict[Token, Assignment] = {}
     for tok, tag in clause.walk():
-        if tok.kind is TokenKind.PROPER:
+        if tok.kind is _PROPER_KIND:
             tag = TagValue.PROPER
         elif tok.surface == "seme":
             # Particles keep their particle nature wherever they landed.
-            tag = TagValue.PARTICLE
+            tag = _PARTICLE
         elif resolve_with_dictionary and isinstance(tag, Hybrid):
             entry = lex.lookup(tok.surface)
             if entry is not None:

@@ -12,7 +12,7 @@ import re
 from enum import Enum
 from functools import cache, lru_cache
 from itertools import groupby
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional, Union
 
 from .lexicon import Lexicon, PosTag, default_lexicon
 from .phonotactics import (
@@ -166,29 +166,45 @@ def _scheme_of(lex: Lexicon) -> list[HighlightGroup]:
     return build_scheme(lex)
 
 
-def _render(
-    text: str,
-    scheme: Optional[list[HighlightGroup]],
-    lex: Optional[Lexicon],
-    escape: Callable[[str], str],
-    paint: Callable[[str, str], str],
-) -> str:
-    """Replace each token of ``text`` by its escaped text, passed to ``paint``
-    with its group (see :func:`render_html`); punctuation is only escaped.
-    The text is split once into gaps and tokens, and each distinct surface
-    is grouped, escaped and painted once per call.  The gaps are whitespace,
-    which ``escape`` leaves alone, so they pass through as they are."""
+@lru_cache(maxsize=16)
+def _painted(groups: tuple[HighlightGroup, ...],
+             style: Union[str, int]) -> tuple[dict[str, str], dict[str, str]]:
+    """A scheme's ``{word: group}`` map and the chunks of its words and punctuation
+    kept in ``style`` ("html", 16 or 256).  The key is the groups, which hash by
+    content, so a scheme list changed in place is a new key."""
+    # Reversed, so that the first group listing a word wins.
+    return {w: g.name for g in reversed(groups) for w in g.members}, {}
+
+
+def _paint(s: str, group: str, style: Union[str, int]) -> str:
+    """``s`` escaped for ``style`` and, when it has a group, colored."""
+    if style != "html":
+        return f"\x1b[{_SGR[style][group]}m{s}\x1b[0m" if group in _SGR[style] else s
+    color = _HTML_COLORS.get(group, "#d8d8d8")
+    s = _html.escape(s)
+    return f'<span class="{group}" style="color:{color}">{s}</span>' if group else s
+
+
+def _render(text: str, scheme: Optional[list[HighlightGroup]], lex: Optional[Lexicon],
+            style: Union[str, int]) -> str:
+    """Replace each token of ``text`` by its escaped text painted with its
+    group in ``style`` (see :func:`render_html`); punctuation is only escaped.
+    The text is split once into gaps (whitespace, which escaping leaves alone)
+    and tokens.  Scheme words and punctuation are painted once per scheme and
+    style; any other surface is painted once per call and not kept."""
     if scheme is None:
         scheme = _scheme_of(default_lexicon() if lex is None else lex)
-    # Reversed, so that the first group listing a word wins.
-    group_of = {w: g.name for g in reversed(scheme) for w in g.members}
+    group_of, chunks = _painted(tuple(scheme), style)
     parts = _PIECE_RE.split(text)  # gap, token, gap, ..., gap
-    chunks: dict[str, str] = {}
-    for s in set(parts[1::2]):
+    fresh = {}
+    for s in set(parts[1::2]).difference(chunks):
         group = group_of.get(s)
-        if group is None:  # the patterns; a token is one punctuation mark or has none
-            group = "" if s in PUNCTUATION else "tpPROPER" if validate_proper_noun(s) else "tpERROR"
-        chunks[s] = paint(group, escape(s)) if group else escape(s)
+        kept = group is not None or s in PUNCTUATION  # a token is one mark or has none
+        if group is None:  # the patterns
+            group = "" if kept else "tpPROPER" if validate_proper_noun(s) else "tpERROR"
+        (chunks if kept else fresh)[s] = _paint(s, group, style)
+    if fresh:
+        chunks = {**chunks, **fresh}
     parts[1::2] = map(chunks.__getitem__, parts[1::2])
     return "".join(parts)
 
@@ -204,15 +220,11 @@ def render_html(
     scheme has its keyword group, a punctuation mark none, a valid name
     tpPROPER and anything else tpERROR.  ``lex`` is read only to build a
     scheme when none is given; with neither, the bundled lexicon's is used."""
-    def paint(group: str, chunk: str) -> str:
-        color = _HTML_COLORS.get(group, "#d8d8d8")
-        return f'<span class="{group}" style="color:{color}">{chunk}</span>'
-
     return (
         "<!DOCTYPE html>\n"
         '<html><head><meta charset="utf-8"><title>toki pona</title></head>\n'
         '<body style="background:#1d2021;color:#d8d8d8"><pre>'
-        + _render(text, scheme, lex, _html.escape, paint)
+        + _render(text, scheme, lex, "html")
         + "</pre></body></html>\n"
     )
 
@@ -225,11 +237,6 @@ def render_ansi(
 ) -> str:
     """The coloring of :func:`render_html` as terminal SGR escapes (16- or
     256-color); ``lex`` only builds a scheme when none is given."""
-    sgr = _SGR.get(color_depth)
-    if sgr is None:
+    if color_depth not in _SGR:
         raise ValueError("color_depth must be 16 or 256")
-
-    def paint(group: str, chunk: str) -> str:
-        return f"\x1b[{sgr[group]}m{chunk}\x1b[0m" if group in sgr else chunk
-
-    return _render(text, scheme, lex, str, paint)
+    return _render(text, scheme, lex, color_depth)

@@ -17,11 +17,13 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings, strategies as hst
 
+from tokipona import grammar
 from tokipona.grammar import (
     GrammarError,
     Hybrid,
     LENIENT,
     MAX_NESTING,
+    ObjectArg,
     ParseOptions,
     PhraseNode,
     PiGroup,
@@ -30,6 +32,7 @@ from tokipona.grammar import (
     TERMINATORS,
     Token,
     TokenKind,
+    _DICT_TO_TAGVALUE,
     _can_head,
     detokenize,
     iter_pi_readings,
@@ -42,10 +45,11 @@ from tokipona.grammar import (
     render_record,
     tokenize,
 )
-from tokipona.lexicon import PREPOSITIONS, PURE_PARTICLES, load_lexicon
+from tokipona.lexicon import PREPOSITIONS, PURE_PARTICLES, Lexicon, load_lexicon
 from tokipona.phonotactics import validate_proper_noun
 
 HYBRID_NVA = frozenset({TagValue.NOUN, TagValue.VERB, TagValue.ADJECTIVE})
+HYBRID = Hybrid(HYBRID_NVA)
 
 
 # --- tokenizer ---------------------------------------------------------------
@@ -1081,3 +1085,160 @@ def test_every_token_tagged(corpus_lines):
                 assert isinstance(v, (TagValue, Hybrid))
                 if isinstance(v, Hybrid):
                     assert len(v.candidates) >= 2
+
+
+# --- the tag fold against the generator walk --------------------------------
+
+def _ref_phrase_walk(phrase, head, mod):
+    """``PhraseNode.walk`` as it was: nested generators."""
+    yield phrase.head, head
+    for m in phrase.modifiers:
+        if isinstance(m, PiGroup):
+            yield m.pi_token, TagValue.PARTICLE
+            yield from _ref_phrase_walk(m.inner, TagValue.NOUN, TagValue.ADJECTIVE)
+        else:
+            yield m, mod
+    for conj_tok, phrase in phrase.conj:
+        yield conj_tok, TagValue.PARTICLE
+        yield from _ref_phrase_walk(phrase, head, mod)
+
+
+def _ref_complements_walk(complements):
+    for c in complements:
+        if c.lead_sep:
+            yield c.lead_sep, TagValue.PUNCT
+        if isinstance(c, ObjectArg):
+            yield c.marker, TagValue.PARTICLE
+            yield from _ref_phrase_walk(c.phrase, TagValue.NOUN, TagValue.ADJECTIVE)
+        else:
+            yield c.prep, TagValue.PREPOSITION
+            if c.complement is not None:
+                yield from _ref_phrase_walk(c.complement, HYBRID, TagValue.ADJECTIVE)
+
+
+def _ref_walk(clause):
+    """``Clause.walk`` as it was: nested generators."""
+    for ctx in clause.contexts:
+        yield from _ref_walk(ctx)
+    if clause.vocative:
+        yield from _ref_phrase_walk(clause.vocative.phrase, TagValue.NOUN, TagValue.ADJECTIVE)
+        yield from _ref_complements_walk(clause.vocative.complements)
+        yield clause.vocative.o_token, TagValue.PARTICLE
+        if clause.vocative.comma:
+            yield clause.vocative.comma, TagValue.PUNCT
+    if clause.subject:
+        yield from _ref_phrase_walk(clause.subject, TagValue.NOUN, TagValue.ADJECTIVE)
+    yield from _ref_complements_walk(clause.subject_complements)
+    for pred in clause.predicates:
+        if pred.lead_sep:
+            yield pred.lead_sep, TagValue.PUNCT
+        if pred.marker:
+            yield pred.marker, TagValue.PARTICLE
+        if pred.possessive_pi:
+            yield pred.possessive_pi, TagValue.PARTICLE
+        for pv in pred.preverbs:
+            yield pv, TagValue.VERB
+        if pred.marker is not None or pred.objects or pred.colon_object or pred.preverbs:
+            head, mod = TagValue.VERB, TagValue.ADVERB
+        elif clause.subject is None and clause.vocative is None and not clause.li_elided:
+            head, mod = TagValue.NOUN, TagValue.ADJECTIVE
+        else:
+            head, mod = HYBRID, TagValue.ADVERB
+        yield from _ref_phrase_walk(pred.phrase, head, mod)
+        yield from _ref_complements_walk(pred.complements)
+    for t in clause.tail:
+        yield t, TagValue.PUNCT if t.kind is TokenKind.PUNCT else TagValue.PARTICLE
+    if clause.terminator:
+        yield clause.terminator, TagValue.PUNCT
+    if clause.la_token:
+        yield clause.la_token, TagValue.PARTICLE
+
+
+def _ref_pos_tag(clause, resolve, lex):
+    out = {}
+    for tok, tag in _ref_walk(clause):
+        if tok.kind is TokenKind.PROPER:
+            tag = TagValue.PROPER
+        elif tok.surface == "seme":
+            tag = TagValue.PARTICLE
+        elif resolve and isinstance(tag, Hybrid):
+            entry = lex.lookup(tok.surface)
+            if entry is not None:
+                narrowed = tag.candidates & {_DICT_TO_TAGVALUE[t] for t in entry.tags}
+                if len(narrowed) == 1:
+                    tag = next(iter(narrowed))
+                elif narrowed:
+                    tag = Hybrid(frozenset(narrowed))
+        out[tok] = tag
+    return out
+
+
+def _ref_question_focus(clause):
+    semes = [t for t, _ in _ref_walk(clause) if t.surface == "seme"]
+    in_contexts = sum(t.surface == "seme" for ctx in clause.contexts for t, _ in _ref_walk(ctx))
+    return (semes[in_contexts:] or semes or [None])[0]
+
+
+def _assert_fold_matches_the_walk(text, opts):
+    try:
+        result = parse_text(text, opts)
+    except GrammarError:
+        return
+    assert result.tokens() == [t for c in result.clauses for t, _ in _ref_walk(c)]
+    for clause in result.clauses:
+        ref = list(_ref_walk(clause))
+        assert list(clause.walk()) == ref
+        assert list(clause.tokens()) == [t for t, _ in ref]
+        assert clause.question_focus is _ref_question_focus(clause)
+        for resolve in (False, True):
+            tags = pos_tag(clause, resolve, _LEX)
+            assert list(tags.items()) == list(_ref_pos_tag(clause, resolve, _LEX).items())
+        if clause.subject:
+            assert list(clause.subject.tokens()) == [
+                t for t, _ in _ref_phrase_walk(clause.subject, TagValue.NOUN, TagValue.ADJECTIVE)]
+
+
+_GOLDEN_INPUTS = [
+    line[2:] for line in (Path(__file__).parent / "data" / "parse_golden.txt")
+    .read_text("utf-8").splitlines() if line.startswith("$ ")
+]
+
+
+def test_fold_matches_the_walk_on_the_parse_golden_inputs():
+    """Tags, their order, tokens and question focus, strict and lenient."""
+    assert len(_GOLDEN_INPUTS) > 400
+    for text in _GOLDEN_INPUTS:
+        for opts in (ParseOptions(), LENIENT):
+            _assert_fold_matches_the_walk(text, opts)
+
+
+@given(hst.one_of(_token_soup, _sentences), hst.sampled_from([ParseOptions(), LENIENT]))
+@settings(max_examples=300, deadline=None)
+def test_fold_matches_the_walk(text, opts):
+    _assert_fold_matches_the_walk(text, opts)
+
+
+def test_fold_tags_a_phrase_nested_to_the_limit():
+    """pi, en and anu groups in turn, MAX_NESTING deep after a preposition, tag
+    as the walk does; one group more is a GrammarError."""
+    chain = "".join(_CHAIN_UNITS[k % 3] for k in range(MAX_NESTING))
+    text = f"mi moku e kili lon jan{chain}."
+    (clause,) = parse_text(text, LENIENT).clauses
+    assert len(pos_tag(clause, resolve_with_dictionary=True)) == len(tokenize(text))
+    _assert_fold_matches_the_walk(text, LENIENT)
+    with pytest.raises(GrammarError, match="nest more than"):
+        parse_text(text[:-1] + " pi ma suli.", LENIENT)
+
+
+def test_a_lexicon_is_read_only_where_it_is_needed(monkeypatch):
+    """``pos_tag`` gets the default lexicon only to resolve hybrids, and a
+    given lexicon is tested against ``None``, never for its length."""
+    class Unsized(Lexicon):
+        def __len__(self):
+            raise AssertionError("len called")
+
+    lex = Unsized(_LEX)
+    (clause,) = parse(tokenize("jan Pije li lape lon ni.", lex), LENIENT).clauses
+    assert pos_tag(clause, True, lex) == pos_tag(clause, True)
+    monkeypatch.setattr(grammar, "default_lexicon", lambda: pytest.fail("default lexicon read"))
+    assert pos_tag(clause) == pos_tag(clause, False, lex)

@@ -12,6 +12,7 @@ from tokipona.grammar import TokenKind, tokenize
 from tokipona.highlight import (
     _HTML_COLORS,
     _SGR,
+    HighlightGroup,
     MergeMode,
     build_scheme,
     emit_filetype_detect,
@@ -27,6 +28,7 @@ from tokipona.lexicon import (
     default_lexicon,
     load_lexicon,
 )
+from tokipona.phonotactics import PUNCTUATION
 
 
 def _keyword_groups(scheme):
@@ -165,8 +167,9 @@ def test_render_ansi(lexicon):
     assert render_ansi("mi moku.", lex=lexicon) == out
     out256 = render_ansi("mi moku.", lex=lexicon, color_depth=256)
     assert "38;5;" in out256
-    with pytest.raises(ValueError):
-        render_ansi("mi", lex=lexicon, color_depth=24)
+    for depth in (8, 24):
+        with pytest.raises(ValueError, match="color_depth must be 16 or 256"):
+            render_ansi("mi", lex=lexicon, color_depth=depth)
 
 
 def test_render_ansi_proper_nouns(lexicon):
@@ -345,3 +348,71 @@ def test_render_gaps_pass_through(text):
         assert ansi_out == _old_render_ansi(text, _SCHEMES[MergeMode.FULL], _LEX, depth)
         assert _SGR_RE.sub("", ansi_out) == text
 
+
+# --- the kept chunks: keyed by the scheme's contents --------------------------
+
+_CACHE_TEXT = "mi moku e kili. jan Pije li <3 & xyzzy, Kalo: o lukin!"
+
+
+def _assert_renders_as_the_loop(text, scheme):
+    assert render_html(text, scheme) == _old_render_html(text, scheme, _LEX)
+    for depth in (16, 256):
+        assert render_ansi(text, scheme, color_depth=depth) == _old_render_ansi(
+            text, scheme, _LEX, depth)
+
+
+def test_a_scheme_changed_in_place_renders_with_its_new_groups():
+    scheme = build_scheme(_LEX)
+    _assert_renders_as_the_loop(_CACHE_TEXT, scheme)
+    scheme.insert(0, HighlightGroup("tpNUMBER", frozenset({"moku", "kili"})))
+    _assert_renders_as_the_loop(_CACHE_TEXT, scheme)
+    assert '<span class="tpNUMBER" style="color:#fe8019">moku</span>' in render_html(
+        _CACHE_TEXT, scheme)
+    scheme[0] = HighlightGroup("tpVERB", frozenset({"li", "kili"}))
+    _assert_renders_as_the_loop(_CACHE_TEXT, scheme)
+    assert '<span class="tpVERB" style="color:#fabd2f">li</span>' in render_html(
+        _CACHE_TEXT, scheme)
+
+
+def test_equal_schemes_built_apart_render_alike():
+    first, second = build_scheme(_LEX), build_scheme(load_lexicon())
+    assert first == second and first is not second
+    assert render_html(_CACHE_TEXT, first) == render_html(_CACHE_TEXT, second)
+    for depth in (16, 256):
+        assert render_ansi(_CACHE_TEXT, first, color_depth=depth) == render_ansi(
+            _CACHE_TEXT, second, color_depth=depth)
+
+
+def test_styles_alternate_on_one_scheme():
+    scheme = _SCHEMES[MergeMode.PARTICLES_VS_REST]
+    for text in (_CACHE_TEXT, "sina pona, a!", _CACHE_TEXT.upper()):
+        for _ in range(2):
+            _assert_renders_as_the_loop(text, scheme)
+
+
+def test_more_schemes_than_the_cache_holds():
+    """Each scheme puts a different word first in tpNUMBER; the schemes are
+    rendered in turn twice, so each second round misses the cache."""
+    words = _WORDS[:highlight._painted.cache_info().maxsize + 3]
+    schemes = [[HighlightGroup("tpNUMBER", frozenset({w})), *_SCHEMES[MergeMode.FULL]]
+               for w in words]
+    for _ in range(2):
+        for word, scheme in zip(words, schemes):
+            text = f"{_CACHE_TEXT} {word}"
+            _assert_renders_as_the_loop(text, scheme)
+            assert f'<span class="tpNUMBER" style="color:#fe8019">{word}</span>' in render_html(
+                text, scheme)
+
+
+@given(hst.lists(hst.text(alphabet="aeijklmnopstuwAKPTXxqé<&", min_size=1, max_size=8),
+                 max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_only_scheme_words_and_punctuation_are_kept(words):
+    """Names, errors and other characters are painted per call: what is kept
+    for a scheme holds its words and the punctuation marks only."""
+    scheme = _SCHEMES[MergeMode.FULL]
+    text = " ".join(words) + " mi moku. Pije, xyzzy!"
+    assert render_html(text, scheme) == _old_render_html(text, scheme, _LEX)
+    group_of, chunks = highlight._painted(tuple(scheme), "html")
+    assert set(chunks) <= set(group_of) | set(PUNCTUATION)
+    assert {"mi", "moku", ".", ",", "!"} <= set(chunks)
