@@ -122,7 +122,7 @@ def detokenize(tokens: Sequence[Token]) -> str:
     """Render a token sequence; punctuation attaches to the previous token."""
     out: list[str] = []
     for tok in tokens:
-        if out and tok.kind in (TokenKind.PUNCT, TokenKind.COLON):
+        if out and tok.kind in _ATTACHING_KINDS:
             out[-1] += tok.surface
         else:
             out.append(tok.surface)
@@ -208,6 +208,7 @@ _NOUN, _ADJECTIVE, _VERB = TagValue.NOUN, TagValue.ADJECTIVE, TagValue.VERB
 _ADVERB, _PREPOSITION = TagValue.ADVERB, TagValue.PREPOSITION
 _PARTICLE, _PUNCT = TagValue.PARTICLE, TagValue.PUNCT
 _ERROR_KIND, _PROPER_KIND = TokenKind.ERROR, TokenKind.PROPER
+_ATTACHING_KINDS = (TokenKind.PUNCT, TokenKind.COLON)  # detokenize's punctuation
 
 
 class PiGroup(_Node):
@@ -227,13 +228,10 @@ class PhraseNode(_Node):
         self.modifiers = [] if modifiers is None else modifiers
         self.conj = [] if conj is None else conj
 
-    def walk(self, head: Assignment, mod: TagValue) -> Iterator[TaggedToken]:
-        """Each token with its slot's tag: ``head`` for the head, ``mod`` for
-        plain modifiers.  A pi group's phrase is tagged as a noun phrase; a
-        conjoined phrase takes the same tags as this one."""
-        return iter(self._tag(head, mod, []))
-
     def _tag(self, head: Assignment, mod: TagValue, out: list[TaggedToken]) -> list[TaggedToken]:
+        """Append each token with its slot's tag to ``out``: ``head`` for the
+        head, ``mod`` for plain modifiers.  A pi group's phrase is tagged as a
+        noun phrase; a conjoined phrase takes the same tags as this one."""
         out.append((self.head, head))
         for m in self.modifiers:
             if isinstance(m, PiGroup):
@@ -247,7 +245,7 @@ class PhraseNode(_Node):
         return out
 
     def tokens(self) -> Iterator[Token]:
-        return (tok for tok, _ in self.walk(_NOUN, _ADJECTIVE))
+        return (tok for tok, _ in self._tag(_NOUN, _ADJECTIVE, []))
 
     def words(self) -> list[str]:
         return [t.surface for t in self.tokens()]
@@ -312,10 +310,6 @@ class Predicate(_Node):
     def objects(self) -> list[PhraseNode]:
         return [c.phrase for c in self.complements if isinstance(c, ObjectArg)]
 
-    @property
-    def prepositional(self) -> list[PrepPhrase]:
-        return [c for c in self.complements if isinstance(c, PrepPhrase)]
-
 
 class Vocative(_Node):
     __slots__ = ("phrase", "o_token", "comma", "complements")
@@ -346,15 +340,6 @@ class Clause(_Node):
         self.tail = [] if tail is None else tail  # trailing interjections
         self.terminator = terminator
         self.li_elided = li_elided
-
-    @property
-    def prepositional(self) -> list[tuple[Token, Optional[PhraseNode]]]:
-        """All prepositional phrases of the clause, in reading order."""
-        pps = (self.vocative.complements if self.vocative else []) + self.subject_complements
-        out = [(pp.prep, pp.complement) for pp in pps]
-        for pred in self.predicates:
-            out += [(pp.prep, pp.complement) for pp in pred.prepositional]
-        return out
 
     @property
     def question_focus(self) -> Optional[Token]:
@@ -531,7 +516,8 @@ class ParseResult(_Node):
         self.diagnostics = diagnostics
 
     def problems(self) -> list[Diagnostic]:
-        """Diagnostics at warning level or above (notes record ambiguities)."""
+        """Diagnostics at warning level or above (notes record ambiguities).
+        No library code calls it: README "Parsing" documents it for users."""
         return [d for d in self.diagnostics if d.severity is not Severity.NOTE]
 
     def tokens(self) -> list[Token]:
@@ -555,12 +541,8 @@ MAX_NESTING = 100
 # WORD and PROPER tokens and ",", and their surfaces tell them apart: every
 # lexicon word is lowercase (``Lexicon`` holds strict-valid words only), a
 # name starts with a capital (``validate_proper_noun``), and "," is no letter.
+# A surface (``None`` past the end) may head or continue a phrase unless it is one of these.
 _NON_HEADS = {None, ","} | (PURE_PARTICLES - {"seme", "mu"})
-
-
-def _can_head(word: Optional[str]) -> bool:
-    """True when the surface (``None`` past the end) may head or continue a phrase."""
-    return word not in _NON_HEADS
 
 
 class _ClauseParser:
@@ -602,7 +584,7 @@ class _ClauseParser:
         if depth > MAX_NESTING:
             raise GrammarError(f"phrases nest more than {MAX_NESTING} deep", self.toks[self.i - 1])
         head = self.toks[self.i]  # every caller has seen a token at the cursor
-        if not _can_head(head.surface):
+        if head.surface in _NON_HEADS:
             raise GrammarError("expected a content word to head a phrase", head)
         if head.surface[0].isupper():
             self.note("proper noun used as a phrase head", head)
@@ -613,7 +595,7 @@ class _ClauseParser:
             word = self.peek()
             if word == "pi":
                 pi = self.take()
-                if not _can_head(self.peek()):
+                if self.peek() in _NON_HEADS:
                     raise GrammarError("dangling pi at phrase end", pi)
                 inner = self.phrase(allow_conj=False, in_pi=True, verb=verb, depth=depth + 1)
                 if not inner.modifiers and not inner.conj:
@@ -626,12 +608,12 @@ class _ClauseParser:
                 canonical = not verb and (word == "anu" or in_pi or allow_conj)
                 if not canonical and not self.opts.extended_en_anu:
                     self.warn(f"{word} outside its canonical slots", conj)
-                if not _can_head(self.peek()):
+                if self.peek() in _NON_HEADS:
                     raise GrammarError(f"{word} must join two phrases", conj)
                 node.conj.append((conj, self.phrase(allow_conj, in_pi, verb, depth + 1)))
             elif word in PREPOSITIONS and not in_pi:
                 break  # post-phrase preposition opens a prepositional phrase
-            elif _can_head(word) and word != "mu":
+            elif word not in _NON_HEADS and word != "mu":
                 node.modifiers.append(self.take())
             else:
                 break
@@ -644,7 +626,7 @@ class _ClauseParser:
             prep,
         )
         complement = None
-        if _can_head(self.peek()):
+        if self.peek() not in _NON_HEADS:
             complement = self.phrase(allow_conj=False)
         return PrepPhrase(prep, complement, lead_sep)
 
@@ -671,7 +653,7 @@ class _ClauseParser:
         while (
             possessive is None
             and self.peek() in PREVERBS
-            and _can_head(self.peek(1))
+            and self.peek(1) not in _NON_HEADS
             and self.peek(1) != "mu"
         ):
             pv = self.take()
@@ -696,7 +678,7 @@ class _ClauseParser:
             word = self.peek()
             if word == "e":
                 e = self.take()
-                if not _can_head(self.peek()):
+                if self.peek() in _NON_HEADS:
                     raise GrammarError("e must introduce an object phrase", e)
                 obj = self.phrase(allow_conj=False)
                 pred.complements.append(ObjectArg(e, obj, sep))
@@ -773,7 +755,7 @@ class _ClauseParser:
             word = self.peek()
             if word in ("li", "o"):
                 marker, sep = self.take(), None
-            elif word == "," and fragment and _can_head(self.peek(1)):
+            elif word == "," and fragment and self.peek(1) not in _NON_HEADS:
                 marker, sep = None, self.take()
             else:
                 break
@@ -922,6 +904,8 @@ def iter_pi_readings(phrase: Sequence[Union[Token, str]]) -> Iterator[PhraseNode
 
     Each item must be one word: a WORD or PROPER token, or an
     alphanumeric string; anything else raises ``GrammarError``.
+
+    No library code calls it: it is the bounded stream of ROADMAP aim 3.
     """
     base, groups = _pi_segments(phrase)
     return _pi_readings(base, groups)

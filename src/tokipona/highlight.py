@@ -67,7 +67,8 @@ class HighlightGroup(NamedTuple):
     pattern: Optional[str] = None
 
     def distinct_size(self, lex: Lexicon) -> int:
-        """Member count with synonym pairs collapsed."""
+        """Member count with synonym pairs collapsed.  Only the tests call it:
+        they check the paper's group sizes with it."""
         primaries = set()
         for surface in self.members:
             entry = lex.lookup(surface)

@@ -158,10 +158,6 @@ class Lexicon:
         return surface in self._by_surface
 
     @property
-    def entries(self) -> tuple[Lemma, ...]:
-        return self._entries
-
-    @property
     def synonym_groups(self) -> dict[str, tuple[str, ...]]:
         groups: dict[str, list[str]] = {}
         for e in self._entries:
@@ -179,14 +175,6 @@ class Lexicon:
         return tuple(
             e for e in self._entries
             if e.synonym_group is None or e.synonym_group == e.surface
-        )
-
-    def synonyms_of(self, surface: str) -> tuple[str, ...]:
-        entry = self._by_surface.get(surface)
-        if entry is None or entry.synonym_group is None:
-            return ()
-        return tuple(
-            s for s in self.synonym_groups[entry.synonym_group] if s != surface
         )
 
     def content_words(self) -> tuple[Lemma, ...]:

@@ -59,10 +59,9 @@ class PositionalFrequencyTable(NamedTuple):
     total: int
     rows: tuple[FrequencyRow, ...]
 
-    def top(self, n: int) -> tuple[FrequencyRow, ...]:
-        return self.rows[:n]
-
     def row(self, item: str) -> FrequencyRow:
+        """The row of ``item``, or a zero row.  Only the tests call it: they
+        check the paper's letter tables with it."""
         for r in self.rows:
             if r.item == item:
                 return r

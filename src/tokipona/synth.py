@@ -125,14 +125,10 @@ class ContextTracker:
             self._weights = [1.0 + bias * self.counts.get(w, 0) for w in index]
         return self._weights
 
-    def count(self, word: str) -> int:
-        return self.counts.get(word, 0)
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
     def copy(self) -> "ContextTracker":
-        """The counts and the window; the copy builds its weights on its first draw."""
+        """The counts and the window; the copy builds its weights on its first draw.
+        The synthesis golden's probe draws use it with ``sample_word``, which the
+        benchmark wraps; both go after ROADMAP item 5."""
         clone = ContextTracker(self.capacity)
         clone.counts = Counter(self.counts)
         clone._order = deque(self._order)
@@ -238,7 +234,9 @@ class Synthesizer:
     def sample_word(self, tracker: Optional[ContextTracker] = None) -> str:
         """Draw a content word, a unit of one word: each candidate weighs
         1 + reuse_bias * uses, and one roll picks the first whose running
-        sum of weights, added left to right, exceeds it times their total."""
+        sum of weights, added left to right, exceeds it times their total.  The
+        benchmark wraps it and the synthesis golden's probe draws use it with
+        ``ContextTracker.copy``; both go after ROADMAP item 5."""
         return self._words(("word",), tracker)[0]
 
     # the forward reader ---------------------------------------------------
@@ -326,7 +324,8 @@ class Synthesizer:
 
     def verse_letters(self) -> list[float]:
         """The chance that a verse drawn now has n letters, for n from 0 to
-        the longest verse, with the tracker's weights as they stand."""
+        the longest verse, with the tracker's weights as they stand.  Only the
+        tests call it; ROADMAP item 12 decides it."""
         chances = self._tables.distribution(self._verse, self._weights())
         letters = [0.0] * (1 + max(n for _, n in chances))
         for (_, n), p in chances.items():

@@ -175,10 +175,6 @@ class WordNetDatabase:
             return ()
         return _offsets(line.split())
 
-    def has_lemma(self, lemma: str) -> bool:
-        key = lemma.replace(" ", "_")
-        return any(self._line(key, pos) is not None for pos in WNPos)
-
 
 def _lemma(line: str) -> str:
     return line.split(None, 1)[0]
@@ -410,22 +406,6 @@ ANTONYM_PAIRS: tuple[tuple[str, str], ...] = (
 class RelationTable(NamedTuple):
     hyponym_pairs: tuple[tuple[str, str], ...] = HYPONYM_PAIRS
     antonym_pairs: tuple[tuple[str, str], ...] = ANTONYM_PAIRS
-
-    def is_hyponym(self, child: str, parent: str) -> bool:
-        return (child, parent) in self.hyponym_pairs
-
-    def is_antonym(self, a: str, b: str) -> bool:
-        return (a, b) in self.antonym_pairs or (b, a) in self.antonym_pairs
-
-    def antonyms_of(self, word: str) -> tuple[str, ...]:
-        """Single-lemma antonyms; multi-word phrase entries are excluded."""
-        out = []
-        for a, b in self.antonym_pairs:
-            if a == word and " " not in b:
-                out.append(b)
-            elif b == word and " " not in a:
-                out.append(a)
-        return tuple(out)
 
 
 def relations() -> RelationTable:

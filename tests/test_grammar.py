@@ -27,13 +27,14 @@ from tokipona.grammar import (
     ParseOptions,
     PhraseNode,
     PiGroup,
+    PrepPhrase,
     Severity,
     TagValue,
     TERMINATORS,
     Token,
     TokenKind,
     _DICT_TO_TAGVALUE,
-    _can_head,
+    _NON_HEADS,
     detokenize,
     iter_pi_readings,
     parse,
@@ -251,16 +252,29 @@ def test_parse_multiple_la_right_associative():
     assert clause.subject.head.surface == "mi"
 
 
+def _preps(pred):
+    """The prepositional phrases among a predicate's complements."""
+    return [c for c in pred.complements if isinstance(c, PrepPhrase)]
+
+
+def _prepositional(clause):
+    """(preposition, complement) of every prepositional phrase of a clause, in
+    reading order: the vocative's, the subject's, then each predicate's."""
+    pps = (clause.vocative.complements if clause.vocative else []) + clause.subject_complements
+    pps += [pp for pred in clause.predicates for pp in _preps(pred)]
+    return [(pp.prep, pp.complement) for pp in pps]
+
+
 def test_parse_preposition_opens_phrase():
     clause = parse_text("jan kala li lape lon ni.").clauses[0]
     pred = clause.predicates[0]
     assert pred.phrase.head.surface == "lape"
-    preps = pred.prepositional
+    preps = _preps(pred)
     assert len(preps) == 1
     assert preps[0].prep.surface == "lon"
     assert preps[0].complement.head.surface == "ni"
     # clause-level view flattens them
-    assert [(p.surface, c.head.surface) for p, c in clause.prepositional] == [("lon", "ni")]
+    assert [(p.surface, c.head.surface) for p, c in _prepositional(clause)] == [("lon", "ni")]
 
 
 def test_parse_preposition_interleaved_with_object():
@@ -500,12 +514,12 @@ def test_surfaces_decide_as_token_kinds_did(corpus_lines, lexicon):
     }
     assert {kind for _, kind in body} == {TokenKind.WORD, TokenKind.PROPER, TokenKind.PUNCT}
     for tok in body.values():
-        assert _can_head(tok.surface) == _ref_can_head(tok), tok
+        assert (tok.surface not in _NON_HEADS) == _ref_can_head(tok), tok
         assert (tok.surface == ",") == (tok.kind is TokenKind.PUNCT), tok
         assert tok.surface[0].isupper() == (tok.kind is TokenKind.PROPER), tok
         for entry in lexicon:
             assert (tok.surface == entry.surface) == _ref_is_word(tok, entry.surface), tok
-    assert not _can_head(None) and not _ref_can_head(None)
+    assert None in _NON_HEADS and not _ref_can_head(None)
 
 
 @pytest.mark.parametrize("name", PARTICLE_NAMES)
@@ -618,7 +632,7 @@ def test_vocative_takes_prepositional_phrases_like_a_subject():
     """``jan lon tomo o kama`` addresses the person in the house."""
     (clause,) = parse_text("jan lon tomo o kama.").clauses
     assert clause.vocative.phrase.head.surface == "jan"
-    ((prep, complement),) = clause.prepositional
+    ((prep, complement),) = _prepositional(clause)
     assert (prep.surface, complement.head.surface) == ("lon", "tomo")
     assert clause.to_dict()["vocative_preps"] == [{
         "prep": "lon",
@@ -664,7 +678,7 @@ def test_nesting_limit(unit, slot):
     assert render_record(record) == clause.pretty()
     assert list(pos_tag(clause)) == list(clause.tokens())
     pred = clause.predicates[0]
-    phrases = [clause.subject, *pred.objects, *(pp.complement for pp in pred.prepositional)]
+    phrases = [clause.subject, *pred.objects, *(pp.complement for pp in _preps(pred))]
     # Each group renders as two items: "[ma suli]", "en jan" or "anu jan".
     assert max(len(render_grouping(p).split()) for p in phrases) == 1 + 2 * MAX_NESTING
     with pytest.raises(GrammarError, match=f"^phrases nest more than {MAX_NESTING} deep") as exc:
@@ -1090,7 +1104,7 @@ def test_every_token_tagged(corpus_lines):
 # --- the tag fold against the generator walk --------------------------------
 
 def _ref_phrase_walk(phrase, head, mod):
-    """``PhraseNode.walk`` as it was: nested generators."""
+    """A phrase's tag walk as it was before the fold: nested generators."""
     yield phrase.head, head
     for m in phrase.modifiers:
         if isinstance(m, PiGroup):

@@ -61,8 +61,8 @@ def samples(lexicon, wndb_dir):
     tables = [syllable_frequency(lexicon, scope) for scope in Scope]
     tables += [letter_frequency(lexicon, Scope.ALL, restrict) for restrict in LetterRestrict]
     values = [
-        *lexicon.entries[:20],
-        *(sense for entry in lexicon.entries[:20] for sense in entry.senses),
+        *tuple(lexicon)[:20],
+        *(sense for entry in tuple(lexicon)[:20] for sense in entry.senses),
         *(s for word in ("toki", "pona", "ken", "lon", "sinpin", "mun") for s in syllabify(word)),
         *(validate_word(w, mode) for w in ("toki", "ji", "kinn", "wo") for mode in CountingMode),
         *tables,

@@ -57,7 +57,7 @@ def test_syllable_table_all(lexicon):
     table = syllable_frequency(lexicon, Scope.ALL)
     assert table.total == 235
     assert len(table.rows) == 68
-    top = [(r.item, r.count, r.percent) for r in table.top(10)]
+    top = [(r.item, r.count, r.percent) for r in table.rows[:10]]
     assert top == [
         ("li", 13, 5.53), ("la", 10, 4.26), ("ka", 9, 3.83), ("na", 9, 3.83),
         ("pa", 9, 3.83), ("a", 8, 3.40), ("ma", 8, 3.40), ("si", 8, 3.40),
@@ -68,7 +68,7 @@ def test_syllable_table_all(lexicon):
 def test_syllable_table_first(lexicon):
     table = syllable_frequency(lexicon, Scope.FIRST)
     assert table.total == 124
-    top = [(r.item, r.count, r.percent) for r in table.top(10)]
+    top = [(r.item, r.count, r.percent) for r in table.rows[:10]]
     assert top == [
         ("a", 8, 6.45), ("o", 5, 4.03), ("pi", 5, 4.03), ("ka", 4, 3.23),
         ("la", 4, 3.23), ("pa", 4, 3.23), ("se", 4, 3.23), ("si", 4, 3.23),
@@ -79,7 +79,7 @@ def test_syllable_table_first(lexicon):
 def test_syllable_table_last(lexicon):
     table = syllable_frequency(lexicon, Scope.LAST)
     assert table.total == 124
-    top = [(r.item, r.count, r.percent) for r in table.top(10)]
+    top = [(r.item, r.count, r.percent) for r in table.rows[:10]]
     assert top == [
         ("li", 10, 8.06), ("lo", 6, 4.84), ("na", 6, 4.84), ("la", 5, 4.03),
         ("ma", 5, 4.03), ("pa", 5, 4.03), ("ka", 4, 3.23), ("sa", 4, 3.23),
@@ -93,7 +93,7 @@ def test_syllable_table_middle(lexicon):
     assert table.rows[0] == table.row("la")
     assert (table.rows[0].item, table.rows[0].count, table.rows[0].percent) == ("la", 2, 15.38)
     assert all(r.count == 1 for r in table.rows[1:])
-    assert [r.item for r in table.top(10)[1:]] == [
+    assert [r.item for r in table.rows[:10][1:]] == [
         "je", "ka", "ke", "li", "lu", "ma", "me", "pe", "ta"
     ]
 
@@ -106,7 +106,7 @@ def test_percentages_sum_to_100(lexicon):
 
 def test_tables_permutation_invariant(lexicon):
     from tokipona.lexicon import Lexicon
-    reversed_lex = Lexicon(tuple(reversed(lexicon.entries)))
+    reversed_lex = Lexicon(tuple(reversed(tuple(lexicon))))
     for scope in Scope:
         assert syllable_frequency(reversed_lex, scope) == syllable_frequency(lexicon, scope)
 

@@ -55,12 +55,12 @@ def test_config_validation():
 def test_tracker_window_eviction():
     t = ContextTracker(capacity=2)
     t.observe("moku"); t.observe("telo"); t.observe("kili")
-    assert t.count("moku") == 0
-    assert t.count("telo") == 1 and t.count("kili") == 1
+    assert t.counts["moku"] == 0
+    assert t.counts["telo"] == 1 and t.counts["kili"] == 1
     unbounded = ContextTracker()
     for _ in range(5):
         unbounded.observe("moku")
-    assert unbounded.count("moku") == 5
+    assert unbounded.counts["moku"] == 5
 
 
 def test_phrase_determinism():
@@ -140,7 +140,7 @@ def _linear_scan_draw(pool, tracker, bias, rng):
     bit."""
     if bias == 0.0 or not tracker.counts:
         return pool[int(rng.random() * len(pool)) % len(pool)]
-    weights = [1.0 + bias * tracker.count(w) for w in pool]
+    weights = [1.0 + bias * tracker.counts[w] for w in pool]
     total = 0.0
     for weight in weights:
         total += weight
@@ -176,7 +176,7 @@ _actions = hst.lists(
 def _assert_in_step(t):
     """The weights a tracker keeps for the pool it last drew from equal
     their definition from its counts."""
-    assert t._weights == [1.0 + t._bias * t.count(w) for w in t._index]
+    assert t._weights == [1.0 + t._bias * t.counts[w] for w in t._index]
 
 
 @given(
@@ -218,7 +218,7 @@ def test_kept_weights_equal_a_rebuild(actions, capacity, bias, seed):
             _assert_in_step(o)
     for o in trackers:
         for synth in (s, small):
-            assert o.weights(synth._pool_index, bias) == [1.0 + bias * o.count(w) for w in synth._pool]
+            assert o.weights(synth._pool_index, bias) == [1.0 + bias * o.counts[w] for w in synth._pool]
             _assert_in_step(o)
 
 
@@ -362,7 +362,7 @@ def test_paragraph_shares_tracker():
     cfg = SynthConfig(seed=1, reuse_bias=1.0)
     s = Synthesizer(cfg)
     s.synth_paragraph(ParagraphSpec(sentences=3))
-    assert s.tracker.total() > 0
+    assert sum(s.tracker.counts.values()) > 0
 
 
 def test_tracker_monotonic_without_window():
@@ -371,7 +371,7 @@ def test_tracker_monotonic_without_window():
     for _ in range(50):
         s.sentence_text()
         for word, count in seen.items():
-            assert s.tracker.count(word) >= count, word
+            assert s.tracker.counts[word] >= count, word
         seen = dict(s.tracker.counts)
 
 
@@ -701,16 +701,16 @@ def test_compose_ends_on_a_reader_error_and_names_a_bad_reply():
     s = Synthesizer(SynthConfig(seed=4))
     assert s.interactive_compose(ComposeUnit.VERSE, k=2, read=read, write=log.append) == ""
     assert "".join(log).count("unrecognized reply\n") == 2
-    assert s.tracker.total() == 0
+    assert sum(s.tracker.counts.values()) == 0
 
 
 def test_compose_picked_words_feed_tracker():
     read, write, _ = _scripted_io(["1\n", "f\n"])
     s = Synthesizer(SynthConfig(seed=90, reuse_bias=1.0))
-    assert s.tracker.total() == 0
+    assert sum(s.tracker.counts.values()) == 0
     text = s.interactive_compose(ComposeUnit.SENTENCE, k=2, read=read, write=write)
     content = [w for w in text.replace(".", "").split() if w not in ("li", "e")]
-    assert s.tracker.total() >= len([w for w in content if w not in SOLE_PREPOSITIONS])
+    assert sum(s.tracker.counts.values()) >= len([w for w in content if w not in SOLE_PREPOSITIONS])
 
 
 @pytest.mark.parametrize("capacity", [None, 3])
@@ -722,7 +722,7 @@ def test_compose_observes_its_picks_on_the_callers_tracker(capacity):
     s = Synthesizer(SynthConfig(seed=3), tracker=t)
     text = s.interactive_compose(ComposeUnit.VERSE, k=3, read=read, write=write)
     assert s.tracker is t
-    assert t.total() > 0
+    assert sum(t.counts.values()) > 0
     expected = ContextTracker(capacity)
     for word in text.split():
         if word not in ("li", "pi"):
