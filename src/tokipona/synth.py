@@ -2,7 +2,8 @@
 
 One template grammar (subject li predicate e object, plus an optional
 prepositional phrase), stated once as data by ``grammar``, is read forward
-for phrases and sentences, and tracks used words so that later output
+for phrases and sentences, by readers compiled from it once per session, and
+tracks used words so that later output
 re-uses earlier vocabulary.  Poems and paragraphs meet their structural
 targets (letters per verse; sentences, words and letters per paragraph) by
 reading it as count tables (``counting``): every choice is drawn top-down,
@@ -166,12 +167,6 @@ class ComposeUnit(Enum):
     VERSE = "verse"
 
 
-def _pick(values: Sequence, cumulative: list[float], roll: float):
-    """The first value whose running sum exceeds ``roll``, else the last of weight."""
-    i = bisect_right(cumulative, roll)
-    return values[i if i < len(values) else bisect_left(cumulative, cumulative[-1])]
-
-
 def _weighted(pairs) -> tuple:
     """(values, weights, running sums of the weights) of (value, weight) pairs."""
     values, weights = zip(*pairs)
@@ -179,8 +174,10 @@ def _weighted(pairs) -> tuple:
 
 
 def grammar(cfg: SynthConfig) -> tuple[tuple, tuple]:
-    """The sentence and the verse grammar of ``cfg`` as nested tuples, which
-    ``Synthesizer`` reads forward and ``counting.CountTables`` as count tables.
+    """The sentence and the verse grammar of ``cfg`` as nested tuples.
+    ``Synthesizer`` compiles each unit of it once, by ``_reader``, into a
+    forward reader that rolls once per choice, and ``counting.CountTables``
+    reads it as count tables.
 
     A node is led by its kind: ``("phrase", (shapes, weights, sums))``, one
     shape drawn by weight, each (content words, index of its pi or None), so
@@ -209,6 +206,73 @@ def grammar(cfg: SynthConfig) -> tuple[tuple, tuple]:
     return sentence, ("alt", _weighted([(phrase, 0.5), (clause, 0.5)]))
 
 
+def _reader(node: tuple, pool: Sequence[str]) -> Callable:
+    """Compile ``node`` of the grammar into ``read(random, cumulative, words,
+    content)``, which draws it onto the end of ``words``, and its content
+    words, each picked from ``pool`` by the running sums ``cumulative`` of
+    their weights, onto the end of ``content`` too.
+
+    A phrase draws its shape (its length and pi) and an ``alt`` its node,
+    each in one ``random()`` roll, and each word takes one more: the first
+    entry whose running sum exceeds the roll, scaled to the total for a word,
+    else the last entry of weight.  Each table's last-of-weight index is found
+    here, once.  A node of an unknown kind is refused here, not when drawn.
+    """
+    kind, n = node[0], len(pool)
+    if kind == "phrase":
+        shapes, _, sums = node[1]
+        m, last = len(shapes), bisect_left(sums, sums[-1])
+
+        def read(random, cumulative, words, content):
+            i = bisect_right(sums, random())
+            length, pi = shapes[i if i < m else last]
+            total = cumulative[-1]
+            phrase = []
+            for _ in range(length):
+                i = bisect_right(cumulative, random() * total)
+                phrase.append(pool[i if i < n else bisect_left(cumulative, total)])
+            content += phrase
+            if pi is not None:
+                phrase.insert(pi, "pi")
+            words += phrase
+    elif kind == "alt":
+        nodes, _, sums = node[1]
+        readers = tuple(_reader(item, pool) for item in nodes)
+        m, last = len(readers), bisect_left(sums, sums[-1])
+
+        def read(random, cumulative, words, content):
+            i = bisect_right(sums, random())
+            readers[i if i < m else last](random, cumulative, words, content)
+    elif kind == "seq":
+        readers = tuple(_reader(item, pool) for item in node[1])
+
+        def read(random, cumulative, words, content):
+            for item in readers:
+                item(random, cumulative, words, content)
+    elif kind == "lit":
+        word = node[1]
+
+        def read(random, cumulative, words, content):
+            words.append(word)
+    elif kind == "word":
+        def read(random, cumulative, words, content):
+            total = cumulative[-1]
+            i = bisect_right(cumulative, random() * total)
+            content.append(pool[i if i < n else bisect_left(cumulative, total)])
+            words.append(content[-1])
+    elif kind == "subject":
+        inner, alone, particle = _reader(node[1], pool), node[2], node[3]
+
+        def read(random, cumulative, words, content):
+            start = len(words)
+            inner(random, cumulative, words, content)
+            if len(words) - start != 1 or words[start] not in alone:
+                words.append(particle)
+    else:
+        raise ValueError(f"unknown grammar node {kind!r}")
+    return read
+
+
 class Synthesizer:
     """Owns the generator and word tracker for one synthesis session.
 
@@ -217,17 +281,22 @@ class Synthesizer:
 
     def __init__(
         self,
-        cfg: SynthConfig = SynthConfig(),
+        cfg: Optional[SynthConfig] = None,
         lex: Optional[Lexicon] = None,
         tracker: Optional[ContextTracker] = None,
     ):
-        self.cfg = cfg
+        # A fresh default per session: a config's weight tables are mutable dicts.
+        self.cfg = cfg = cfg if cfg is not None else SynthConfig()
         self.rng = random.Random(cfg.seed)
         self.tracker = tracker if tracker is not None else ContextTracker()
         self._pool = tuple(sorted(e.surface for e in (lex or default_lexicon()).content_words()))
         self._pool_index = {w: i for i, w in enumerate(self._pool)}
         self._sentence, self._verse = grammar(cfg)
         self._phrase = self._sentence[1][1]  # the predicate
+        # The forward reader of each unit, compiled once for the session.
+        self._read_sentence, self._read_verse, self._read_phrase, self._read_word = (
+            _reader(node, self._pool) for node in (self._sentence, self._verse, self._phrase,
+                                                   ("word",)))
 
     # sampling -----------------------------------------------------------
 
@@ -237,59 +306,25 @@ class Synthesizer:
         sum of weights, added left to right, exceeds it times their total.  The
         benchmark wraps it and the synthesis golden's probe draws use it with
         ``ContextTracker.copy``; both go after ROADMAP item 5."""
-        return self._words(("word",), tracker)[0]
+        return self._words(self._read_word, tracker)[0]
 
     # the forward reader ---------------------------------------------------
 
-    def _read(self, node: tuple, cumulative: list[float], words: list[str],
-              content: list[str]) -> None:
-        """Draw ``node`` of the grammar onto the end of ``words``, and its
-        content words, each picked by the running sums ``cumulative`` of the
-        pool's weights, onto the end of ``content`` too.  A phrase draws its
-        shape (its length and pi) and an ``alt`` its node, each in one roll."""
-        kind, rng = node[0], self.rng
-        if kind == "phrase":
-            shapes, _, sums = node[1]
-            length, pi = _pick(shapes, sums, rng.random())
-            phrase = [_pick(self._pool, cumulative, rng.random() * cumulative[-1])
-                      for _ in range(length)]
-            content += phrase
-            if pi is not None:
-                phrase.insert(pi, "pi")
-            words += phrase
-        elif kind == "seq":
-            for item in node[1]:
-                self._read(item, cumulative, words, content)
-        elif kind == "lit":
-            words.append(node[1])
-        elif kind == "word":
-            content.append(_pick(self._pool, cumulative, rng.random() * cumulative[-1]))
-            words.append(content[-1])
-        elif kind == "subject":
-            start = len(words)
-            self._read(node[1], cumulative, words, content)
-            if len(words) - start != 1 or words[start] not in node[2]:
-                words.append(node[3])
-        elif kind == "alt":
-            nodes, _, sums = node[1]
-            self._read(_pick(nodes, sums, rng.random()), cumulative, words, content)
-        else:
-            raise ValueError(f"unknown grammar node {kind!r}")
-
-    def _unit(self, node: tuple, tracker: ContextTracker) -> tuple[list[str], list[str]]:
-        """A unit of the grammar and its content words, drawn as the counted
-        draws are, with ``tracker``'s word weights frozen at its start."""
+    def _unit(self, read: Callable, tracker: ContextTracker) -> tuple[list[str], list[str]]:
+        """A unit of the grammar, drawn by its compiled reader ``read``, and
+        its content words, drawn as the counted draws are, with ``tracker``'s
+        word weights frozen at its start."""
         cumulative = list(accumulate(tracker.weights(self._pool_index, self.cfg.reuse_bias)))
         words: list[str] = []
         content: list[str] = []
-        self._read(node, cumulative, words, content)
+        read(self.rng.random, cumulative, words, content)
         return words, content
 
-    def _words(self, node: tuple, tracker: Optional[ContextTracker] = None) -> list[str]:
+    def _words(self, read: Callable, tracker: Optional[ContextTracker] = None) -> list[str]:
         """A unit of the grammar; ``tracker``, by default the session's,
         observes its content words after it."""
         tracker = tracker if tracker is not None else self.tracker
-        words, content = self._unit(node, tracker)
+        words, content = self._unit(read, tracker)
         for word in content:
             tracker.observe(word)
         return words
@@ -298,10 +333,10 @@ class Synthesizer:
 
     def phrase_words(self) -> list[str]:
         """A phrase as a word list, possibly with an embedded pi group."""
-        return self._words(self._phrase)
+        return self._words(self._read_phrase)
 
     def sentence_text(self) -> str:
-        return " ".join(self._words(self._sentence)) + "."
+        return " ".join(self._words(self._read_sentence)) + "."
 
     # larger units --------------------------------------------------------
 
@@ -355,7 +390,7 @@ class Synthesizer:
 
     def verse_text(self) -> str:
         """A poem line: a bare phrase, or a short subject-predicate clause."""
-        return " ".join(self._words(self._verse))
+        return " ".join(self._words(self._read_verse))
 
     def synth_poem(self, spec: PoemSpec) -> str:
         """Stanzas of verses of the ``verse_text`` grammar, each drawn exactly
@@ -389,12 +424,12 @@ class Synthesizer:
             raise ValueError("need at least two candidates per round")
         read = read or (lambda: sys.stdin.readline())
         write = write or sys.stdout.write
-        node, end, sep = ((self._sentence, ".", " ") if unit is ComposeUnit.SENTENCE
-                          else (self._verse, "", "\n"))
+        reader, end, sep = ((self._read_sentence, ".", " ") if unit is ComposeUnit.SENTENCE
+                            else (self._read_verse, "", "\n"))
 
         accepted: list[str] = []
         while True:
-            candidates = [self._unit(node, self.tracker) for _ in range(k)]
+            candidates = [self._unit(reader, self.tracker) for _ in range(k)]
             texts = [" ".join(words) + end for words, _ in candidates]
             for idx, text in enumerate(texts, start=1):
                 write(f"{idx}) {text}\n")

@@ -1,15 +1,19 @@
 """Golden of the library's public API: one line per callable that
-``tokipona`` exports, with its parameter names.
+``tokipona`` exports, with its parameter names, then one per public class
+that a module of the package defines but the package does not export, named
+``module.Class``.
 
 A function gives one line.  A class gives a line for its constructor when it
 defines ``__init__`` or ``__new__`` itself (an Enum's is left out), then one
-for each public method it defines itself.  A parameter with a default is
+for each public method it defines itself, and one for each public property,
+written without parentheses.  A parameter with a default is
 written ``name=``, and the markers ``*``, ``**`` and ``/`` are kept; the
 ``self`` or ``cls`` a method is bound to is left out.  Annotations and
 default values are left out, so that every supported Python version prints
 the same text.  Each parameter is a value a caller can set, so the file's
 parameter count tracks the library's knobs as ``cli_args_golden.txt``
-tracks the CLI's.
+tracks the CLI's.  A property or a class that the package does not export
+shows here when it comes or goes, although no caller of the package names it.
 
 Regenerate ``data/api_golden.txt`` after an intended change to the API:
 
@@ -18,6 +22,9 @@ Regenerate ``data/api_golden.txt`` after an intended change to the API:
 
 import enum
 import inspect
+import pkgutil
+from functools import cached_property
+from importlib import import_module
 from pathlib import Path
 
 import tokipona
@@ -58,11 +65,26 @@ def _lines(name: str, value):
             yield f"{name}.{attr}" + _parameters(member.__func__, bound=True)
         elif inspect.isfunction(member):
             yield f"{name}.{attr}" + _parameters(member, bound=True)
+        elif isinstance(member, (property, cached_property)):
+            yield f"{name}.{attr}"
+
+
+def _unexported():
+    """(``module.Class``, class) for each public class that a module of the
+    package defines and the package does not export, by module and then in
+    the order the module defines them."""
+    for info in sorted(pkgutil.iter_modules(tokipona.__path__), key=lambda m: m.name):
+        module = import_module(f"tokipona.{info.name}")
+        for name, value in vars(module).items():
+            if (inspect.isclass(value) and value.__module__ == module.__name__
+                    and not name.startswith("_") and name not in tokipona.__all__):
+                yield f"{info.name}.{name}", value
 
 
 def render() -> str:
-    return "".join(line + "\n" for name in tokipona.__all__
-                   for line in _lines(name, getattr(tokipona, name)))
+    exported = [(name, getattr(tokipona, name)) for name in tokipona.__all__]
+    return "".join(line + "\n" for name, value in [*exported, *_unexported()]
+                   for line in _lines(name, value))
 
 
 def test_api_golden():

@@ -3,8 +3,10 @@ and the closed loop through the strict parser."""
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from importlib import resources
+from itertools import accumulate, cycle
 from types import SimpleNamespace
 
 import pytest
@@ -50,6 +52,16 @@ def test_config_validation():
         SynthConfig(object_count_weights={0: 1.5, 1: -0.5})
     with pytest.raises(ValueError, match=r"^object counts must lie in 0\.\.2$"):
         SynthConfig(object_count_weights={0: 0.5, 3: 0.5})
+
+
+def test_each_default_session_has_its_own_config():
+    """A session made without a config gets a fresh default one, so a change
+    to one session's weight tables reaches no later session."""
+    first = Synthesizer()
+    first.cfg.phrase_len_weights[4] = 5.0
+    second = Synthesizer()
+    assert second.cfg is not first.cfg and second.cfg == SynthConfig()
+    assert second._phrase[1][2][-1] == pytest.approx(1.0)  # the running sums of the shapes
 
 
 def test_tracker_window_eviction():
@@ -268,6 +280,104 @@ def _units(log: list) -> list[tuple[list[float], list[str]]]:
             units.append(([], []))
         units[-1][kind == "observe"].append(value)
     return units
+
+
+def _ref_pick(values, cumulative, roll):
+    """The first value whose running sum exceeds ``roll``, else the last of weight."""
+    i = bisect_right(cumulative, roll)
+    return values[i if i < len(values) else bisect_left(cumulative, cumulative[-1])]
+
+
+def _ref_read(s, node, cumulative, words, content):
+    """The forward reader as an interpreter of the grammar's data: it reads
+    ``node`` on every draw, one call per node, from ``s``'s generator and pool."""
+    kind, rng = node[0], s.rng
+    if kind == "phrase":
+        shapes, _, sums = node[1]
+        length, pi = _ref_pick(shapes, sums, rng.random())
+        phrase = [_ref_pick(s._pool, cumulative, rng.random() * cumulative[-1])
+                  for _ in range(length)]
+        content += phrase
+        if pi is not None:
+            phrase.insert(pi, "pi")
+        words += phrase
+    elif kind == "seq":
+        for item in node[1]:
+            _ref_read(s, item, cumulative, words, content)
+    elif kind == "lit":
+        words.append(node[1])
+    elif kind == "word":
+        content.append(_ref_pick(s._pool, cumulative, rng.random() * cumulative[-1]))
+        words.append(content[-1])
+    elif kind == "subject":
+        start = len(words)
+        _ref_read(s, node[1], cumulative, words, content)
+        if len(words) - start != 1 or words[start] not in node[2]:
+            words.append(node[3])
+    elif kind == "alt":
+        nodes, _, sums = node[1]
+        _ref_read(s, _ref_pick(nodes, sums, rng.random()), cumulative, words, content)
+    else:
+        raise ValueError(f"unknown grammar node {kind!r}")
+
+
+def _ref_words(s, node):
+    """A unit read by ``_ref_read`` from the weights at its start; the
+    session's tracker observes its content words after it."""
+    cumulative = list(accumulate(s.tracker.weights(s._pool_index, s.cfg.reuse_bias)))
+    words, content = [], []
+    _ref_read(s, node, cumulative, words, content)
+    for word in content:
+        s.tracker.observe(word)
+    return words
+
+
+def _distribution(keys):
+    """A weight table over ``keys``, some weights possibly zero, that sums to
+    1 or to just under it, where the largest roll passes the running sums."""
+    weights = hst.lists(hst.integers(0, 4), min_size=len(keys), max_size=len(keys)).filter(any)
+    return hst.builds(lambda ws, scale: {k: w / sum(ws) * scale for k, w in zip(keys, ws)},
+                      weights, hst.sampled_from([1.0, 1 - 1e-12]))
+
+
+@given(
+    phrase_lens=_distribution([1, 2, 3, 4]),
+    object_counts=_distribution([0, 1, 2]),
+    prep=hst.sampled_from([0.0, 0.2, 1.0]),
+    pi=hst.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    bias=hst.sampled_from([0.0, 0.5, 1.0]),
+    capacity=hst.sampled_from([None, 1, 3]),
+    rolls=hst.lists(hst.one_of(hst.floats(0, 1, exclude_max=True), hst.just(1 - 2**-53)),
+                    min_size=1, max_size=12),
+    units=hst.lists(hst.sampled_from(["sentence", "verse", "phrase", "word"]), max_size=12),
+)
+@settings(max_examples=300, deadline=None)
+def test_the_compiled_reader_draws_as_the_grammar_reads(
+        phrase_lens, object_counts, prep, pi, bias, capacity, rolls, units):
+    """Each unit, read by the reader compiled from the grammar, gives the
+    words that reading the grammar's data on every draw gives, from the same
+    rolls in the same order, and its tracker observes the same content words.
+    The rolls cycle through ``rolls``, which may hold the largest roll, so it
+    can fall on any choice or word, where only a table's last entry of weight
+    may be taken."""
+    cfg = SynthConfig(phrase_len_weights=phrase_lens, object_count_weights=object_counts,
+                      prep_probability=prep, pi_probability=pi, reuse_bias=bias)
+    s, ref = (Synthesizer(cfg, tracker=ContextTracker(capacity)) for _ in range(2))
+    logs = []
+    for session in (s, ref):
+        session.rng = SimpleNamespace(random=cycle(rolls).__next__)
+        logs.append(_log_draws(session))
+    for unit in units:
+        if unit == "sentence":
+            assert s.sentence_text() == " ".join(_ref_words(ref, ref._sentence)) + "."
+        elif unit == "verse":
+            assert s.verse_text() == " ".join(_ref_words(ref, ref._verse))
+        elif unit == "phrase":
+            assert s.phrase_words() == _ref_words(ref, ref._phrase)
+        else:
+            assert s.sample_word() == _ref_words(ref, ("word",))[0]
+        assert logs[0] == logs[1]
+    assert s.tracker.counts == ref.tracker.counts
 
 
 @pytest.mark.parametrize("bias", [0.5, 1.0])
@@ -610,7 +720,7 @@ def test_a_malformed_grammar_node_is_refused():
     for node in (("nope",), ("maybe", 0.5, ("lit", "a")),
                  ("repeat", ((1,), (1.0,), (1.0,)), ("lit", "a")), ("one_of", ("a",))):
         with pytest.raises(ValueError, match=f"^unknown grammar node '{node[0]}'$"):
-            s._read(node, [1.0], [], [])
+            synth._reader(node, s._pool)
         with pytest.raises(ValueError, match=f"^no counted reading of a '{node[0]}' node here$"):
             CountTables(node, s._verse, s._pool)._point((node,))
     tables = CountTables(s._sentence, s._verse, s._pool)
