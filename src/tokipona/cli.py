@@ -155,10 +155,11 @@ def _cmd_stats(args, lex, out) -> int:
     if args.limit is not None and args.limit < 0:
         raise ValueError("--limit must not be negative")
     if args.sentence_space:
-        parts = [int(x) for x in args.sentence_space.split(",")]
-        if len(parts) != 4:
-            raise ValueError("--sentence-space expects four comma-separated integers")
-        query = st.SentenceSpaceQuery(*parts, with_particles=not args.without_particles)
+        try:
+            n, v, o, p = map(int, args.sentence_space.split(","))
+        except ValueError:  # a count other than four, or a part int() refuses
+            raise ValueError("--sentence-space expects four comma-separated integers") from None
+        query = st.SentenceSpaceQuery(n, v, o, p, with_particles=not args.without_particles)
         print(st.sentence_space(lex, query), file=out)
         return 0
     table = args.table or "pos"

@@ -19,7 +19,7 @@ import math
 import random
 import sys
 from bisect import bisect_left, bisect_right
-from collections import Counter, deque
+from collections import Counter
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate
@@ -79,61 +79,23 @@ class SynthConfig(CheckedRecord, NamedTuple("SynthConfig", [
 
 
 class ContextTracker:
-    """Multiset of content words already emitted, optionally windowed.
-
-    For the word pool a Synthesizer last drew from, it also keeps the draw
-    weights ``1 + bias * count`` as a list, so that a unit need not rebuild
-    them; ``observe`` is the only way to change the counts, and keeps the
-    list in step.
+    """Multiset of the content words a session has emitted, and the draw
+    weight ``1 + bias * count`` of each word of ``pool``, as the list
+    ``weights`` in pool order.  ``observe`` is the only way to change the
+    counts, and sets the observed word's weight from its new count.
     """
 
-    def __init__(self, capacity: Optional[int] = None):
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
+    def __init__(self, pool: Sequence[str], bias: float):
         self.counts: Counter = Counter()
-        self._order: deque[str] = deque()
-        self._index: dict[str, int] = {}
-        self._bias = 0.0
-        self._weights: list[float] = []
+        self.weights = [1.0] * len(pool)
+        self._index = {w: i for i, w in enumerate(pool)}
+        self._bias = bias
 
     def observe(self, word: str):
         self.counts[word] += 1
-        self._reweigh(word)
-        if self.capacity is not None:
-            self._order.append(word)
-            while len(self._order) > self.capacity:
-                old = self._order.popleft()
-                self.counts[old] -= 1
-                if self.counts[old] <= 0:
-                    del self.counts[old]
-                self._reweigh(old)
-
-    def _reweigh(self, word: str):
         i = self._index.get(word)
         if i is not None:
-            self._weights[i] = 1.0 + self._bias * self.counts.get(word, 0)
-
-    def weights(self, index: dict[str, int], bias: float) -> list[float]:
-        """``1 + bias * count`` for each word of ``index``, in its order.
-
-        Built when the index or the bias differs from the last call, then
-        kept in step by ``observe``.  Each weight is computed afresh from its
-        integer count, so it equals a rebuilt one exactly.
-        """
-        if index is not self._index or bias != self._bias:
-            self._index, self._bias = index, bias
-            self._weights = [1.0 + bias * self.counts.get(w, 0) for w in index]
-        return self._weights
-
-    def copy(self) -> "ContextTracker":
-        """The counts and the window; the copy builds its weights on its first draw.
-        The synthesis golden's probe draws use it with ``sample_word``, which the
-        benchmark wraps; both go after ROADMAP item 5."""
-        clone = ContextTracker(self.capacity)
-        clone.counts = Counter(self.counts)
-        clone._order = deque(self._order)
-        return clone
+            self.weights[i] = 1.0 + self._bias * self.counts[word]
 
 
 class ParagraphSpec(CheckedRecord, NamedTuple("ParagraphSpec", [
@@ -279,18 +241,12 @@ class Synthesizer:
     Single-threaded per instance; create one per thread.
     """
 
-    def __init__(
-        self,
-        cfg: Optional[SynthConfig] = None,
-        lex: Optional[Lexicon] = None,
-        tracker: Optional[ContextTracker] = None,
-    ):
+    def __init__(self, cfg: Optional[SynthConfig] = None, lex: Optional[Lexicon] = None):
         # A fresh default per session: a config's weight tables are mutable dicts.
         self.cfg = cfg = cfg if cfg is not None else SynthConfig()
         self.rng = random.Random(cfg.seed)
-        self.tracker = tracker if tracker is not None else ContextTracker()
         self._pool = tuple(sorted(e.surface for e in (lex or default_lexicon()).content_words()))
-        self._pool_index = {w: i for i, w in enumerate(self._pool)}
+        self.tracker = ContextTracker(self._pool, cfg.reuse_bias)
         self._sentence, self._verse = grammar(cfg)
         self._phrase = self._sentence[1][1]  # the predicate
         # The forward reader of each unit, compiled once for the session.
@@ -300,33 +256,31 @@ class Synthesizer:
 
     # sampling -----------------------------------------------------------
 
-    def sample_word(self, tracker: Optional[ContextTracker] = None) -> str:
+    def sample_word(self) -> str:
         """Draw a content word, a unit of one word: each candidate weighs
         1 + reuse_bias * uses, and one roll picks the first whose running
-        sum of weights, added left to right, exceeds it times their total.  The
-        benchmark wraps it and the synthesis golden's probe draws use it with
-        ``ContextTracker.copy``; both go after ROADMAP item 5."""
-        return self._words(self._read_word, tracker)[0]
+        sum of weights, added left to right, exceeds it times their total.
+        Only the benchmark and the tests call it; it goes after ROADMAP
+        item 5."""
+        return self._words(self._read_word)[0]
 
     # the forward reader ---------------------------------------------------
 
-    def _unit(self, read: Callable, tracker: ContextTracker) -> tuple[list[str], list[str]]:
+    def _unit(self, read: Callable) -> tuple[list[str], list[str]]:
         """A unit of the grammar, drawn by its compiled reader ``read``, and
-        its content words, drawn as the counted draws are, with ``tracker``'s
+        its content words, drawn as the counted draws are, with the tracker's
         word weights frozen at its start."""
-        cumulative = list(accumulate(tracker.weights(self._pool_index, self.cfg.reuse_bias)))
+        cumulative = list(accumulate(self.tracker.weights))
         words: list[str] = []
         content: list[str] = []
         read(self.rng.random, cumulative, words, content)
         return words, content
 
-    def _words(self, read: Callable, tracker: Optional[ContextTracker] = None) -> list[str]:
-        """A unit of the grammar; ``tracker``, by default the session's,
-        observes its content words after it."""
-        tracker = tracker if tracker is not None else self.tracker
-        words, content = self._unit(read, tracker)
+    def _words(self, read: Callable) -> list[str]:
+        """A unit of the grammar; the tracker observes its content words after it."""
+        words, content = self._unit(read)
         for word in content:
-            tracker.observe(word)
+            self.tracker.observe(word)
         return words
 
     # phrase and sentence units -----------------------------------------
@@ -347,12 +301,10 @@ class Synthesizer:
 
         return count_tables(self._sentence, self._verse, self._pool)
 
-    def _weights(self) -> list[float]:
-        return self.tracker.weights(self._pool_index, self.cfg.reuse_bias)
-
     def _drawn(self, unit: tuple, words: float, letters: float, at_most: bool) -> list[str]:
         """A counted draw of ``unit``'s words; its content words are observed after."""
-        drawn, content = self._tables.fit(unit, self.rng, self._weights(), words, letters, at_most)
+        drawn, content = self._tables.fit(unit, self.rng, self.tracker.weights,
+                                          words, letters, at_most)
         for word in content:
             self.tracker.observe(word)
         return drawn
@@ -361,7 +313,7 @@ class Synthesizer:
         """The chance that a verse drawn now has n letters, for n from 0 to
         the longest verse, with the tracker's weights as they stand.  Only the
         tests call it; ROADMAP item 12 decides it."""
-        chances = self._tables.distribution(self._verse, self._weights())
+        chances = self._tables.distribution(self._verse, self.tracker.weights)
         letters = [0.0] * (1 + max(n for _, n in chances))
         for (_, n), p in chances.items():
             letters[n] += p
@@ -429,7 +381,7 @@ class Synthesizer:
 
         accepted: list[str] = []
         while True:
-            candidates = [self._unit(reader, self.tracker) for _ in range(k)]
+            candidates = [self._unit(reader) for _ in range(k)]
             texts = [" ".join(words) + end for words, _ in candidates]
             for idx, text in enumerate(texts, start=1):
                 write(f"{idx}) {text}\n")

@@ -15,7 +15,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: The public names the scan finds, each with the reason it stays.
 ALLOWED = {
-    "ContextTracker.copy": "the synthesis golden's probe draws; goes with sample_word (ROADMAP 5)",
     "HighlightGroup.distinct_size": "the acceptance tests check the paper's group sizes with it",
     "ParseResult.problems": "README documents it for users",
     "Synthesizer.verse_letters": "ROADMAP item 12 decides it",

@@ -4,14 +4,16 @@ that a module of the package defines but the package does not export, named
 ``module.Class``.
 
 A function gives one line.  A class gives a line for its constructor when it
-defines ``__init__`` or ``__new__`` itself (an Enum's is left out), then one
-for each public method it defines itself, and one for each public property,
-written without parentheses.  A parameter with a default is
-written ``name=``, and the markers ``*``, ``**`` and ``/`` are kept; the
-``self`` or ``cls`` a method is bound to is left out.  Annotations and
-default values are left out, so that every supported Python version prints
-the same text.  Each parameter is a value a caller can set, so the file's
-parameter count tracks the library's knobs as ``cli_args_golden.txt``
+defines ``__init__`` or ``__new__`` itself, then one for each public method
+it defines itself, and one for each public property, written without
+parentheses.  An Enum gives a line of its member names, ``Name: A, B``, in
+place of a constructor, and a class that gives no other line gives its bare
+name, so that no public class comes or goes unseen.  A parameter with a
+default is written ``name=``, and the markers ``*``, ``**`` and ``/`` are
+kept; the ``self`` or ``cls`` a method is bound to is left out.  Annotations
+and default values are left out, so that every supported Python version
+prints the same text.  Each parameter is a value a caller can set, so the
+file's parameter count tracks the library's knobs as ``cli_args_golden.txt``
 tracks the CLI's.  A property or a class that the package does not export
 shows here when it comes or goes, although no caller of the package names it.
 
@@ -48,12 +50,17 @@ def _parameters(function, bound: bool) -> str:
     return "(" + ", ".join(names) + ")"
 
 
-def _lines(name: str, value):
+def _lines(name: str, value) -> list[str]:
     if not inspect.isclass(value):
-        yield name + _parameters(value, bound=False)
-        return
+        return [name + _parameters(value, bound=False)]
+    return list(_class_lines(name, value)) or [name]
+
+
+def _class_lines(name: str, value):
     own = vars(value)
-    if not issubclass(value, enum.Enum) and ("__init__" in own or "__new__" in own):
+    if issubclass(value, enum.Enum):
+        yield f"{name}: {', '.join(value.__members__)}"
+    elif "__init__" in own or "__new__" in own:
         constructor = own.get("__init__", own.get("__new__"))
         yield name + _parameters(getattr(constructor, "__func__", constructor), bound=True)
     for attr, member in own.items():

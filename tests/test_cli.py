@@ -77,10 +77,11 @@ def test_stats_sentence_space(capsys):
         capsys, "stats", "--sentence-space", "1,0,0,0", "--without-particles"
     )
     assert out.strip() == "535"
-    code, out, err = run(capsys, "stats", "--sentence-space", "1,1,1")
-    assert (code, out, err) == (
-        1, "", "error: --sentence-space expects four comma-separated integers\n"
-    )
+    for bad in ("1,1,1", "a,1,1,1"):
+        code, out, err = run(capsys, "stats", "--sentence-space", bad)
+        assert (code, out, err) == (
+            1, "", "error: --sentence-space expects four comma-separated integers\n"
+        )
 
 
 def test_syllabify(capsys):

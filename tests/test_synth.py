@@ -26,7 +26,6 @@ from tokipona.lexicon import (
 from tokipona.stats import SentenceSpaceQuery, sentence_space
 from tokipona.synth import (
     ComposeUnit,
-    ContextTracker,
     ParagraphSpec,
     PoemSpec,
     SynthConfig,
@@ -62,17 +61,6 @@ def test_each_default_session_has_its_own_config():
     second = Synthesizer()
     assert second.cfg is not first.cfg and second.cfg == SynthConfig()
     assert second._phrase[1][2][-1] == pytest.approx(1.0)  # the running sums of the shapes
-
-
-def test_tracker_window_eviction():
-    t = ContextTracker(capacity=2)
-    t.observe("moku"); t.observe("telo"); t.observe("kili")
-    assert t.counts["moku"] == 0
-    assert t.counts["telo"] == 1 and t.counts["kili"] == 1
-    unbounded = ContextTracker()
-    for _ in range(5):
-        unbounded.observe("moku")
-    assert unbounded.counts["moku"] == 5
 
 
 def test_phrase_determinism():
@@ -139,20 +127,20 @@ def test_tracker_weighting_statistics():
     for _ in range(100):
         s.tracker.observe("moku")
     n = 10_000
-    hits = sum(s.sample_word(s.tracker.copy()) == "moku" for _ in range(n))
+    hits = sum(s._unit(s._read_word)[0][0] == "moku" for _ in range(n))
     p = 101 / (101 + 106)
     sigma = math.sqrt(n * p * (1 - p))
     assert abs(hits - n * p) <= 3 * sigma, (hits, n * p, sigma)
 
 
-def _linear_scan_draw(pool, tracker, bias, rng):
-    """The draw as a rebuild of every weight and a linear scan.  The total is
-    a running sum too, as the draw's is: from Python 3.12 on, ``sum`` of
-    floats is compensated, so it can differ from the running sum in the last
-    bit."""
-    if bias == 0.0 or not tracker.counts:
+def _linear_scan_draw(pool, counts, bias, rng):
+    """The draw as a rebuild of every weight from ``counts`` and a linear
+    scan.  The total is a running sum too, as the draw's is: from Python 3.12
+    on, ``sum`` of floats is compensated, so it can differ from the running
+    sum in the last bit."""
+    if bias == 0.0 or not counts:
         return pool[int(rng.random() * len(pool)) % len(pool)]
-    weights = [1.0 + bias * tracker.counts[w] for w in pool]
+    weights = [1.0 + bias * counts[w] for w in pool]
     total = 0.0
     for weight in weights:
         total += weight
@@ -175,63 +163,42 @@ _SMALL_LEX = Lexicon(
 _observed = hst.one_of(
     hst.sampled_from(["moku", "telo", "kili", "pi", "li", "xyz"]), hst.sampled_from(_POOL)
 )
-# (action, tracker slot, word): observe a word, copy a tracker, or draw from
-# one with the synthesizer over the whole pool or over the small one
+# (action, session, word): observe a word on a session's tracker, or draw
+# from it, over the whole pool (0) or over the small one (1)
 _actions = hst.lists(
-    hst.tuples(
-        hst.sampled_from(["observe", "copy", "draw", "draw small"]), hst.integers(0, 7), _observed
-    ),
+    hst.tuples(hst.sampled_from(["observe", "draw"]), hst.integers(0, 1), _observed),
     max_size=60,
 )
 
 
-def _assert_in_step(t):
-    """The weights a tracker keeps for the pool it last drew from equal
-    their definition from its counts."""
-    assert t._weights == [1.0 + t._bias * t.counts[w] for w in t._index]
-
-
 @given(
     actions=_actions,
-    capacity=hst.sampled_from([None, 1, 3, 40]),
     bias=hst.sampled_from([0.0, 0.1, 0.3, 0.5, 0.7, 1.0, 0.123456789]),
     seed=hst.integers(0, 2**16),
 )
 @settings(max_examples=300, deadline=None)
-def test_kept_weights_equal_a_rebuild(actions, capacity, bias, seed):
-    """Every draw takes the linear scan's pick and leaves the generator in
-    its state, and every tracker stays in step with its counts.  Two
-    synthesizers with pools of 107 and 8 words share the trackers, so a draw
-    from the other pool rebuilds a tracker's weights."""
+def test_kept_weights_equal_a_rebuild(actions, bias, seed):
+    """Every draw takes the linear scan's pick in one roll, and after every
+    step each session's tracker keeps ``1 + bias * count`` for each word of
+    its pool, in pool order; a word outside the pool leaves the list as it
+    was.  One session draws from the 107 content words, the other from 8."""
     cfg = SynthConfig(seed=seed, reuse_bias=bias)
-    s = Synthesizer(cfg, tracker=ContextTracker(capacity))
-    small = Synthesizer(cfg, _SMALL_LEX)
-    trackers = [s.tracker]
-
-    for action, slot, word in actions:
-        t = trackers[slot % len(trackers)]
+    sessions = (Synthesizer(cfg), Synthesizer(cfg, _SMALL_LEX))
+    for action, which, word in actions:
+        s = sessions[which]
         if action == "observe":
-            kept = [(o, list(o._weights)) for o in trackers]
-            t.observe(word)
-            for o, weights in kept:
-                # A word outside the pool moves nothing, unless it evicts one.
-                if o is not t or (word not in o._index and capacity is None):
-                    assert o._weights == weights
-        elif action == "copy":
-            trackers.append(t.copy())
+            kept = list(s.tracker.weights)
+            s.tracker.observe(word)
+            if word not in s._pool:
+                assert s.tracker.weights == kept
         else:
-            synth = small if action == "draw small" else s
             reference = random.Random()
-            reference.setstate(synth.rng.getstate())
-            expected = _linear_scan_draw(synth._pool, t, bias, reference)
-            assert synth.sample_word(t) == expected
-            assert synth.rng.getstate() == reference.getstate()
-        for o in trackers:
-            _assert_in_step(o)
-    for o in trackers:
-        for synth in (s, small):
-            assert o.weights(synth._pool_index, bias) == [1.0 + bias * o.counts[w] for w in synth._pool]
-            _assert_in_step(o)
+            reference.setstate(s.rng.getstate())
+            expected = _linear_scan_draw(s._pool, s.tracker.counts, bias, reference)
+            assert s.sample_word() == expected
+            assert s.rng.getstate() == reference.getstate()
+        for o in sessions:
+            assert o.tracker.weights == [1.0 + bias * o.tracker.counts[w] for w in o._pool]
 
 
 @pytest.mark.parametrize("bias, uses, u", [
@@ -246,9 +213,10 @@ def test_a_roll_at_an_edge_is_decided_left_to_right(bias, uses, u):
         s.tracker.observe(word)
     rolls = iter([u, 0.25])
     s.rng = SimpleNamespace(random=rolls.__next__)
-    expected = _linear_scan_draw(_POOL, s.tracker, bias, SimpleNamespace(random=lambda: u))
+    expected = _linear_scan_draw(_POOL, s.tracker.counts, bias, SimpleNamespace(random=lambda: u))
     assert s.sample_word() == expected
-    expected = _linear_scan_draw(_POOL, s.tracker, bias, SimpleNamespace(random=lambda: 0.25))
+    expected = _linear_scan_draw(_POOL, s.tracker.counts, bias,
+                                 SimpleNamespace(random=lambda: 0.25))
     assert s.sample_word() == expected
     assert next(rolls, None) is None  # one roll per draw
 
@@ -324,7 +292,7 @@ def _ref_read(s, node, cumulative, words, content):
 def _ref_words(s, node):
     """A unit read by ``_ref_read`` from the weights at its start; the
     session's tracker observes its content words after it."""
-    cumulative = list(accumulate(s.tracker.weights(s._pool_index, s.cfg.reuse_bias)))
+    cumulative = list(accumulate(s.tracker.weights))
     words, content = [], []
     _ref_read(s, node, cumulative, words, content)
     for word in content:
@@ -346,14 +314,13 @@ def _distribution(keys):
     prep=hst.sampled_from([0.0, 0.2, 1.0]),
     pi=hst.sampled_from([0.0, 0.1, 0.5, 1.0]),
     bias=hst.sampled_from([0.0, 0.5, 1.0]),
-    capacity=hst.sampled_from([None, 1, 3]),
     rolls=hst.lists(hst.one_of(hst.floats(0, 1, exclude_max=True), hst.just(1 - 2**-53)),
                     min_size=1, max_size=12),
     units=hst.lists(hst.sampled_from(["sentence", "verse", "phrase", "word"]), max_size=12),
 )
 @settings(max_examples=300, deadline=None)
 def test_the_compiled_reader_draws_as_the_grammar_reads(
-        phrase_lens, object_counts, prep, pi, bias, capacity, rolls, units):
+        phrase_lens, object_counts, prep, pi, bias, rolls, units):
     """Each unit, read by the reader compiled from the grammar, gives the
     words that reading the grammar's data on every draw gives, from the same
     rolls in the same order, and its tracker observes the same content words.
@@ -362,7 +329,7 @@ def test_the_compiled_reader_draws_as_the_grammar_reads(
     may be taken."""
     cfg = SynthConfig(phrase_len_weights=phrase_lens, object_count_weights=object_counts,
                       prep_probability=prep, pi_probability=pi, reuse_bias=bias)
-    s, ref = (Synthesizer(cfg, tracker=ContextTracker(capacity)) for _ in range(2))
+    s, ref = Synthesizer(cfg), Synthesizer(cfg)
     logs = []
     for session in (s, ref):
         session.rng = SimpleNamespace(random=cycle(rolls).__next__)
@@ -392,7 +359,7 @@ def test_a_unit_draws_from_the_weights_at_its_start(bias):
     log = _log_draws(s)
     for draw in (s.phrase_words, s.sentence_text, s.verse_text) * 10:
         log.clear()
-        start = s.tracker.copy()
+        start = Counter(s.tracker.counts)
         text = draw()
         [(rolls, observed)] = _units(log)
         if draw != s.sentence_text:  # phrases and verses hold no preposition or e
@@ -424,7 +391,7 @@ def test_sampling_unbiased_when_bias_zero():
     for _ in range(100):
         s.tracker.observe("moku")
     n = 10_000
-    hits = sum(s.sample_word(s.tracker.copy()) == "moku" for _ in range(n))
+    hits = sum(s._unit(s._read_word)[0][0] == "moku" for _ in range(n))
     p = 1 / 107
     sigma = math.sqrt(n * p * (1 - p))
     assert abs(hits - n * p) <= 3 * sigma
@@ -706,7 +673,7 @@ def test_a_budget_that_every_word_fits_counts_all_the_weight():
     s = Synthesizer(SynthConfig(seed=0, reuse_bias=0.7))
     for _ in range(5):
         s.sample_word()
-    shares = _Draw(s._tables, None, s._weights(), math.inf, 0, at_most=False).shares
+    shares = _Draw(s._tables, None, s.tracker.weights, math.inf, 0, at_most=False).shares
     hi = shares[-1][0]
     count = Letters(shares, hi * 19, at_most=True)
     assert [count(n, hi * n) for n in range(1, 20)] == [1.0] * 19
@@ -726,7 +693,7 @@ def test_a_malformed_grammar_node_is_refused():
     tables = CountTables(s._sentence, s._verse, s._pool)
     late_subject = ("seq", (s._phrase, ("subject", ("word",), ("mi", "sina"), "li")))
     with pytest.raises(ValueError, match="^a one-word subject must open its unit$"):
-        tables.fit(late_subject, random.Random(0), s._weights(), 30, 120, at_most=True)
+        tables.fit(late_subject, random.Random(0), s.tracker.weights, 30, 120, at_most=True)
 
 
 def test_verse_range_follows_the_lexicon(tmp_path):
@@ -748,8 +715,6 @@ def test_spec_validation():
         ParagraphSpec(2, max_words=0)
     with pytest.raises(ValueError):
         PoemSpec(0, 1, 10)
-    with pytest.raises(ValueError):
-        ContextTracker(capacity=0)
 
 
 # --- interactive composition ---------------------------------------------------
@@ -823,21 +788,14 @@ def test_compose_picked_words_feed_tracker():
     assert sum(s.tracker.counts.values()) >= len([w for w in content if w not in SOLE_PREPOSITIONS])
 
 
-@pytest.mark.parametrize("capacity", [None, 3])
-def test_compose_observes_its_picks_on_the_callers_tracker(capacity):
-    """A pick's content words are observed on the tracker the session was
-    given, and nothing else is: a verse holds no preposition or e."""
+def test_compose_observes_its_picks_on_the_session_tracker():
+    """A pick's content words are observed on the session's tracker, and
+    nothing else is: a verse holds no preposition or e."""
     read, write, _ = _scripted_io(["2\n", "r\n", "1\n", "f\n"])
-    t = ContextTracker(capacity)
-    s = Synthesizer(SynthConfig(seed=3), tracker=t)
+    s = Synthesizer(SynthConfig(seed=3))
     text = s.interactive_compose(ComposeUnit.VERSE, k=3, read=read, write=write)
-    assert s.tracker is t
-    assert sum(t.counts.values()) > 0
-    expected = ContextTracker(capacity)
-    for word in text.split():
-        if word not in ("li", "pi"):
-            expected.observe(word)
-    assert t.counts == expected.counts
+    assert sum(s.tracker.counts.values()) > 0
+    assert s.tracker.counts == Counter(w for w in text.split() if w not in ("li", "pi"))
 
 
 def test_compose_rejects_small_k():

@@ -1,9 +1,9 @@
 """Golden output of seeded synthesis, through the CLI and the library.
 
 Equal seeds must give equal bytes, so this pins every draw: the CLI's
-``synth`` kinds at the default config, and library sessions at reuse
-biases whose weights are not dyadic (0.3) or are whole (1.0), each with an
-unbounded tracker and with a five-word window.
+``synth`` kinds at the default config, library sessions at reuse biases
+whose weights are not dyadic (0.3) or are whole (1.0), and scripted
+``interactive_compose`` sessions.
 
 Regenerate ``data/synth_golden.txt`` after an intended output change:
 
@@ -39,7 +39,6 @@ KINDS = (
 )
 
 BIASES = (0.3, 1.0)
-CAPACITIES = (None, 5)
 
 
 def render_cli() -> str:
@@ -65,15 +64,19 @@ def _attempt(make) -> str:
         return f"SynthError: {exc}"
 
 
-def session(seed: int, bias: float, capacity) -> str:
-    """One library session: sentences, draws on copied trackers, a poem and
-    a paragraph, all sharing the session's tracker."""
-    synth = Synthesizer(SynthConfig(seed=seed, reuse_bias=bias), tracker=ContextTracker(capacity))
+def session(seed: int, bias: float) -> str:
+    """One library session: sentences, draws on a probe tracker, a poem and
+    a paragraph.  The probe replays the session's counts and observes two
+    more words; it stands in for the session's tracker for its ten draws,
+    and every other draw shares the session's own."""
+    synth = Synthesizer(SynthConfig(seed=seed, reuse_bias=bias))
     lines = [synth.sentence_text() for _ in range(20)]
-    probe = synth.tracker.copy()
-    probe.observe("moku")
-    probe.observe("telo")
-    lines.append(" ".join(synth.sample_word(probe) for _ in range(10)))
+    probe, own = ContextTracker(synth._pool, bias), synth.tracker
+    for word in [*own.counts.elements(), "moku", "telo"]:
+        probe.observe(word)
+    synth.tracker = probe
+    lines.append(" ".join(synth.sample_word() for _ in range(10)))
+    synth.tracker = own
     lines.append(" ".join(synth.sample_word() for _ in range(10)))
     lines.append(_attempt(lambda: synth.synth_poem(PoemSpec(1, 3, 14))))
     lines.append(_attempt(lambda: synth.synth_paragraph(ParagraphSpec(3, 24, 104))))
@@ -85,9 +88,8 @@ def render_library() -> str:
     parts = []
     for seed in SEEDS:
         for bias in BIASES:
-            for capacity in CAPACITIES:
-                parts.append(f"# seed={seed} reuse_bias={bias} capacity={capacity}\n")
-                parts.append(session(seed, bias, capacity))
+            parts.append(f"# seed={seed} reuse_bias={bias}\n")
+            parts.append(session(seed, bias))
     return "".join(parts)
 
 
@@ -95,10 +97,10 @@ def render_library() -> str:
 COMPOSE_REPLIES = ("1\n", "r\n", "x\n", "3\n", "f\n")
 
 
-def compose_session(seed: int, unit: ComposeUnit, capacity) -> str:
+def compose_session(seed: int, unit: ComposeUnit) -> str:
     """One scripted ``interactive_compose`` at k = 3: what it wrote and
     returned, three sentences drawn after it, and the tracker's counts."""
-    synth = Synthesizer(SynthConfig(seed=seed), tracker=ContextTracker(capacity))
+    synth = Synthesizer(SynthConfig(seed=seed))
     replies, out = iter(COMPOSE_REPLIES), []
     text = synth.interactive_compose(unit, k=3, read=lambda: next(replies), write=out.append)
     lines = ["".join(out), "--- returned", text, "--- after"]
@@ -111,9 +113,8 @@ def render_compose() -> str:
     parts = []
     for seed in SEEDS:
         for unit in ComposeUnit:
-            for capacity in CAPACITIES:
-                parts.append(f"# compose seed={seed} unit={unit.value} capacity={capacity}\n")
-                parts.append(compose_session(seed, unit, capacity))
+            parts.append(f"# compose seed={seed} unit={unit.value}\n")
+            parts.append(compose_session(seed, unit))
     return "".join(parts)
 
 
