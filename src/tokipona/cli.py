@@ -154,12 +154,16 @@ def _cmd_stats(args, lex, out) -> int:
 
     if args.limit is not None and args.limit < 0:
         raise ValueError("--limit must not be negative")
-    if args.sentence_space:
+    if args.sentence_space is not None:
         try:
             n, v, o, p = map(int, args.sentence_space.split(","))
         except ValueError:  # a count other than four, or a part int() refuses
             raise ValueError("--sentence-space expects four comma-separated integers") from None
         query = st.SentenceSpaceQuery(n, v, o, p, with_particles=not args.without_particles)
+        words, most = n + v + o + p, _printable_words(lex, query.with_particles)
+        if words > most:
+            raise ValueError(f"--sentence-space prints at most {most} words in all, "
+                             f"not {words}: the count would have too many digits")
         print(st.sentence_space(lex, query), file=out)
         return 0
     table = args.table or "pos"
@@ -184,6 +188,27 @@ def _cmd_stats(args, lex, out) -> int:
         rows = [[r.item, str(r.count), st.format_percent(r.percent)] for r in t.rows]
     _emit_rows(header, rows[: args.limit] + total, args.format, out)
     return 0
+
+
+def _printable_words(lex, with_particles: bool) -> int:
+    """The largest total of phrase words whose exact sentence space Python prints: in
+    at most ``sys.get_int_max_str_digits()`` digits, or 4,300 when that is 0 or missing."""
+    from math import log10
+
+    from . import stats as st
+
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    limit = 10 ** digits
+    one, two = (st.sentence_space(lex, st.SentenceSpaceQuery(words, 0, 0, 0, with_particles))
+                for words in (1, 2))
+    per_word = two // one
+    # w words count one * per_word ** (w - 1): estimate the largest w, then settle it.
+    words = int((digits - log10(one)) / log10(per_word)) + 1
+    while words > 1 and one * per_word ** (words - 1) >= limit:
+        words -= 1
+    while one * per_word ** words < limit:
+        words += 1
+    return words
 
 
 def _cmd_syllabify(args, lex, out) -> int:
@@ -316,6 +341,8 @@ def _cmd_highlight(args, lex, out) -> int:
         print(f"wrote {ftdetect_dir / 'tokipona.vim'}", file=out)
         return 0
     text = " ".join(args.text)
+    if not text.strip():
+        raise ValueError("no input text")
     if args.mode == "html":
         out.write(hl.render_html(text, lex=lex))
     else:

@@ -41,9 +41,26 @@ _TOKEN_RE = re.compile(TOKEN_PATTERN)
 
 class _Node:
     """The dataclass methods over the fields ``__slots__`` names: ``==`` by class and
-    fields (so, defining ``__eq__``, no hash) and a ``Name(field=value, ...)`` repr."""
+    fields (so, defining ``__eq__``, no hash), a ``Name(field=value, ...)`` repr, and an
+    ``__init__`` compiled once per subclass, as ``collections.namedtuple`` does.
+    ``_defaults`` gives each field that may be left out its default: ``None``,
+    ``False``, or ``list`` for a new empty list (also when ``None`` is passed)."""
 
     __slots__ = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls):
+        params, body = [], []
+        for name in cls.__slots__:
+            default = cls._defaults.get(name, ...)  # ... for a required field
+            params.append(name if default is ... else
+                          f"{name}={None if default is list else default!r}")
+            body.append(f"self.{name} = [] if {name} is None else {name}" if default is list
+                        else f"self.{name} = {name}")
+        exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body),
+             {"__name__": cls.__module__}, namespace := {})
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -63,14 +80,7 @@ class Token(_Node):
     equal), which spares hashing the enum."""
 
     __slots__ = ("surface", "kind", "start", "end", "note")
-
-    def __init__(self, surface: str, kind: TokenKind, start: int, end: int,
-                 note: Optional[str] = None):
-        self.surface = surface
-        self.kind = kind
-        self.start = start
-        self.end = end
-        self.note = note
+    _defaults = {"note": None}
 
     def __hash__(self) -> int:
         return hash((self.surface, self.start, self.end))
@@ -214,19 +224,11 @@ _ATTACHING_KINDS = (TokenKind.PUNCT, TokenKind.COLON)  # detokenize's punctuatio
 class PiGroup(_Node):
     __slots__ = ("pi_token", "inner")
 
-    def __init__(self, pi_token: Token, inner: PhraseNode):
-        self.pi_token = pi_token
-        self.inner = inner
-
 
 class PhraseNode(_Node):
+    # modifiers: each a Token or a PiGroup; conj: (en or anu Token, PhraseNode) pairs
     __slots__ = ("head", "modifiers", "conj")
-
-    def __init__(self, head: Token, modifiers: Optional[list[Union[Token, PiGroup]]] = None,
-                 conj: Optional[list[tuple[Token, PhraseNode]]] = None):
-        self.head = head
-        self.modifiers = [] if modifiers is None else modifiers
-        self.conj = [] if conj is None else conj
+    _defaults = {"modifiers": list, "conj": list}
 
     def _tag(self, head: Assignment, mod: TagValue, out: list[TaggedToken]) -> list[TaggedToken]:
         """Append each token with its slot's tag to ``out``: ``head`` for the
@@ -255,22 +257,13 @@ class PhraseNode(_Node):
 
 
 class ObjectArg(_Node):
-    __slots__ = ("marker", "phrase", "lead_sep")
-
-    def __init__(self, marker: Token, phrase: PhraseNode, lead_sep: Optional[Token] = None):
-        self.marker = marker  # the introducing "e"
-        self.phrase = phrase
-        self.lead_sep = lead_sep
+    __slots__ = ("marker", "phrase", "lead_sep")  # marker: the introducing "e"
+    _defaults = {"lead_sep": None}
 
 
 class PrepPhrase(_Node):
     __slots__ = ("prep", "complement", "lead_sep")
-
-    def __init__(self, prep: Token, complement: Optional[PhraseNode] = None,
-                 lead_sep: Optional[Token] = None):
-        self.prep = prep
-        self.complement = complement
-        self.lead_sep = lead_sep
+    _defaults = {"complement": None, "lead_sep": None}
 
 
 Complement = Union[ObjectArg, PrepPhrase]
@@ -290,21 +283,14 @@ def _tag_complements(complements: Sequence[Complement], out: list[TaggedToken]) 
 
 
 class Predicate(_Node):
-    __slots__ = ("marker", "phrase", "preverbs", "complements", "possessive_pi", "lead_sep",
-                 "colon_object")
-
-    def __init__(self, marker: Optional[Token], phrase: PhraseNode,
-                 preverbs: Optional[list[Token]] = None,
-                 complements: Optional[list[Complement]] = None,
-                 possessive_pi: Optional[Token] = None, lead_sep: Optional[Token] = None,
-                 colon_object: bool = False):
-        self.marker = marker  # li or o; None when elided or in a fragment
-        self.phrase = phrase
-        self.preverbs = [] if preverbs is None else preverbs
-        self.complements = [] if complements is None else complements
-        self.possessive_pi = possessive_pi  # "li pi X" possession
-        self.lead_sep = lead_sep            # comma before a fragment continuation
-        self.colon_object = colon_object    # trailing ":" standing for "e ni"
+    __slots__ = ("marker",         # li or o; None when elided or in a fragment
+                 "phrase", "preverbs",
+                 "complements",    # each an ObjectArg or a PrepPhrase
+                 "possessive_pi",  # "li pi X" possession
+                 "lead_sep",       # comma before a fragment continuation
+                 "colon_object")   # trailing ":" standing for "e ni"
+    _defaults = {"preverbs": list, "complements": list, "possessive_pi": None,
+                 "lead_sep": None, "colon_object": False}
 
     @property
     def objects(self) -> list[PhraseNode]:
@@ -312,34 +298,17 @@ class Predicate(_Node):
 
 
 class Vocative(_Node):
-    __slots__ = ("phrase", "o_token", "comma", "complements")
-
-    def __init__(self, phrase: PhraseNode, o_token: Token, comma: Optional[Token] = None,
-                 complements: Optional[list[PrepPhrase]] = None):
-        self.phrase = phrase
-        self.o_token = o_token
-        self.comma = comma
-        self.complements = [] if complements is None else complements
+    __slots__ = ("phrase", "o_token", "comma", "complements")  # complements: PrepPhrases
+    _defaults = {"comma": None, "complements": list}
 
 
 class Clause(_Node):
+    # la_token: set when this clause conditions another; tail: trailing interjections
     __slots__ = ("contexts", "la_token", "vocative", "subject", "subject_complements",
                  "predicates", "tail", "terminator", "li_elided")
-
-    def __init__(self, contexts: Optional[list[Clause]] = None, la_token: Optional[Token] = None,
-                 vocative: Optional[Vocative] = None, subject: Optional[PhraseNode] = None,
-                 subject_complements: Optional[list[PrepPhrase]] = None,
-                 predicates: Optional[list[Predicate]] = None, tail: Optional[list[Token]] = None,
-                 terminator: Optional[Token] = None, li_elided: bool = False):
-        self.contexts = [] if contexts is None else contexts
-        self.la_token = la_token  # set when this clause conditions another
-        self.vocative = vocative
-        self.subject = subject
-        self.subject_complements = [] if subject_complements is None else subject_complements
-        self.predicates = [] if predicates is None else predicates
-        self.tail = [] if tail is None else tail  # trailing interjections
-        self.terminator = terminator
-        self.li_elided = li_elided
+    _defaults = {"contexts": list, "la_token": None, "vocative": None, "subject": None,
+                 "subject_complements": list, "predicates": list, "tail": list,
+                 "terminator": None, "li_elided": False}
 
     @property
     def question_focus(self) -> Optional[Token]:
@@ -510,10 +479,6 @@ def render_record(record: dict) -> str:
 
 class ParseResult(_Node):
     __slots__ = ("clauses", "diagnostics")
-
-    def __init__(self, clauses: list[Clause], diagnostics: list[Diagnostic]):
-        self.clauses = clauses
-        self.diagnostics = diagnostics
 
     def problems(self) -> list[Diagnostic]:
         """Diagnostics at warning level or above (notes record ambiguities).
@@ -842,8 +807,14 @@ def parse_text(
 # --- pi-grouping readings ---------------------------------------------------
 
 
-def _as_tokens(phrase: Sequence[Union[Token, str]]) -> list[Token]:
-    toks = []
+_PiGroups = list[tuple[Token, list[Token]]]  # each pi with the words of its group
+
+
+def _pi_segments(phrase: Sequence[Union[Token, str]]) -> tuple[list[Token], _PiGroups]:
+    """The words before the first pi, and each pi group, with each string made a
+    WORD token one space after the item before it."""
+    segments: list[list[Token]] = [[]]
+    pi_tokens: list[Token] = []
     pos = 0
     for item in phrase:
         if isinstance(item, Token):
@@ -853,30 +824,17 @@ def _as_tokens(phrase: Sequence[Union[Token, str]]) -> list[Token]:
             item = Token(item, TokenKind.WORD, pos, pos + len(item))
         else:
             raise GrammarError(f"not a single word: {item!r}")
-        toks.append(item)
         pos = item.end + 1
-    return toks
-
-
-_PiGroups = list[tuple[Token, list[Token]]]  # each pi with the words of its group
-
-
-def _pi_segments(phrase: Sequence[Union[Token, str]]) -> tuple[list[Token], _PiGroups]:
-    """The words before the first pi, and each pi group."""
-    toks = _as_tokens(phrase)
-    if not toks:
-        raise GrammarError("empty phrase")
-    segments: list[list[Token]] = [[]]
-    pi_tokens: list[Token] = []
-    for tok in toks:
-        if tok.surface == "pi":
-            pi_tokens.append(tok)
+        if item.surface == "pi":
+            pi_tokens.append(item)
             segments.append([])
         else:
-            segments[-1].append(tok)
+            segments[-1].append(item)
     base, groups = segments[0], segments[1:]
+    if not pi_tokens and not base:
+        raise GrammarError("empty phrase")
     if not base:
-        raise GrammarError("pi in initial position", pi_tokens[0] if pi_tokens else None)
+        raise GrammarError("pi in initial position", pi_tokens[0])
     for k, g in enumerate(groups):
         if not g:
             message = ("dangling pi at phrase end" if k == len(groups) - 1

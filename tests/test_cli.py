@@ -3,6 +3,7 @@
 import argparse
 import json
 import re
+import time
 from importlib import resources
 
 import pytest
@@ -10,7 +11,9 @@ import pytest
 from tokipona.cli import build_parser, main
 from tokipona.grammar import MAX_NESTING
 from tokipona.highlight import MergeMode
-from tokipona.stats import LetterRestrict, Scope, syllable_frequency
+from tokipona.stats import (
+    LetterRestrict, Scope, SentenceSpaceQuery, sentence_space, syllable_frequency,
+)
 from tokipona.synth import ComposeUnit
 from tokipona.wordnet import MappingMode
 from conftest import write_wndb
@@ -77,11 +80,30 @@ def test_stats_sentence_space(capsys):
         capsys, "stats", "--sentence-space", "1,0,0,0", "--without-particles"
     )
     assert out.strip() == "535"
-    for bad in ("1,1,1", "a,1,1,1"):
+    for bad in ("1,1,1", "a,1,1,1", ""):
         code, out, err = run(capsys, "stats", "--sentence-space", bad)
         assert (code, out, err) == (
             1, "", "error: --sentence-space expects four comma-separated integers\n"
         )
+
+
+@pytest.mark.parametrize("flags, most", [((), 2116), (("--without-particles",), 2118)])
+def test_stats_sentence_space_refuses_what_cannot_print(capsys, lexicon, flags, most):
+    """The largest total of words prints in full; one word more, or ten million, is
+    refused at once, before the count is computed.  The library's count stays exact
+    past the bound: at one word more it has more digits than Python prints (4,300)."""
+    low, high = (sentence_space(lexicon, SentenceSpaceQuery(words, 0, 0, 0, not flags))
+                 for words in (most, most + 1))
+    assert low < 10 ** 4300 <= high
+    code, out, err = run(capsys, "stats", *flags, "--sentence-space", f"{most - 2},1,1,0")
+    assert (code, err) == (0, "") and out.strip().isdigit()
+    for total in (most + 1, 10_000_000):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "stats", *flags, "--sentence-space", f"{total},0,0,0")
+        assert time.perf_counter() - start < 0.5
+        assert (code, out, err) == (1, "", f"error: --sentence-space prints at most {most} "
+                                           f"words in all, not {total}: the count would "
+                                           "have too many digits\n")
 
 
 def test_syllabify(capsys):
@@ -134,7 +156,12 @@ def test_parse_reads_stdin_and_needs_text(capsys, monkeypatch):
     assert run(capsys, "parse") == (1, "", "error: no input text\n")
 
 
-@pytest.mark.parametrize("argv", [("parse", ""), ("parse", "   "), ("tag", ""), ("tag", "   ")])
+@pytest.mark.parametrize("argv", [
+    (*command, blank)
+    for command in (("parse",), ("tag",), ("highlight", "render", "--mode", "ansi"),
+                    ("highlight", "render", "--mode", "html"))
+    for blank in ("", "   ")
+])
 def test_blank_input_is_an_error(capsys, argv):
     assert run(capsys, *argv) == (1, "", "error: no input text\n")
 

@@ -10,6 +10,7 @@ from itertools import product
 
 import pytest
 
+from tokipona import grammar
 from tokipona.grammar import (
     LENIENT,
     Clause,
@@ -54,6 +55,13 @@ _OLD_FIELDS = {
     ParseResult: [("clauses",), ("diagnostics",)],
 }
 _FROZEN = (Diagnostic, ParseOptions, Hybrid)
+
+
+def test_every_node_is_pinned():
+    """A parse node added to the module gets a line in ``_OLD_FIELDS`` too."""
+    nodes = {value for value in vars(grammar).values()
+             if isinstance(value, type) and issubclass(value, grammar._Node)}
+    assert nodes - {grammar._Node} == set(_OLD_FIELDS) - set(_FROZEN)
 
 
 def _field(name, *default):
