@@ -2,7 +2,8 @@
 
 Exit status: 0 on success, 2 on a usage error, and 1 when the library
 raises a ValueError (every error class of the package is one) or an
-OSError, with the message on stderr.  All randomized subcommands
+OSError, with the message on stderr.  ``validate`` also exits 1 when a
+word is invalid; its row gives the reason.  All randomized subcommands
 honor --seed, so equal invocations produce byte-identical output.
 
 Each subcommand imports the modules it uses when it runs, so one call
@@ -33,6 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("stats", help="vocabulary statistics and sentence-space size")
+    q.set_defaults(run=_cmd_stats)
     q.add_argument("--table", choices=("pos", "syllables", "letters", "lengths"))
     q.add_argument("--scope", choices=("all", "first", "last", "middle"), default="all")
     q.add_argument("--restrict", choices=("all", "vowels", "consonants"), default="all")
@@ -45,28 +47,34 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--without-particles", action="store_true")
 
     q = sub.add_parser("syllabify", help="split words into syllables")
+    q.set_defaults(run=_cmd_syllabify)
     q.add_argument("words", nargs="+")
 
     q = sub.add_parser("validate", help="check words against the syllable grammar")
+    q.set_defaults(run=_cmd_validate)
     q.add_argument("--mode", choices=("strict", "paper"), default="strict")
     q.add_argument("--proper", action="store_true", help="validate as proper nouns")
     q.add_argument("words", nargs="+")
 
     q = sub.add_parser("count", help="count possible words by syllable count")
+    q.set_defaults(run=_cmd_count)
     q.add_argument("--syllables", type=int, required=True)
     q.add_argument("--mode", choices=("strict", "paper"), default="paper")
 
     q = sub.add_parser("parse", help="parse sentences into clause trees")
+    q.set_defaults(run=_cmd_parse)
     _add_parse_options(q)
     q.add_argument("text", nargs="*", help="sentence text (or use --stdin)")
     q.add_argument("--stdin", action="store_true")
 
     q = sub.add_parser("tag", help="POS-tag a sentence")
+    q.set_defaults(run=_cmd_tag)
     _add_parse_options(q)
     q.add_argument("--no-dictionary", action="store_true", help="skip dictionary narrowing")
     q.add_argument("text", nargs="+")
 
     q = sub.add_parser("synth", help="synthesize text")
+    q.set_defaults(run=_cmd_synth)
     q.add_argument(
         "--kind", choices=("phrase", "sentence", "paragraph", "poem"), default="sentence"
     )
@@ -79,10 +87,12 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--phonemes", type=int, default=12, help="letters per verse")
 
     q = sub.add_parser("compose", help="interactive composition (stdin protocol)")
+    q.set_defaults(run=_cmd_compose)
     q.add_argument("--unit", choices=("sentence", "verse"), default="sentence")
     q.add_argument("-k", type=int, default=3, help="candidates per round")
 
     q = sub.add_parser("highlight", help="emit or render highlight schemes")
+    q.set_defaults(run=_cmd_highlight)
     hsub = q.add_subparsers(dest="action", required=True)
     e = hsub.add_parser("emit-vim", help="write syntax/ and ftdetect/ files")
     e.add_argument("--out", required=True, metavar="DIR")
@@ -93,6 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("text", nargs="+")
 
     q = sub.add_parser("wordnet", help="build synset mappings / show relations")
+    q.set_defaults(run=_cmd_wordnet)
     modes = ("all", "noprep", "matched")
     wsub = q.add_subparsers(dest="action", required=True)
     b = wsub.add_parser("build", help="build a mapping against a WordNet directory")
@@ -140,13 +151,20 @@ def _emit_rows(header: list[str], rows: list[list[str]], fmt: str, out) -> None:
         for row in rows:
             print(json.dumps(dict(zip(header, row))), file=out)
     else:
-        widths = [
-            max(len(header[i]), *(len(r[i]) for r in rows)) if rows else len(header[i])
-            for i in range(len(header))
-        ]
+        widths = [max(map(len, column)) for column in zip(header, *rows)]
         print("  ".join(h.ljust(w) for h, w in zip(header, widths)), file=out)
         for row in rows:
             print("  ".join(c.ljust(w) for c, w in zip(row, widths)), file=out)
+
+
+def _text(args, stdin: bool = False) -> str:
+    """The text arguments joined by spaces, then standard input if ``stdin``."""
+    text = " ".join(args.text)
+    if stdin:
+        text = (text + " " + sys.stdin.read()).strip()
+    if not text.strip():
+        raise ValueError("no input text")
+    return text
 
 
 def _cmd_stats(args, lex, out) -> int:
@@ -252,12 +270,7 @@ def _cmd_count(args, lex, out) -> int:
 def _cmd_parse(args, lex, out) -> int:
     from .grammar import parse_text
 
-    text = " ".join(args.text)
-    if args.stdin:
-        text = (text + " " + sys.stdin.read()).strip()
-    if not text.strip():
-        raise ValueError("no input text")
-    result = parse_text(text, _parse_options(args), lex)
+    result = parse_text(_text(args, args.stdin), _parse_options(args), lex)
     for diag in result.diagnostics:
         print(str(diag), file=sys.stderr)
     if args.format == "json-lines":
@@ -276,10 +289,7 @@ def _cmd_parse(args, lex, out) -> int:
 def _cmd_tag(args, lex, out) -> int:
     from .grammar import TagValue, parse_text, pos_tag
 
-    text = " ".join(args.text)
-    if not text.strip():
-        raise ValueError("no input text")
-    result = parse_text(text, _parse_options(args), lex)
+    result = parse_text(_text(args), _parse_options(args), lex)
     rows = []
     for clause in result.clauses:
         assignment = pos_tag(clause, resolve_with_dictionary=not args.no_dictionary, lex=lex)
@@ -330,19 +340,14 @@ def _cmd_highlight(args, lex, out) -> int:
 
     if args.action == "emit-vim":
         scheme = hl.build_scheme(lex, hl.MergeMode(args.merge))
-        root = Path(args.out)
-        syntax_dir = root / "syntax"
-        ftdetect_dir = root / "ftdetect"
-        syntax_dir.mkdir(parents=True, exist_ok=True)
-        ftdetect_dir.mkdir(parents=True, exist_ok=True)
-        (syntax_dir / "tokipona.vim").write_text(hl.emit_vim_syntax(scheme), "utf-8")
-        (ftdetect_dir / "tokipona.vim").write_text(hl.emit_filetype_detect(), "utf-8")
-        print(f"wrote {syntax_dir / 'tokipona.vim'}", file=out)
-        print(f"wrote {ftdetect_dir / 'tokipona.vim'}", file=out)
+        for folder, source in (("syntax", hl.emit_vim_syntax(scheme)),
+                               ("ftdetect", hl.emit_filetype_detect())):
+            path = Path(args.out) / folder / "tokipona.vim"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(source, "utf-8")
+            print(f"wrote {path}", file=out)
         return 0
-    text = " ".join(args.text)
-    if not text.strip():
-        raise ValueError("no input text")
+    text = _text(args)
     if args.mode == "html":
         out.write(hl.render_html(text, lex=lex))
     else:
@@ -384,26 +389,12 @@ def _cmd_wordnet(args, lex, out) -> int:
     return 0
 
 
-_COMMANDS = {
-    "stats": _cmd_stats,
-    "syllabify": _cmd_syllabify,
-    "validate": _cmd_validate,
-    "count": _cmd_count,
-    "parse": _cmd_parse,
-    "tag": _cmd_tag,
-    "synth": _cmd_synth,
-    "compose": _cmd_compose,
-    "highlight": _cmd_highlight,
-    "wordnet": _cmd_wordnet,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         lex = load_lexicon(args.lexicon)
-        return _COMMANDS[args.command](args, lex, sys.stdout)
+        return args.run(args, lex, sys.stdout)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

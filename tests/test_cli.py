@@ -1,12 +1,18 @@
 """CLI behavior: dispatch, formats, exit codes, determinism."""
 
 import argparse
+import io
 import json
+import os
 import re
+import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
 import pytest
+from hypothesis import example, given, settings, strategies as hst
 
 from tokipona.cli import build_parser, main
 from tokipona.grammar import MAX_NESTING
@@ -85,6 +91,11 @@ def test_stats_sentence_space(capsys):
         assert (code, out, err) == (
             1, "", "error: --sentence-space expects four comma-separated integers\n"
         )
+    # A value that starts with "-" is written with "=": spaced, argparse may read
+    # it as an option.
+    assert run(capsys, "stats", "--sentence-space=-1,0,0,0") == (
+        1, "", "error: phrase size n must be >= 0\n"
+    )
 
 
 @pytest.mark.parametrize("flags, most", [((), 2116), (("--without-particles",), 2118)])
@@ -427,3 +438,102 @@ def test_nesting_past_the_limit_is_an_error(capsys, command):
     code, out, err = run(capsys, command, text)
     assert (code, out) == (1, "")
     assert err.startswith(f"error: phrases nest more than {MAX_NESTING} deep (at 'pi', ")
+
+
+def _parsers(parser, names=(), levels=()):
+    """``parser`` and each parser under it, in the order they were added, each with
+    the names of its subcommand path and the actions of every parser along that
+    path but their help and subparsers, as ``test_cli_args_golden.py`` walks them."""
+    levels += ([a for a in parser._actions
+                if not isinstance(a, (argparse._HelpAction, argparse._SubParsersAction))],)
+    yield parser, names, levels
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _parsers(sub, names + (name,), levels)
+
+
+def test_every_help_renders():
+    # Help strings are %-formatted only when rendered, so a stray % fails at --help.
+    for parser, _, _ in _parsers(build_parser()):
+        assert parser.format_help().startswith(f"usage: {parser.prog}")
+
+
+# A parser without subparsers ends a subcommand path.
+_SUBCOMMANDS = [(names, levels) for parser, names, levels in _parsers(build_parser())
+                if parser._subparsers is None]
+_EDGE_INTS = ("0", "-1", "1", str(2 ** 31), str(10 ** 7))
+_EDGE_STRINGS = ("", " ", "a,1,1,1", "1,1", "-", "sitelén", "pona")
+_SENTENCE_SPACES = ("2200,0,0,0", "10000000,0,0,0")  # past what prints
+# Each of these sets the size of the output, so it is drawn from -1 to 3: --count
+# the phrases or sentences printed, --sentences those of the paragraph, --stanzas
+# and --verses the poem's, and -k the candidates of each round.
+_OUTPUT_SIZE = ("--count", "--sentences", "--stanzas", "--verses", "-k")
+
+
+def _value(action):
+    if action.choices is not None:
+        return hst.sampled_from([str(choice) for choice in action.choices])
+    if action.option_strings and action.option_strings[0] in _OUTPUT_SIZE:
+        return hst.integers(-1, 3).map(str)
+    if action.type is int:
+        return hst.sampled_from(_EDGE_INTS)
+    if action.metavar == "N,V,O,P":
+        return hst.sampled_from(_EDGE_STRINGS + _SENTENCE_SPACES)
+    return hst.sampled_from(_EDGE_STRINGS)
+
+
+@hst.composite
+def _argv(draw):
+    """One subcommand path with a subset of its options and its positionals."""
+    names, levels = draw(hst.sampled_from(_SUBCOMMANDS))
+    argv = []
+    for step, actions in zip([()] + [(name,) for name in names], levels):
+        argv += step
+        for action in actions:
+            if not action.option_strings:
+                low, high = {"+": (1, 3), "*": (0, 3), None: (1, 1)}[action.nargs]
+                argv += draw(hst.lists(_value(action), min_size=low, max_size=high))
+            elif action.required or draw(hst.booleans()):
+                argv.append(action.option_strings[0])
+                if action.nargs != 0:
+                    argv.append(draw(_value(action)))
+    return names, argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argv())
+# Inputs that were found by hand before this property, each once answered wrongly.
+@example((("stats",), ["stats", "--sentence-space", ""]))
+@example((("stats",), ["stats", "--sentence-space", "2200,0,0,0"]))
+@example((("stats",), ["stats", "--sentence-space", "10000000,0,0,0"]))
+@example((("highlight", "render"), ["highlight", "render", " "]))
+def test_every_argv_is_answered_or_refused_at_once(command):
+    """Any argv built from the parser's own arguments exits 0, 1 or 2 and raises
+    nothing else; on 1 it ends with the CLI's own message, and it is quick."""
+    names, argv = command
+    out, err = io.StringIO(), io.StringIO()
+    cwd, stdin = os.getcwd(), sys.stdin
+    with tempfile.TemporaryDirectory() as work:  # emit-vim and --dump write files
+        os.chdir(work)
+        sys.stdin = io.StringIO()
+        start = time.perf_counter()
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        finally:
+            elapsed = time.perf_counter() - start
+            os.chdir(cwd)
+            sys.stdin = stdin
+    assert code in (0, 1, 2)
+    if code != 1:
+        return
+    assert elapsed < 0.5
+    if names == ("validate",) and not err.getvalue():
+        assert "invalid" in out.getvalue()  # a word is invalid; its row says why
+        return
+    last = err.getvalue().splitlines()[-1]
+    assert last.startswith("error: ")
+    assert "invalid literal" not in last and "Exceeds the limit" not in last
