@@ -2,23 +2,40 @@
 
 Consumes a Princeton WordNet 3.x database directory in the standard WNDB
 layout (index.noun/verb/adj/adv and data.* files, space-delimited fields,
-8-digit decimal synset offsets).  A load reads the eight files whole, then
-checks every data line and every index offset (its count, and that its data
-file defines it), naming the file and line of a failure.  The check runs
-once per content: a database that passed leaves a stamp named by the
-SHA-256 of its files under ``$XDG_CACHE_HOME/tokipona`` (by default
-``~/.cache/tokipona``); a load that finds its stamp takes the version, the
-synset counts and the index order from it.  A failed check leaves no stamp.
-Lookups binary-search the index files by lemma, as Princeton's
-``bin_search`` does.  Three mappings are built from the lexicon's English
-glosses: every reachable synset, the same without preposition-tagged words,
-and only synsets whose part of speech matches a dictionary tag.
+8-digit decimal synset offsets).  A load opens the eight files, naming the
+first missing one, and then takes one of three paths:
+
+- an *identity hit* reads no data file.  The identity stamp of the directory
+  lists each file's resolved path, size, ``st_mtime_ns``, ``st_ctime_ns`` and
+  ``st_ino``, and every one still matches.  As git does with its index
+  (``Documentation/technical/racy-git.txt``), a file whose mtime is not older
+  than the stamp's own is not trusted: it may have changed again within the
+  same clock tick.  The stamp holds the version, the synset counts, the index
+  order and the digest the files were checked under;
+- a *digest hit* reads the eight files and takes the SHA-256 of their names,
+  lengths and bytes.  A database with the same bytes, from any path, passed
+  the checks before and left a stamp under that digest with the same fields;
+- a *full check* reads every data line and every index offset (its count,
+  and that its data file defines it), naming the file and line of a failure.
+  A database that passes gets its digest stamp; a failed check leaves none.
+
+Either of the last two writes the identity stamp again, and removes the
+digest stamp that it named before, if that differs.  Stamps live under
+``$XDG_CACHE_HOME/tokipona`` (by default ``~/.cache/tokipona``).  Lookups
+binary-search the index files by lemma, as Princeton's ``bin_search`` does,
+each inside one window of the file.  Three mappings are built from the
+lexicon's English glosses: every reachable synset, the same without
+preposition-tagged words, and only synsets whose part of speech matches a
+dictionary tag.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import re
+import zlib
+from bisect import bisect_right
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
@@ -40,6 +57,12 @@ _INDEX = {pos: f"index.{pos.name.lower()}" for pos in WNPos}
 #: change it when the checks change or the reader needs a new field, not for
 #: a field it ignores (older stamps' ``warnings``), which keeps them hits.
 _CHECKS = b"tokipona wndb checks 1\n"
+#: The first line of every identity stamp: its format, and the checks whose
+#: digest it holds.
+_IDENTITY = b"identity 1 " + _CHECKS
+#: An index file's lines are searched in windows that open at the first line
+#: after every this many bytes (characters, in a decoded text).
+_FENCE = 4096
 
 
 class WordNetError(ValueError):
@@ -59,32 +82,46 @@ class SynsetRef(NamedTuple):
 
 class WordNetDatabase:
     """A checked WNDB directory: its version, its synset count and, per POS,
-    its index text in lemma order, binary-searched by lemma.  Every file is
-    read before any line is checked, so a missing file is named first."""
+    its index in lemma order, binary-searched by lemma.  Every file is opened
+    before any is read, so a missing file is named first.
+
+    On an identity hit, a plain index file in lemma order is memory-mapped:
+    it must not be truncated in place while the object is in use.  Replacing
+    it by a rename is safe; the object keeps searching the file it mapped."""
 
     def __init__(self, root: Path):
         self.root = Path(root)
         if not self.root.is_dir():
             raise WordNetError(f"{self.root} is not a directory")
-        import hashlib
-
-        files = {name: _read(self.root / name) for name in [*_DATA.values(), *_INDEX.values()]}
-        sha = hashlib.sha256(_CHECKS)
-        for name, data in files.items():
-            sha.update(b"%s %d\n" % (name.encode(), len(data)))
-            sha.update(data)
-        digest = sha.hexdigest()
-        index = {pos: _text(files.pop(_INDEX[pos])) for pos in WNPos}
-        stamp_path = _stamp_path(digest)
-        stamp = _read_stamp(stamp_path, digest) if stamp_path else None
-        if stamp is None:
-            stamp = self._check(files, index)
-            if stamp_path:
-                _write_stamp(stamp_path, {"digest": digest, **stamp})
+        with contextlib.ExitStack() as stack:
+            files = {name: stack.enter_context(_open(self.root / name))
+                     for name in [*_DATA.values(), *_INDEX.values()]}
+            # Taken before any file is read: a file that changes after this
+            # has another identity at the next load.
+            identity, newest = _identity(files)
+            resolved = os.fsencode(os.path.realpath(self.root))
+            id_path = _stamp_path(f"wordnet-{zlib.crc32(resolved):08x}.id")
+            known, lines, written = _read_identity(id_path) if id_path else (None, b"", 0)
+            if known is not None and lines == identity and newest < written:
+                stamp, plain = known, known["plain"]
+                index = {pos: _map(files[_INDEX[pos]])
+                         if plain[pos.value] and stamp["in_order"][pos.value]
+                         else files[_INDEX[pos]].read() for pos in WNPos}
+            else:
+                blobs = {name: fh.read() for name, fh in files.items()}
+                index = {pos: blobs[_INDEX[pos]] for pos in WNPos}
+                plain = {pos.value: _plain(index[pos]) for pos in WNPos}
+                digest, stamp = self._checked(blobs)
+                if id_path:
+                    if known is not None and known["digest"] != digest:
+                        with contextlib.suppress(OSError):
+                            os.unlink(_stamp_path(f"wordnet-{known['digest']}.json"))
+                    _write_stamp(id_path, _identity_stamp(digest, stamp, plain) + identity)
         self.version: Optional[str] = stamp["version"]
         self.total_synsets: int = sum(stamp["synsets"][pos.value] for pos in WNPos)
-        self._index = {pos: _sorted_index(index[pos], stamp["in_order"][pos.value])
-                       for pos in WNPos}
+        self._index = {pos: _sorted_index(index[pos], plain[pos.value],
+                                          stamp["in_order"][pos.value]) for pos in WNPos}
+        self._fence: dict[WNPos, tuple[list, list[int]]] = {}
 
     @property
     def warnings(self) -> list[str]:
@@ -93,12 +130,31 @@ class WordNetDatabase:
             return ["no version line found in the data files"]
         return [] if self.version == "3.0" else [f"database reports version {self.version}, not 3.0"]
 
-    def _check(self, files: dict[str, bytes], index: dict[WNPos, str]) -> dict:
+    def _checked(self, files: dict[str, bytes]) -> tuple[str, dict]:
+        """The digest of ``files`` and their stamp fields: from the digest
+        stamp, or from a full check that writes it."""
+        import hashlib
+        import json
+
+        sha = hashlib.sha256(_CHECKS)
+        for name, data in files.items():
+            sha.update(b"%s %d\n" % (name.encode(), len(data)))
+            sha.update(data)
+        digest = sha.hexdigest()
+        stamp_path = _stamp_path(f"wordnet-{digest}.json")
+        stamp = _read_stamp(stamp_path, digest) if stamp_path else None
+        if stamp is None:
+            stamp = self._check(files)
+            if stamp_path:
+                _write_stamp(stamp_path, json.dumps({"digest": digest, **stamp}).encode())
+        return digest, stamp
+
+    def _check(self, files: dict[str, bytes]) -> dict:
         """Check every line of the data ``files``, each let go once decoded,
-        and of the ``index`` texts; the stamp fields of a database that passes."""
+        and of the index files; the stamp fields of a database that passes."""
         data = {pos: self._check_data(pos, _split(_text(files.pop(_DATA[pos])))) for pos in WNPos}
-        in_order = {pos.value: self._check_index(pos, _split(index[pos]), data[pos][1])
-                    for pos in WNPos}
+        in_order = {pos.value: self._check_index(pos, _split(_text(files[_INDEX[pos]])),
+                                                 data[pos][1]) for pos in WNPos}
         return {"version": next((version for version, _ in data.values() if version), None),
                 "synsets": {pos.value: len(seen) for pos, (_, seen) in data.items()},
                 "in_order": in_order}
@@ -152,12 +208,22 @@ class WordNetDatabase:
 
     def _line(self, key: str, pos: WNPos) -> Optional[str]:
         """The last index line of ``key``: Princeton's ``bin_search`` over the
-        lines past the header, which are in lemma order."""
+        lines past the header, which are in lemma order, started on the one
+        window of the fence that can hold the key."""
         text, start = self._index[pos]
-        lo, hi = start, len(text)
+        nl = "\n"
+        if not isinstance(text, str):  # a plain file: ASCII bytes
+            if not key.isascii():
+                return None
+            key, nl = key.encode(), b"\n"
+        if pos not in self._fence:
+            self._fence[pos] = _fence(text, start, nl)
+        lemmas, starts = self._fence[pos]
+        j = bisect_right(lemmas, key)
+        lo, hi = starts[j], starts[j + 1]
         while lo < hi:  # lines starting before lo have lemmas <= key, from hi on > key
-            begin = text.rfind("\n", lo, (lo + hi) // 2) + 1 or lo
-            end = text.find("\n", begin)
+            begin = text.rfind(nl, lo, (lo + hi) // 2) + 1 or lo
+            end = text.find(nl, begin)
             end = len(text) if end < 0 else end
             if _lemma(text[begin:end]) <= key:
                 lo = end + 1
@@ -165,8 +231,10 @@ class WordNetDatabase:
                 hi = begin
         if lo == start:
             return None
-        line = text[text.rfind("\n", start, lo - 1) + 1 or start:lo - 1]
-        return line if _lemma(line) == key else None
+        line = text[text.rfind(nl, start, lo - 1) + 1 or start:lo - 1]
+        if _lemma(line) != key:
+            return None
+        return line if isinstance(line, str) else line.decode("ascii")
 
     def lookup(self, lemma: str, pos: WNPos) -> tuple[int, ...]:
         """Synset offsets for an English lemma; multiword keys use underscores."""
@@ -176,7 +244,7 @@ class WordNetDatabase:
         return _offsets(line.split())
 
 
-def _lemma(line: str) -> str:
+def _lemma(line):
     return line.split(None, 1)[0]
 
 
@@ -185,23 +253,61 @@ def _offsets(fields: list[str]) -> tuple[int, ...]:
     return tuple(map(int, fields[6 + int(fields[3]):]))
 
 
-def _sorted_index(text: str, in_order: bool) -> tuple[str, int]:
-    """An index file's text with its lines in lemma order, and where they
-    start: past the header, or a sorted copy without it.  The sort is stable,
-    so a lemma listed twice keeps its later line last."""
-    if in_order:
-        start = 0
-        while text.startswith(" ", start):
-            start = text.find("\n", start) + 1 or len(text)
-        return text, start
-    lines = [line for line in _split(text) if not line.startswith(" ")]
-    return "\n".join(sorted(lines, key=_lemma)), 0
+def _sorted_index(data, plain: bool, in_order: bool) -> tuple:
+    """An index file's lines in lemma order, and where they start: the file's
+    own bytes if it is plain and in order, else its text, past the header or
+    in a sorted copy without it.  The sort is stable, so a lemma listed twice
+    keeps its later line last."""
+    if plain and in_order:
+        text, space, nl = data, b" ", b"\n"
+    else:
+        text, space, nl = _text(data), " ", "\n"
+        if not in_order:
+            lines = [line for line in _split(text) if not line.startswith(" ")]
+            return "\n".join(sorted(lines, key=_lemma)), 0
+    start = 0
+    while text[start:start + 1] == space:
+        start = text.find(nl, start) + 1 or len(text)
+    return text, start
 
 
-def _read(path: Path) -> bytes:
+def _fence(text, start: int, nl) -> tuple[list, list[int]]:
+    """The windows of an index's lines in lemma order, from ``start`` on: one
+    opens at the first line after every ``_FENCE`` characters.  The lemma of
+    each line that opens one, and every window's start, then the text's end."""
+    lemmas, starts = [], [start]
+    for at in range(start + _FENCE, len(text), _FENCE):
+        begin = text.find(nl, at) + 1
+        if not begin or begin == len(text):
+            break
+        if begin > starts[-1]:  # not a line that the last step already opened
+            end = text.find(nl, begin)
+            lemmas.append(_lemma(text[begin:len(text) if end < 0 else end]))
+            starts.append(begin)
+    starts.append(len(text))
+    return lemmas, starts
+
+
+def _open(path: Path):
     if not path.is_file():
         raise WordNetError(f"missing database file {path.name}")
-    return path.read_bytes()
+    return open(path, "rb")
+
+
+def _map(fh):
+    """An open file's bytes, memory-mapped; an empty file's are ``b""``."""
+    import mmap
+
+    if os.fstat(fh.fileno()).st_size == 0:
+        return b""
+    return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+
+
+def _plain(data: bytes) -> bool:
+    """Whether ``data`` splits and compares as its decoded text does: ASCII,
+    with no ``\\r`` (read as a line end) and none of ``\\x1c``-``\\x1f``
+    (which ``str.split`` takes for whitespace, and ``bytes.split`` does not)."""
+    return data.isascii() and not any(c in data for c in b"\r\x1c\x1d\x1e\x1f")
 
 
 def _text(data: bytes) -> str:
@@ -222,17 +328,60 @@ def _split(text: str) -> list[str]:
 
 # --- stamps of checked databases ---------------------------------------------
 
-def _stamp_path(digest: str) -> Optional[Path]:
-    """Where the stamp of a database with this digest lives, by the XDG base
-    directory rules; None if no absolute cache directory can be found."""
+def _stamp_path(name: str) -> Optional[Path]:
+    """Where the stamp ``name`` lives, by the XDG base directory rules; None
+    if no absolute cache directory can be found."""
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):
         base = os.path.expanduser("~/.cache")
-    return Path(base, "tokipona", f"wordnet-{digest}.json") if os.path.isabs(base) else None
+    return Path(base, "tokipona", name) if os.path.isabs(base) else None
+
+
+def _identity(files: dict) -> tuple[bytes, int]:
+    """One line per open file: its size, ``st_mtime_ns``, ``st_ctime_ns``,
+    ``st_ino`` and resolved path; and the newest of their mtimes."""
+    stats = [(os.fstat(fh.fileno()), fh.name) for fh in files.values()]
+    lines = b"".join(b"%d %d %d %d %s\n" % (st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino,
+                                            os.fsencode(os.path.realpath(name)))
+                     for st, name in stats)
+    return lines, max(st.st_mtime_ns for st, _ in stats)
+
+
+def _identity_stamp(digest: str, stamp: dict, plain: dict[str, bool]) -> bytes:
+    """The head of an identity stamp: its first line, then the digest, the
+    version (``-`` for none), and per POS the synset count, then whether the
+    index is in order, then whether it is plain."""
+    fields = [digest, stamp["version"] or "-"]
+    fields += [str(stamp["synsets"][pos.value]) for pos in WNPos]
+    fields += [str(int(flags[pos.value])) for flags in (stamp["in_order"], plain) for pos in WNPos]
+    return _IDENTITY + " ".join(fields).encode() + b"\n"
+
+
+def _read_identity(path: Path) -> tuple[Optional[dict], bytes, int]:
+    """The fields, the file lines and the write time of the identity stamp at
+    ``path``; no fields if it cannot be read or is malformed."""
+    try:
+        with open(path, "rb") as fh:
+            written = os.fstat(fh.fileno()).st_mtime_ns
+            head, fields, lines = fh.read().split(b"\n", 2)
+        digest, version, *numbers = fields.split(b" ")
+        version = None if version == b"-" else version.decode()
+    except (OSError, ValueError):  # no such file, too few lines, not UTF-8
+        return None, b"", 0
+    if (head + b"\n" != _IDENTITY or not re.fullmatch(rb"[0-9a-f]{64}", digest)
+            or len(numbers) != 12
+            or not all(n.isdigit() for n in numbers[:4])
+            or not set(numbers[4:]) <= {b"0", b"1"}):
+        return None, b"", 0
+    synsets, in_order, plain = numbers[:4], numbers[4:8], numbers[8:]
+    return {"digest": digest.decode(), "version": version,
+            "synsets": {pos.value: int(n) for pos, n in zip(WNPos, synsets)},
+            "in_order": {pos.value: f == b"1" for pos, f in zip(WNPos, in_order)},
+            "plain": {pos.value: f == b"1" for pos, f in zip(WNPos, plain)}}, lines, written
 
 
 def _read_stamp(path: Path, digest: str) -> Optional[dict]:
-    """The stamp at ``path`` if it is whole and for ``digest``, else None."""
+    """The digest stamp at ``path`` if it is whole and for ``digest``, else None."""
     import json
 
     try:
@@ -246,11 +395,9 @@ def _read_stamp(path: Path, digest: str) -> Optional[dict]:
     return stamp if valid else None
 
 
-def _write_stamp(path: Path, stamp: dict) -> None:
-    """Write ``stamp`` whole, by renaming a finished temporary file, or not
-    at all: a cache that cannot be written only costs the next load its check."""
-    import contextlib
-    import json
+def _write_stamp(path: Path, data: bytes) -> None:
+    """Write a stamp whole, by renaming a finished temporary file, or not at
+    all: a cache that cannot be written only costs the next load its check."""
     import tempfile
 
     try:
@@ -259,8 +406,8 @@ def _write_stamp(path: Path, stamp: dict) -> None:
     except OSError:
         return
     try:
-        with open(fd, "w", encoding="utf-8") as fh:
-            json.dump(stamp, fh)
+        with open(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except OSError:
         with contextlib.suppress(OSError):

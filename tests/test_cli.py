@@ -465,6 +465,10 @@ _SUBCOMMANDS = [(names, levels) for parser, names, levels in _parsers(build_pars
 _EDGE_INTS = ("0", "-1", "1", str(2 ** 31), str(10 ** 7))
 _EDGE_STRINGS = ("", " ", "a,1,1,1", "1,1", "-", "sitelén", "pona")
 _SENTENCE_SPACES = ("2200,0,0,0", "10000000,0,0,0")  # past what prints
+# A --lexicon that names no lexicon fails before the rest of the argv is read, so
+# the bundled file is drawn as often as all the edge strings together; so are the
+# sentence spaces past what prints, against the edge strings of N,V,O,P.
+_LEXICON = str(resources.files("tokipona").joinpath("data", "lexicon.tsv"))
 # Each of these sets the size of the output, so it is drawn from -1 to 3: --count
 # the phrases or sentences printed, --sentences those of the paragraph, --stanzas
 # and --verses the poem's, and -k the candidates of each round.
@@ -478,8 +482,10 @@ def _value(action):
         return hst.integers(-1, 3).map(str)
     if action.type is int:
         return hst.sampled_from(_EDGE_INTS)
+    if action.option_strings == ["--lexicon"]:
+        return hst.one_of(hst.just(_LEXICON), hst.sampled_from(_EDGE_STRINGS))
     if action.metavar == "N,V,O,P":
-        return hst.sampled_from(_EDGE_STRINGS + _SENTENCE_SPACES)
+        return hst.one_of(hst.sampled_from(_SENTENCE_SPACES), hst.sampled_from(_EDGE_STRINGS))
     return hst.sampled_from(_EDGE_STRINGS)
 
 

@@ -8,11 +8,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import tokipona
+from conftest import write_wndb
 
 PACKAGE = Path(__file__).parents[1] / "src" / "tokipona"
 
@@ -123,8 +125,36 @@ def test_modules_loaded(argv, modules):
 
 
 def test_wordnet_relations_loads_no_hashlib():
-    """Only a database load digests files; the static relations need none."""
-    assert "hashlib" not in _loaded(["wordnet", "relations"])
+    """Only a database load digests or maps files; the static relations need neither."""
+    loaded = _loaded(["wordnet", "relations"])
+    assert "hashlib" not in loaded and "mmap" not in loaded
+
+
+#: One ``wordnet build`` call in a fresh interpreter that imports nothing else
+#: (``_PROBE`` imports ``json``), then the modules it loaded.
+_BUILD_PROBE = """
+import contextlib, io, sys
+from tokipona.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    status = main(sys.argv[1:])
+print(status, *sorted(sys.modules))
+"""
+
+
+def test_a_wordnet_stamp_hit_loads_neither_hashlib_nor_json(tmp_path):
+    root = write_wndb(tmp_path / "dict")
+    seconds = int(time.time()) - 60  # older than the stamp: not the racy case
+    for path in root.iterdir():
+        os.utime(path, (seconds, seconds))
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    argv = [sys.executable, "-c", _BUILD_PROBE, "wordnet", "build", "--db", str(root)]
+    first, hit = (subprocess.run(argv, env=env, stdin=subprocess.DEVNULL, capture_output=True,
+                                 text=True, timeout=60, check=True).stdout.split()
+                  for _ in range(2))
+    assert first[0] == hit[0] == "0"
+    assert "hashlib" in first and "json" in first  # the first load checks and stamps
+    assert "hashlib" not in hit and "json" not in hit
+    assert "mmap" in hit
 
 
 @pytest.mark.parametrize("argv", ["load_lexicon", "tokipona.grammar"] + [

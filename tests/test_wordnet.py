@@ -2,15 +2,18 @@
 modes, against a small database written in the genuine index/data file
 format."""
 
+import hashlib
 import json
 import os
 import tempfile
+import time
 from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as hst
 
+from tokipona import wordnet
 from tokipona.wordnet import (
     MappingMode,
     SynsetRef,
@@ -247,7 +250,29 @@ def _naive_parse(files):
 
 
 def _stamps(cache: Path) -> list[Path]:
+    """The digest stamps in ``cache``."""
     return sorted((cache / "tokipona").glob("*.json")) if (cache / "tokipona").is_dir() else []
+
+
+def _identities(cache: Path) -> list[Path]:
+    """The identity stamps in ``cache``, one per database path."""
+    return sorted((cache / "tokipona").glob("*.id")) if (cache / "tokipona").is_dir() else []
+
+
+def _forget_paths(cache: Path) -> None:
+    """Delete the identity stamps, so that the next load reads a digest stamp."""
+    for path in _identities(cache):
+        path.unlink()
+
+
+def _settle(root: Path) -> Path:
+    """Date every file of ``root`` a minute back, to a whole second, so that
+    a stamp written now is newer: a file from the stamp's own clock tick is
+    not trusted (the racy case)."""
+    seconds = int(time.time()) - 60
+    for path in root.iterdir():
+        os.utime(path, (seconds, seconds))
+    return root
 
 
 def _load_hit(root) -> WordNetDatabase:
@@ -256,19 +281,28 @@ def _load_hit(root) -> WordNetDatabase:
         return load_wordnet_db(root)
 
 
+def _load_identity_hit(root) -> WordNetDatabase:
+    """Load a database whose identity stamp is in the cache: no file is hashed."""
+    with mock.patch.object(WordNetDatabase, "_checked", side_effect=AssertionError("hashed")):
+        return load_wordnet_db(root)
+
+
 @given(db_files=_wndb_files())
 @settings(max_examples=100, deadline=None)
 def test_loader_matches_a_naive_parse(db_files):
-    """Loaded twice, first checked and stamped, then from its stamp."""
+    """Loaded three times: checked and stamped, then from its identity stamp,
+    then from its digest stamp alone."""
     files, newline, final = db_files
     index, total = _naive_parse(files)
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.dict(os.environ, {"XDG_CACHE_HOME": f"{tmp}/cache"}):
         _write(Path(tmp) / "dict", files, newline, final)
-        miss = load_wordnet_db(Path(tmp) / "dict")
+        miss = load_wordnet_db(_settle(Path(tmp) / "dict"))
         assert len(_stamps(Path(tmp) / "cache")) == 1
-        hit = _load_hit(Path(tmp) / "dict")
-    for db in (miss, hit):
+        hit = _load_identity_hit(Path(tmp) / "dict")
+        _forget_paths(Path(tmp) / "cache")
+        digest_hit = _load_hit(Path(tmp) / "dict")
+    for db in (miss, hit, digest_hit):
         assert db.total_synsets == total
         for (lemma, pos), offsets in index.items():
             assert db.lookup(lemma.replace("_", " "), pos) == offsets
@@ -385,6 +419,7 @@ def test_a_spoilt_stamp_is_a_miss_and_is_written_again(tmp_path, cache, spoil):
     [stamp] = _stamps(cache)
     good = stamp.read_text("utf-8")
     stamp.write_text(spoil(good), "utf-8")
+    _forget_paths(cache)
     with pytest.raises(AssertionError, match="checked"):
         _load_hit(root)
     assert _lookups(load_wordnet_db(root)) == _lookups(_load_hit(root))
@@ -402,6 +437,7 @@ def test_a_stamp_with_the_warnings_of_older_stamps_is_a_hit(tmp_path, cache, ver
     [stamp] = _stamps(cache)
     older = {**json.loads(stamp.read_text("utf-8")), "warnings": miss.warnings}
     stamp.write_text(json.dumps(older), "utf-8")
+    _forget_paths(cache)
     hit = _load_hit(root)
     assert (hit.version, hit.warnings, hit.total_synsets) == \
         (version, miss.warnings, miss.total_synsets)
@@ -460,6 +496,195 @@ def test_a_lemma_listed_twice_resolves_to_its_later_line(tmp_path, cache, at):
         assert db.lookup("person", WNPos.NOUN) == (10000003,)
         assert db.lookup("people", WNPos.NOUN) == (10000003,)
         assert db.lookup("sea creature", WNPos.NOUN) == (10000190,)
+
+
+# --- identity stamps -------------------------------------------------------
+
+def test_an_identity_hit_hashes_no_file_and_changes_no_answer(tmp_path, cache):
+    root = _settle(write_wndb(tmp_path / "dict"))
+    miss = load_wordnet_db(root)
+    assert len(_identities(cache)) == 1
+    hit = _load_identity_hit(root)
+    assert _lookups(hit) == _lookups(miss)
+    assert (hit.version, hit.warnings, hit.total_synsets) == ("3.0", [], miss.total_synsets)
+
+
+def test_a_file_rewritten_in_the_stamps_clock_tick_is_hashed(tmp_path, cache):
+    """The racy case: a same-size rewrite dated at the stamp's own time."""
+    root = _settle(write_wndb(tmp_path / "dict"))
+    load_wordnet_db(root)
+    [identity] = _identities(cache)
+    path = root / "data.noun"
+    spoilt = path.read_bytes().replace(b"\n10000001 ", b"\n1000000x ")
+    with open(path, "r+b") as fh:  # in place: the same inode and size
+        fh.write(spoilt)
+    written = identity.stat().st_mtime_ns
+    os.utime(path, ns=(written, written))
+    assert _load_error(root) == "data.noun:4: bad synset offset '1000000x'"
+
+
+@pytest.mark.parametrize("newer_ns, trusted", [(0, False), (10**6, True)])
+def test_a_file_is_trusted_only_if_older_than_the_identity_stamp(tmp_path, cache, newer_ns,
+                                                                  trusted):
+    """git's rule, with no margin: every recorded field still matches."""
+    root = _settle(write_wndb(tmp_path / "dict"))
+    load_wordnet_db(root)
+    [identity] = _identities(cache)
+    newest = max(path.stat().st_mtime_ns for path in root.iterdir())
+    os.utime(identity, ns=(newest + newer_ns, newest + newer_ns))
+    if trusted:
+        _load_identity_hit(root)
+    else:
+        with pytest.raises(AssertionError, match="hashed"):
+            _load_identity_hit(root)
+        load_wordnet_db(root)  # hashed, and stamped again: now it is older
+        _load_identity_hit(root)
+
+
+def test_an_identity_hit_names_a_missing_file_first(tmp_path, cache):
+    root = _settle(write_wndb(tmp_path / "dict"))
+    load_wordnet_db(root)
+    _load_identity_hit(root)
+    (root / "index.adv").unlink()
+    with mock.patch.object(WordNetDatabase, "_checked", side_effect=AssertionError("hashed")):
+        assert _load_error(root) == "missing database file index.adv"
+
+
+def test_a_digest_stamp_in_the_json_of_earlier_versions_is_a_hit(tmp_path, cache):
+    """Written as the loader wrote it before identity stamps, with
+    ``json.dump`` into a text file; the loader still writes the same bytes."""
+    root = write_wndb(tmp_path / "dict")
+    sha = hashlib.sha256(b"tokipona wndb checks 1\n")
+    for kind in ("data", "index"):
+        for suffix in ("noun", "verb", "adj", "adv"):
+            data = (root / f"{kind}.{suffix}").read_bytes()
+            sha.update(b"%s.%s %d\n" % (kind.encode(), suffix.encode(), len(data)))
+            sha.update(data)
+    digest = sha.hexdigest()
+    synsets = {pos: len({off for (_, p), offs in FIXTURE_INDEX.items() if p == pos
+                         for off in offs}) for pos in "nvar"}
+    stamp = {"digest": digest, "version": "3.0", "synsets": synsets,
+             "in_order": {pos: True for pos in "nvar"}}
+    path = cache / "tokipona" / f"wordnet-{digest}.json"
+    path.parent.mkdir(parents=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(stamp, fh)
+    earlier = path.read_bytes()
+    hit = _load_hit(root)
+    assert (hit.version, hit.total_synsets) == ("3.0", sum(synsets.values()))
+    path.unlink()
+    _forget_paths(cache)
+    load_wordnet_db(root)
+    assert path.read_bytes() == earlier
+
+
+def _cut_last_line(data: bytes) -> bytes:
+    return data[:data.rindex(b"\n", 0, -1) + 1]
+
+
+def _fields(data: bytes, edit) -> bytes:
+    head, fields, rest = data.split(b"\n", 2)
+    return b"\n".join([head, b" ".join(edit(fields.split(b" "))), rest])
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda data: data[: len(data) // 2],
+    lambda data: b"",
+    _cut_last_line,
+    lambda data: data.replace(b"identity 1 ", b"identity 2 ", 1),
+    lambda data: data.replace(b"checks 1", b"checks 0", 1),
+    lambda data: _fields(data, lambda f: [f[0][:-1] + b"g"] + f[1:]),
+    lambda data: _fields(data, lambda f: f[:2] + [b"x"] + f[3:]),
+    lambda data: _fields(data, lambda f: f[:-1] + [b"2"]),
+    lambda data: _fields(data, lambda f: f[:-1]),
+    lambda data: _fields(data, lambda f: f + [b"1"]),
+    lambda data: _fields(data, lambda f: f[:1] + [b"\xff"] + f[2:]),
+], ids=["half", "empty", "last line cut", "format", "checks", "digest", "count", "flag",
+        "field missing", "field added", "version not UTF-8"])
+def test_a_spoilt_identity_stamp_is_a_miss_and_is_written_again(tmp_path, cache, spoil):
+    root = _settle(write_wndb(tmp_path / "dict"))
+    load_wordnet_db(root)
+    [identity] = _identities(cache)
+    good = identity.read_bytes()
+    identity.write_bytes(spoil(good))
+    with pytest.raises(AssertionError, match="hashed"):
+        _load_identity_hit(root)
+    assert _lookups(_load_hit(root)) == _lookups(_load_identity_hit(root))
+    assert identity.read_bytes() == good
+
+
+def test_a_database_rewritten_in_place_leaves_one_stamp_of_each_kind(tmp_path, cache):
+    root = write_wndb(tmp_path / "dict")
+    load_wordnet_db(root)
+    for n in (1, 2):
+        with open(root / "index.adv", "a", encoding="utf-8") as fh:
+            fh.write(f"zz{n} r 1 0 1 0 40000001\n")
+        load_wordnet_db(root)
+    assert (len(_stamps(cache)), len(_identities(cache))) == (1, 1)
+    _forget_paths(cache)
+    assert _load_hit(root).lookup("zz2", WNPos.ADV) == (40000001,)
+
+
+# --- windows of the binary search -------------------------------------------
+
+def _scan(path: Path, key: str) -> tuple[int, ...]:
+    """The offsets of the last line of ``key`` in an index file, read line by line."""
+    found = ()
+    for line in path.read_bytes().decode("utf-8", "replace").replace("\r\n", "\n").split("\n"):
+        fields = line.split()
+        if fields and not line.startswith(" ") and fields[0] == key:
+            found = tuple(int(o) for o in fields[6 + int(fields[3]):])
+    return found
+
+
+def _near(lemma: str) -> list[str]:
+    return [lemma, lemma[:-1], lemma + "a", lemma + "~", lemma[:-1] + chr(ord(lemma[-1]) + 1)]
+
+
+def test_windowed_lookups_equal_a_linear_scan(tmp_path, cache, monkeypatch):
+    """With 64-byte windows: many nouns, one listed five times across a
+    window's start, a header-only index.adj, an empty index.adv, and an
+    index.verb with ``\\r\\n`` line ends and a non-ASCII lemma."""
+    monkeypatch.setattr(wordnet, "_FENCE", 64)
+    nouns = {(f"w{i:03d}{'x' * (i % 7)}", "n"): [10000000 + i] for i in range(300)}
+    verbs = {(lemma, "v"): [20000000 + i] for i, lemma in enumerate(
+        ["cafe", "caf\u00e9", "cafz", "eat", "na\u00efve", "see", "\u00e9t\u00e9"])}
+    root = write_wndb(tmp_path / "dict", index={**nouns, **verbs})
+    lines = (root / "index.noun").read_bytes().split(b"\n")
+    at = next(i for i, line in enumerate(lines) if line.startswith(b"w147 "))
+    lines[at + 1:at + 1] = [b"w147 n 1 0 1 0 %d" % (10000000 + k) for k in range(5)]
+    (root / "index.noun").write_bytes(b"\n".join(lines))
+    (root / "index.adv").write_bytes(b"")
+    verb = (root / "index.verb").read_bytes()
+    (root / "index.verb").write_bytes(verb.replace(b"\n", b"\r\n"))
+    keys = {lemma for lemma, _ in [*nouns, *verbs]}
+    keys = sorted({near for lemma in keys for near in _near(lemma)}
+                  | {"", "a", "w", "zzzz", "~", "\u00e9", "\udcff", "w147 x"})
+    miss = load_wordnet_db(_settle(root))
+    hit = _load_identity_hit(root)
+    for db in (miss, hit):
+        for pos in WNPos:
+            index = root / f"index.{_SUFFIX[pos.value]}"
+            for key in keys:
+                assert db.lookup(key, pos) == _scan(index, key.replace(" ", "_")), (pos, key)
+    assert hit.lookup("w147", WNPos.NOUN) == (10000004,)
+    assert not isinstance(hit._index[WNPos.NOUN][0], (str, bytes))  # mapped
+    assert isinstance(hit._index[WNPos.VERB][0], str)  # \r\n: read and decoded
+    assert hit._index[WNPos.ADV][0] == b""
+    starts = hit._fence[WNPos.NOUN][1]
+    first = (root / "index.noun").read_bytes().index(b"\nw147 ") + 1
+    assert any(first < start < first + 6 * len(b"w147 n 1 0 1 0 10000000\n") for start in starts)
+
+
+@pytest.mark.parametrize("separator", ["\x1c", "\x1d", "\x1e", "\x1f"])
+def test_a_lemma_ended_by_a_separator_control_is_searched_as_text(tmp_path, cache, separator):
+    """``str.split`` ends a field at these four, and ``bytes.split`` does not."""
+    root = write_wndb(tmp_path / "dict")
+    text = (root / "index.noun").read_text("utf-8")
+    (root / "index.noun").write_text(text.replace("\nfish n ", f"\nfish{separator}n "), "utf-8")
+    for db in (load_wordnet_db(_settle(root)), _load_identity_hit(root)):
+        assert db.lookup("fish", WNPos.NOUN) == (10000010,)
+        assert db.lookup("mammal", WNPos.NOUN) == (10000031,)
 
 
 # --- mappings ------------------------------------------------------------
