@@ -329,7 +329,8 @@ class Synthesizer:
         # What is left of each bound.
         words, letters = spec.max_words or math.inf, spec.max_letters or math.inf
         if words < n * least_words or letters < n * least_letters:
-            raise SynthError(f"{n} sentences need at least {n * least_words} words "
+            need = f"{n} sentences need" if n > 1 else "1 sentence needs"
+            raise SynthError(f"{need} at least {n * least_words} words "
                              f"and {n * least_letters} letters")
         sentences: list[str] = []
         for to_come in reversed(range(n)):

@@ -10,23 +10,25 @@ first missing one, and then takes one of three paths:
   ``st_ino``, and every one still matches.  As git does with its index
   (``Documentation/technical/racy-git.txt``), a file whose mtime is not older
   than the stamp's own is not trusted: it may have changed again within the
-  same clock tick.  The stamp holds the version, the synset counts, the index
-  order and the digest the files were checked under;
+  same clock tick;
 - a *digest hit* reads the eight files and takes the SHA-256 of their names,
   lengths and bytes.  A database with the same bytes, from any path, passed
-  the checks before and left a stamp under that digest with the same fields;
+  the checks before and left a digest stamp under that digest;
 - a *full check* reads every data line and every index offset (its count,
   and that its data file defines it), naming the file and line of a failure.
   A database that passes gets its digest stamp; a failed check leaves none.
 
-Either of the last two writes the identity stamp again, and removes the
-digest stamp that it named before, if that differs.  Stamps live under
-``$XDG_CACHE_HOME/tokipona`` (by default ``~/.cache/tokipona``).  Lookups
-binary-search the index files by lemma, as Princeton's ``bin_search`` does,
-each inside one window of the file.  Three mappings are built from the
-lexicon's English glosses: every reachable synset, the same without
-preposition-tagged words, and only synsets whose part of speech matches a
-dictionary tag.
+A digest stamp is one text record: the digest, the version, the synset
+counts, and whether each index file is in lemma order and plain.  An identity
+stamp is that record, then the identity of each file.  Either of the last two
+paths writes the identity stamp again, and removes the digest stamp that it
+named before, if that differs.  Stamps live under ``$XDG_CACHE_HOME/tokipona``
+(by default ``~/.cache/tokipona``); JSON stamps of earlier versions are not
+read.  Lookups binary-search the index files by lemma, as Princeton's
+``bin_search`` does, each inside one window of the file.  Three mappings are
+built from the lexicon's English glosses: every reachable synset, the same
+without preposition-tagged words, and only synsets whose part of speech
+matches a dictionary tag.
 """
 
 from __future__ import annotations
@@ -54,12 +56,11 @@ _VERSION_RE = re.compile(r"Word[nN]et (\d+\.\d+|\d+) Copyright")
 _DATA = {pos: f"data.{pos.name.lower()}" for pos in WNPos}
 _INDEX = {pos: f"index.{pos.name.lower()}" for pos in WNPos}
 #: Part of every stamp's digest, so that no stamp vouches for other checks:
-#: change it when the checks change or the reader needs a new field, not for
-#: a field it ignores (older stamps' ``warnings``), which keeps them hits.
+#: change it when the checks change or the record needs a new field.
 _CHECKS = b"tokipona wndb checks 1\n"
-#: The first line of every identity stamp: its format, and the checks whose
-#: digest it holds.
-_IDENTITY = b"identity 1 " + _CHECKS
+#: The first line of every stamp: its format, and the checks whose digest it
+#: holds.
+_FORMAT = b"identity 1 " + _CHECKS
 #: An index file's lines are searched in windows that open at the first line
 #: after every this many bytes (characters, in a decoded text).
 _FENCE = 4096
@@ -101,25 +102,24 @@ class WordNetDatabase:
             identity, newest = _identity(files)
             resolved = os.fsencode(os.path.realpath(self.root))
             id_path = _stamp_path(f"wordnet-{zlib.crc32(resolved):08x}.id")
-            known, lines, written = _read_identity(id_path) if id_path else (None, b"", 0)
+            known, lines, written = _read_stamp(id_path) if id_path else (None, b"", 0)
             if known is not None and lines == identity and newest < written:
-                stamp, plain = known, known["plain"]
+                stamp = known
                 index = {pos: _map(files[_INDEX[pos]])
-                         if plain[pos.value] and stamp["in_order"][pos.value]
+                         if stamp["plain"][pos.value] and stamp["in_order"][pos.value]
                          else files[_INDEX[pos]].read() for pos in WNPos}
             else:
                 blobs = {name: fh.read() for name, fh in files.items()}
                 index = {pos: blobs[_INDEX[pos]] for pos in WNPos}
-                plain = {pos.value: _plain(index[pos]) for pos in WNPos}
-                digest, stamp = self._checked(blobs)
+                stamp = self._checked(blobs)
                 if id_path:
-                    if known is not None and known["digest"] != digest:
+                    if known is not None and known["digest"] != stamp["digest"]:
                         with contextlib.suppress(OSError):
-                            os.unlink(_stamp_path(f"wordnet-{known['digest']}.json"))
-                    _write_stamp(id_path, _identity_stamp(digest, stamp, plain) + identity)
+                            os.unlink(_stamp_path(f"wordnet-{known['digest']}.stamp"))
+                    _write_stamp(id_path, _record(stamp) + identity)
         self.version: Optional[str] = stamp["version"]
         self.total_synsets: int = sum(stamp["synsets"][pos.value] for pos in WNPos)
-        self._index = {pos: _sorted_index(index[pos], plain[pos.value],
+        self._index = {pos: _sorted_index(index[pos], stamp["plain"][pos.value],
                                           stamp["in_order"][pos.value]) for pos in WNPos}
         self._fence: dict[WNPos, tuple[list, list[int]]] = {}
 
@@ -130,34 +130,35 @@ class WordNetDatabase:
             return ["no version line found in the data files"]
         return [] if self.version == "3.0" else [f"database reports version {self.version}, not 3.0"]
 
-    def _checked(self, files: dict[str, bytes]) -> tuple[str, dict]:
-        """The digest of ``files`` and their stamp fields: from the digest
-        stamp, or from a full check that writes it."""
+    def _checked(self, files: dict[str, bytes]) -> dict:
+        """The stamp record of ``files``: from their digest stamp, or from a
+        full check that writes it."""
         import hashlib
-        import json
 
         sha = hashlib.sha256(_CHECKS)
         for name, data in files.items():
             sha.update(b"%s %d\n" % (name.encode(), len(data)))
             sha.update(data)
         digest = sha.hexdigest()
-        stamp_path = _stamp_path(f"wordnet-{digest}.json")
-        stamp = _read_stamp(stamp_path, digest) if stamp_path else None
-        if stamp is None:
-            stamp = self._check(files)
-            if stamp_path:
-                _write_stamp(stamp_path, json.dumps({"digest": digest, **stamp}).encode())
-        return digest, stamp
+        path = _stamp_path(f"wordnet-{digest}.stamp")
+        stamp, lines, _ = _read_stamp(path) if path else (None, b"", 0)
+        if stamp is None or stamp["digest"] != digest or lines:
+            stamp = {"digest": digest, **self._check(files)}
+            if path:
+                _write_stamp(path, _record(stamp))
+        return stamp
 
     def _check(self, files: dict[str, bytes]) -> dict:
         """Check every line of the data ``files``, each let go once decoded,
-        and of the index files; the stamp fields of a database that passes."""
+        and of the index files; the stamp record of a database that passes,
+        but its digest."""
         data = {pos: self._check_data(pos, _split(_text(files.pop(_DATA[pos])))) for pos in WNPos}
         in_order = {pos.value: self._check_index(pos, _split(_text(files[_INDEX[pos]])),
                                                  data[pos][1]) for pos in WNPos}
         return {"version": next((version for version, _ in data.values() if version), None),
                 "synsets": {pos.value: len(seen) for pos, (_, seen) in data.items()},
-                "in_order": in_order}
+                "in_order": in_order,
+                "plain": {pos.value: _plain(files[_INDEX[pos]]) for pos in WNPos}}
 
     @staticmethod
     def _check_data(pos: WNPos, lines: list[str]) -> tuple[Optional[str], set[int]]:
@@ -347,19 +348,19 @@ def _identity(files: dict) -> tuple[bytes, int]:
     return lines, max(st.st_mtime_ns for st, _ in stats)
 
 
-def _identity_stamp(digest: str, stamp: dict, plain: dict[str, bool]) -> bytes:
-    """The head of an identity stamp: its first line, then the digest, the
-    version (``-`` for none), and per POS the synset count, then whether the
-    index is in order, then whether it is plain."""
-    fields = [digest, stamp["version"] or "-"]
+def _record(stamp: dict) -> bytes:
+    """A digest stamp, and the head of an identity stamp: the format line,
+    then the digest, the version (``-`` for none), and per POS the synset
+    count, then whether the index is in order, then whether it is plain."""
+    fields = [stamp["digest"], stamp["version"] or "-"]
     fields += [str(stamp["synsets"][pos.value]) for pos in WNPos]
-    fields += [str(int(flags[pos.value])) for flags in (stamp["in_order"], plain) for pos in WNPos]
-    return _IDENTITY + " ".join(fields).encode() + b"\n"
+    fields += [str(int(stamp[flag][pos.value])) for flag in ("in_order", "plain") for pos in WNPos]
+    return _FORMAT + " ".join(fields).encode() + b"\n"
 
 
-def _read_identity(path: Path) -> tuple[Optional[dict], bytes, int]:
-    """The fields, the file lines and the write time of the identity stamp at
-    ``path``; no fields if it cannot be read or is malformed."""
+def _read_stamp(path: Path) -> tuple[Optional[dict], bytes, int]:
+    """The record, the file lines (none in a digest stamp) and the write time
+    of the stamp at ``path``; no record if it cannot be read or is malformed."""
     try:
         with open(path, "rb") as fh:
             written = os.fstat(fh.fileno()).st_mtime_ns
@@ -368,7 +369,7 @@ def _read_identity(path: Path) -> tuple[Optional[dict], bytes, int]:
         version = None if version == b"-" else version.decode()
     except (OSError, ValueError):  # no such file, too few lines, not UTF-8
         return None, b"", 0
-    if (head + b"\n" != _IDENTITY or not re.fullmatch(rb"[0-9a-f]{64}", digest)
+    if (head + b"\n" != _FORMAT or not re.fullmatch(rb"[0-9a-f]{64}", digest)
             or len(numbers) != 12
             or not all(n.isdigit() for n in numbers[:4])
             or not set(numbers[4:]) <= {b"0", b"1"}):
@@ -378,21 +379,6 @@ def _read_identity(path: Path) -> tuple[Optional[dict], bytes, int]:
             "synsets": {pos.value: int(n) for pos, n in zip(WNPos, synsets)},
             "in_order": {pos.value: f == b"1" for pos, f in zip(WNPos, in_order)},
             "plain": {pos.value: f == b"1" for pos, f in zip(WNPos, plain)}}, lines, written
-
-
-def _read_stamp(path: Path, digest: str) -> Optional[dict]:
-    """The digest stamp at ``path`` if it is whole and for ``digest``, else None."""
-    import json
-
-    try:
-        stamp = json.loads(path.read_bytes())
-        valid = (stamp["digest"] == digest
-                 and (stamp["version"] is None or type(stamp["version"]) is str)
-                 and all(type(stamp["synsets"][pos.value]) is int
-                         and type(stamp["in_order"][pos.value]) is bool for pos in WNPos))
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-    return stamp if valid else None
 
 
 def _write_stamp(path: Path, data: bytes) -> None:

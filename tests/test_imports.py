@@ -142,17 +142,27 @@ print(status, *sorted(sys.modules))
 
 
 def test_a_wordnet_stamp_hit_loads_neither_hashlib_nor_json(tmp_path):
+    """No load path loads ``json``: a full check, a digest hit (the identity
+    stamp deleted) and an identity hit, which alone loads no ``hashlib``."""
     root = write_wndb(tmp_path / "dict")
     seconds = int(time.time()) - 60  # older than the stamp: not the racy case
     for path in root.iterdir():
         os.utime(path, (seconds, seconds))
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    cache = tmp_path / "cache"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent), XDG_CACHE_HOME=str(cache))
     argv = [sys.executable, "-c", _BUILD_PROBE, "wordnet", "build", "--db", str(root)]
-    first, hit = (subprocess.run(argv, env=env, stdin=subprocess.DEVNULL, capture_output=True,
-                                 text=True, timeout=60, check=True).stdout.split()
-                  for _ in range(2))
-    assert first[0] == hit[0] == "0"
-    assert "hashlib" in first and "json" in first  # the first load checks and stamps
+
+    def build() -> list[str]:
+        return subprocess.run(argv, env=env, stdin=subprocess.DEVNULL, capture_output=True,
+                              text=True, timeout=60, check=True).stdout.split()
+
+    first = build()
+    [identity] = (cache / "tokipona").glob("*.id")
+    identity.unlink()
+    digest_hit, hit = build(), build()
+    assert first[0] == digest_hit[0] == hit[0] == "0"
+    assert "hashlib" in first and "hashlib" in digest_hit
+    assert "json" not in first and "json" not in digest_hit
     assert "hashlib" not in hit and "json" not in hit
     assert "mmap" in hit
 

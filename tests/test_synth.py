@@ -455,6 +455,8 @@ def test_tracker_monotonic_without_window():
 def test_paragraph_unsatisfiable():
     s = Synthesizer(SynthConfig(seed=6))
     state = s.rng.getstate()
+    with pytest.raises(SynthError, match="^1 sentence needs at least 2 words and 4 letters$"):
+        s.synth_paragraph(ParagraphSpec(sentences=1, max_words=1))
     with pytest.raises(SynthError, match="^2 sentences need at least 4 words and 8 letters$"):
         s.synth_paragraph(ParagraphSpec(sentences=2, max_letters=5))
     with pytest.raises(SynthError, match="^3 sentences need at least 6 words and 12 letters$"):

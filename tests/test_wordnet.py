@@ -251,7 +251,7 @@ def _naive_parse(files):
 
 def _stamps(cache: Path) -> list[Path]:
     """The digest stamps in ``cache``."""
-    return sorted((cache / "tokipona").glob("*.json")) if (cache / "tokipona").is_dir() else []
+    return sorted((cache / "tokipona").glob("*.stamp")) if (cache / "tokipona").is_dir() else []
 
 
 def _identities(cache: Path) -> list[Path]:
@@ -382,69 +382,6 @@ def test_a_changed_file_is_checked_again(tmp_path, cache):
         _load_hit(root)
 
 
-def _truncated(text: str) -> str:
-    return text[: len(text) // 2]
-
-
-def _foreign(text: str) -> str:
-    return text.replace('"digest": "', '"digest": "0')
-
-
-def _wrong_type(text: str) -> str:
-    stamp = json.loads(text)
-    stamp["synsets"] = {pos: str(n) for pos, n in stamp["synsets"].items()}
-    return json.dumps(stamp)
-
-
-def _numeric_version(text: str) -> str:
-    stamp = json.loads(text)
-    stamp["version"] = 3.0
-    return json.dumps(stamp)
-
-
-def _not_an_object(text: str) -> str:
-    return "[]"
-
-
-def _empty(text: str) -> str:
-    return ""
-
-
-@pytest.mark.parametrize("spoil", [
-    _truncated, _foreign, _wrong_type, _numeric_version, _not_an_object, _empty,
-])
-def test_a_spoilt_stamp_is_a_miss_and_is_written_again(tmp_path, cache, spoil):
-    root = write_wndb(tmp_path / "dict")
-    load_wordnet_db(root)
-    [stamp] = _stamps(cache)
-    good = stamp.read_text("utf-8")
-    stamp.write_text(spoil(good), "utf-8")
-    _forget_paths(cache)
-    with pytest.raises(AssertionError, match="checked"):
-        _load_hit(root)
-    assert _lookups(load_wordnet_db(root)) == _lookups(_load_hit(root))
-    assert json.loads(stamp.read_text("utf-8")) == json.loads(good)
-
-
-@pytest.mark.parametrize("version", ["3.0", "3.1"])
-def test_a_stamp_with_the_warnings_of_older_stamps_is_a_hit(tmp_path, cache, version):
-    """Older stamps also hold the warnings, which now follow from the version."""
-    root = write_wndb(tmp_path / "dict")
-    for name in root.iterdir():
-        name.write_text(name.read_text("utf-8").replace("WordNet 3.0", f"WordNet {version}"),
-                        "utf-8")
-    miss = load_wordnet_db(root)
-    [stamp] = _stamps(cache)
-    older = {**json.loads(stamp.read_text("utf-8")), "warnings": miss.warnings}
-    stamp.write_text(json.dumps(older), "utf-8")
-    _forget_paths(cache)
-    hit = _load_hit(root)
-    assert (hit.version, hit.warnings, hit.total_synsets) == \
-        (version, miss.warnings, miss.total_synsets)
-    assert (version == "3.0") == (hit.warnings == [])
-    assert _lookups(hit) == _lookups(miss)
-
-
 def test_a_stamp_that_cannot_be_renamed_into_place_leaves_no_file(tmp_path, cache):
     root = write_wndb(tmp_path / "dict")
     with mock.patch("tokipona.wordnet.os.replace", side_effect=OSError("refused")):
@@ -550,9 +487,22 @@ def test_an_identity_hit_names_a_missing_file_first(tmp_path, cache):
         assert _load_error(root) == "missing database file index.adv"
 
 
-def test_a_digest_stamp_in_the_json_of_earlier_versions_is_a_hit(tmp_path, cache):
-    """Written as the loader wrote it before identity stamps, with
-    ``json.dump`` into a text file; the loader still writes the same bytes."""
+def test_the_digest_stamp_is_the_head_of_the_identity_stamp(tmp_path, cache):
+    """Written by a full check, and again (the identity stamp) by a digest hit."""
+    root = write_wndb(tmp_path / "dict")
+    for load in (load_wordnet_db, _load_hit):
+        _forget_paths(cache)
+        load(root)
+        [stamp], [identity] = _stamps(cache), _identities(cache)
+        head, fields, _ = identity.read_bytes().split(b"\n", 2)
+        assert stamp.read_bytes() == head + b"\n" + fields + b"\n"
+        assert stamp.name == "wordnet-%s.stamp" % fields.split(b" ")[0].decode()
+
+
+def test_a_digest_stamp_in_the_json_of_earlier_versions_is_not_read(tmp_path, cache):
+    """Written as the loader wrote it before this format, with ``json.dump``
+    into a text file: the load checks the database in full, writes its own
+    digest stamp and leaves the JSON file as it was."""
     root = write_wndb(tmp_path / "dict")
     sha = hashlib.sha256(b"tokipona wndb checks 1\n")
     for kind in ("data", "index"):
@@ -570,11 +520,12 @@ def test_a_digest_stamp_in_the_json_of_earlier_versions_is_a_hit(tmp_path, cache
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(stamp, fh)
     earlier = path.read_bytes()
-    hit = _load_hit(root)
-    assert (hit.version, hit.total_synsets) == ("3.0", sum(synsets.values()))
-    path.unlink()
-    _forget_paths(cache)
-    load_wordnet_db(root)
+    with mock.patch.object(WordNetDatabase, "_check", autospec=True,
+                           side_effect=WordNetDatabase._check) as check:
+        db = load_wordnet_db(root)
+    assert check.call_count == 1
+    assert (db.version, db.total_synsets) == ("3.0", sum(synsets.values()))
+    assert [p.name for p in _stamps(cache)] == [f"wordnet-{digest}.stamp"]
     assert path.read_bytes() == earlier
 
 
@@ -599,18 +550,41 @@ def _fields(data: bytes, edit) -> bytes:
     lambda data: _fields(data, lambda f: f[:-1]),
     lambda data: _fields(data, lambda f: f + [b"1"]),
     lambda data: _fields(data, lambda f: f[:1] + [b"\xff"] + f[2:]),
+    lambda data: data + b"0 0 0 0 /dict/data.noun\n",
 ], ids=["half", "empty", "last line cut", "format", "checks", "digest", "count", "flag",
-        "field missing", "field added", "version not UTF-8"])
+        "field missing", "field added", "version not UTF-8", "line added"])
 def test_a_spoilt_identity_stamp_is_a_miss_and_is_written_again(tmp_path, cache, spoil):
+    """Either stamp in the one format, spoilt alone: the identity stamp, whose
+    miss hashes the files, then the digest stamp, its first two lines, whose
+    miss checks them."""
     root = _settle(write_wndb(tmp_path / "dict"))
     load_wordnet_db(root)
-    [identity] = _identities(cache)
-    good = identity.read_bytes()
-    identity.write_bytes(spoil(good))
-    with pytest.raises(AssertionError, match="hashed"):
-        _load_identity_hit(root)
-    assert _lookups(_load_hit(root)) == _lookups(_load_identity_hit(root))
-    assert identity.read_bytes() == good
+    for stamps, load, missed in [(_identities, _load_identity_hit, "hashed"),
+                                 (_stamps, _load_hit, "checked")]:
+        [stamp] = stamps(cache)
+        good = stamp.read_bytes()
+        stamp.write_bytes(spoil(good))
+        if stamps is _stamps:
+            _forget_paths(cache)
+        with pytest.raises(AssertionError, match=missed):
+            load(root)
+        assert _lookups(load_wordnet_db(root)) == _lookups(load(root))
+        assert stamp.read_bytes() == good
+
+
+def test_a_digest_stamp_holding_another_digest_is_a_miss(tmp_path, cache):
+    """An identity stamp holding another digest is a hit: an identity hit
+    hashes nothing."""
+    root = write_wndb(tmp_path / "dict")
+    load_wordnet_db(root)
+    [stamp] = _stamps(cache)
+    good = stamp.read_bytes()
+    stamp.write_bytes(_fields(good, lambda f: [f[0][::-1]] + f[1:]))
+    _forget_paths(cache)
+    with pytest.raises(AssertionError, match="checked"):
+        _load_hit(root)
+    load_wordnet_db(root)
+    assert stamp.read_bytes() == good
 
 
 def test_a_database_rewritten_in_place_leaves_one_stamp_of_each_kind(tmp_path, cache):
@@ -662,14 +636,17 @@ def test_windowed_lookups_equal_a_linear_scan(tmp_path, cache, monkeypatch):
                   | {"", "a", "w", "zzzz", "~", "\u00e9", "\udcff", "w147 x"})
     miss = load_wordnet_db(_settle(root))
     hit = _load_identity_hit(root)
-    for db in (miss, hit):
+    _forget_paths(cache)
+    digest_hit = _load_hit(root)
+    for db in (miss, hit, digest_hit):
         for pos in WNPos:
             index = root / f"index.{_SUFFIX[pos.value]}"
             for key in keys:
                 assert db.lookup(key, pos) == _scan(index, key.replace(" ", "_")), (pos, key)
     assert hit.lookup("w147", WNPos.NOUN) == (10000004,)
     assert not isinstance(hit._index[WNPos.NOUN][0], (str, bytes))  # mapped
-    assert isinstance(hit._index[WNPos.VERB][0], str)  # \r\n: read and decoded
+    for db in (hit, digest_hit):  # \r\n: read and decoded, by the stamp's plain flag
+        assert isinstance(db._index[WNPos.VERB][0], str)
     assert hit._index[WNPos.ADV][0] == b""
     starts = hit._fence[WNPos.NOUN][1]
     first = (root / "index.noun").read_bytes().index(b"\nw147 ") + 1
